@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermitian as hm
-from .distances import distance
+from .distances import KINDS
 from .errors import InvalidObservation
 from .fields import ClassMap, CovarianceField
 from .wishart import WishartModel, log_density
@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 RULES = ("ML", "ED", "HD", "KL", "KL+OW")
 SIMPLEX_TOL = 1e-9
+MAX_CLASSES = 255  # labels are uint8 and 0 is the no-data sentinel
 
 
 @dataclass(eq=False)
@@ -45,6 +46,9 @@ class PrototypeSet:
         m = self.sigmas.shape[0]
         if m < 2:
             raise ValueError(f"need at least 2 classes, got {m}")
+        if m > MAX_CLASSES:
+            raise ValueError(f"at most {MAX_CLASSES} classes fit the uint8 labels "
+                             f"(0 marks no-data), got {m}")
         if not np.all(hm.is_positive_definite(self.sigmas)):
             raise InvalidObservation("every prototype must be positive definite")
         if self.shared_looks < 3:
@@ -81,13 +85,60 @@ def distance_stack(data, protos: PrototypeSet, kind: str = "KL",
                    use_class_looks: bool = False, weighted: bool = False) -> np.ndarray:
     """Per-class distances d(data, prototype_m), stacked on a trailing axis.
 
+    ``data`` holds complex (..., 3, 3) covariances.  Except for ED, which has
+    no inverse to share, it is packed once and the per-pixel features serve
+    all classes (see packed_distance_stack).
     With ``weighted`` each column is scaled by the class weight, which is the
     quantity the weighted argmin rule and the reaction term minimize.
     """
+    if kind == "ED":
+        cols = [np.asarray(hm.frobenius_distance(data, s)) for s in protos.sigmas]
+        return _stack(cols, protos, weighted)
+    return packed_distance_stack(hm.to_packed(data), protos, kind, use_class_looks, weighted)
+
+
+def packed_distance_stack(x, protos: PrototypeSet, kind: str = "KL",
+                          use_class_looks: bool = False, weighted: bool = False) -> np.ndarray:
+    """distance_stack for packed (..., 9) data.
+
+    The field is inverted once per call, whatever the number of classes:
+    KL needs tr(S^-1 P_m) and tr(S P_m^-1), HD and BD need log|S| and the
+    determinant of (S^-1 + P_m^-1) / 2.  Pixels are flattened first and every
+    operation is elementwise, so a pixel's distances do not depend on the
+    shape of the array it arrives in.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    shape = x.shape[:-1]
+    x = x.reshape(-1, 9)
+    if kind == "ED":
+        return distance_stack(hm.from_packed(x), protos, kind, use_class_looks,
+                              weighted).reshape(shape + (protos.n_classes,))
+    if kind not in KINDS:
+        raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
+    x = np.ascontiguousarray(x.T).T  # component-major, for the entry-wise kernels
+    protos_packed = hm.to_packed(protos.sigmas)
+    x_inv, x_det = hm.inv_packed(x)
+    p_inv, p_det = hm.inv_packed(protos_packed)
+    if kind != "KL":
+        log_det = np.log(x_det)
     cols = []
     for m in range(protos.n_classes):
-        d = distance(kind, data, protos.sigmas[m], protos.looks_for(m, use_class_looks))
-        cols.append(protos.weights[m] * np.asarray(d) if weighted else np.asarray(d))
+        looks = protos.looks_for(m, use_class_looks)
+        if kind == "KL":
+            t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
+                       + hm.trace_product_packed(x, p_inv[m])) - 3.0
+            cols.append(np.maximum(looks * t, 0.0))
+        else:
+            inv_mean = 0.5 * (x_inv + p_inv[m])
+            r = np.minimum(-np.log(hm.det_packed(inv_mean))
+                           - 0.5 * (log_det + np.log(p_det[m])), 0.0)
+            cols.append(-np.expm1(looks * r) if kind == "HD" else -looks * r)
+    return _stack(cols, protos, weighted).reshape(shape + (protos.n_classes,))
+
+
+def _stack(cols, protos: PrototypeSet, weighted: bool) -> np.ndarray:
+    if weighted:
+        cols = [protos.weights[m] * c for m, c in enumerate(cols)]
     return np.stack(cols, axis=-1)
 
 

@@ -128,6 +128,8 @@ _CONFIG_TYPES = {
     "rules": str, "outdir": str, "image": str, "roi": str, "phantom_config": str,
     "use_class_looks": bool, "roi_margin": int, "roi_max_side": int,
 }
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass(eq=False)
@@ -175,7 +177,10 @@ class ExperimentConfig:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 typ = _CONFIG_TYPES[key]
                 if typ is bool:
-                    parsed = value.lower() in ("1", "true", "yes", "on")
+                    if value.lower() not in _BOOLS:
+                        raise ValueError(f"{path}:{lineno}: {key} needs a boolean "
+                                         f"(1/true/yes/on or 0/false/no/off), got {value!r}")
+                    parsed = _BOOLS[value.lower()]
                 elif key == "rules":
                     parsed = tuple(r.strip() for r in value.split(","))
                 else:

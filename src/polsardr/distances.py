@@ -35,20 +35,12 @@ def _log_mean_ratio(s1, s2) -> np.ndarray:
     return np.minimum(r, 0.0)
 
 
-def hellinger_distance(s1, s2, looks: float, as_printed: bool = False) -> np.ndarray | float:
+def hellinger_distance(s1, s2, looks: float) -> np.ndarray | float:
     """Hellinger distance in [0, 1).
 
-    1 - [ |((s1^-1 + s2^-1)/2)^-1| / sqrt(|s1| |s2|) ]^looks.  The
-    ``as_printed`` variant keeps the factor 2 outside the harmonic mean
-    (1 - [ |(s1^-1 + s2^-1)^-1| / (2 sqrt(|s1| |s2|)) ]^looks); it does not
-    vanish on coincident arguments and exists only for comparison/debugging.
+    1 - [ |((s1^-1 + s2^-1)/2)^-1| / sqrt(|s1| |s2|) ]^looks.
     """
-    if as_printed:
-        num = np.asarray(hm.det3(hm.inv3(hm.inv3(s1) + hm.inv3(s2))))
-        den = 2.0 * np.sqrt(np.asarray(hm.det3(s1)) * np.asarray(hm.det3(s2)))
-        out = 1.0 - (num / den) ** looks
-    else:
-        out = -np.expm1(looks * _log_mean_ratio(s1, s2))
+    out = -np.expm1(looks * _log_mean_ratio(s1, s2))
     return out if np.ndim(out) else float(out)
 
 

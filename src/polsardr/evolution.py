@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .classify import PrototypeSet, distance_stack
+from .classify import PrototypeSet, packed_distance_stack
 from .errors import InvalidObservation, StabilityViolation
 from .fields import CovarianceField
 
@@ -68,22 +68,47 @@ class EvolutionMetrics:
                 writer.writerow([int(i), repr(float(d)), repr(float(c))])
 
 
+def _diffuse(x: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """Five-point Laplacian update of a packed (H, W, 9) field, replicated edges."""
+    p = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * x
+    return x + (params.alpha * params.dt / params.h**2) * lap
+
+
+def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str):
+    """Labels (0-based), nearest and runner-up weighted distances of packed pixels.
+
+    One elementwise pass over the class columns; the lowest index wins ties,
+    as with np.argmin.
+    """
+    stack = packed_distance_stack(x, protos, kind, weighted=True)
+    d0, d1 = stack[..., 0], stack[..., 1]
+    labels = (d1 < d0).astype(np.intp)
+    nearest, runner_up = np.minimum(d0, d1), np.maximum(d0, d1)
+    for m in range(2, protos.n_classes):
+        d = stack[..., m]
+        runner_up = np.minimum(runner_up, np.maximum(nearest, d))
+        labels[d < nearest] = m
+        nearest = np.minimum(nearest, d)
+    return labels, nearest, runner_up
+
+
+def _react(x: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> np.ndarray:
+    """Contract each packed pixel toward the prototype its assignment names."""
+    labels, d1, d2 = assignments
+    factor = np.exp(dt * (d1 - d2))[..., None]
+    anchor = hm.to_packed(protos.sigmas)[labels]
+    out = x - anchor
+    out *= factor
+    out += anchor
+    return out
+
+
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
     """Five-point Laplacian update with replicated edges (discrete zero flux)."""
     _check_stability(params.alpha, params.dt, params.h)
-    d = field.data
-    p = np.pad(d, ((1, 1), (1, 1), (0, 0), (0, 0)), mode="edge")
-    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * d
-    out = d + (params.alpha * params.dt / params.h**2) * lap
-    return CovarianceField(out, looks=field.looks)
-
-
-def _assignments(data, protos: PrototypeSet, kind: str):
-    """Labels (0-based), nearest and runner-up weighted distances."""
-    stack = distance_stack(data, protos, kind, weighted=True)
-    labels = np.argmin(stack, axis=-1)
-    part = np.partition(stack, 1, axis=-1)
-    return labels, part[..., 0], part[..., 1]
+    out = _diffuse(hm.to_packed(field.data), params)
+    return CovarianceField(hm.from_packed(out), looks=field.looks)
 
 
 def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
@@ -94,11 +119,9 @@ def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
     factor lies in (0, 1] and the update is a convex combination; a pixel
     tied between two classes is a fixed point.
     """
-    d = field.data
-    labels, d1, d2 = _assignments(d, protos, kind)
-    factor = np.exp(dt * (d1 - d2))[..., None, None]
-    anchor = protos.sigmas[labels]
-    return CovarianceField(anchor + factor * (d - anchor), looks=field.looks)
+    x = hm.to_packed(field.data)
+    out = _react(x, protos, dt, _assignments(x, protos, kind))
+    return CovarianceField(hm.from_packed(out), looks=field.looks)
 
 
 def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams,
@@ -108,25 +131,29 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     Metrics row n holds the mean weighted distance to the nearest prototype
     and the fraction of pixels whose nearest class changed, both measured on
     the field at the end of iteration n (row 0: initial field, fraction 0).
+    The field evolves in the packed (H, W, 9) layout through the same helpers
+    as diffusion_step and reaction_step, and is inverted once per state.
     """
     if not np.all(hm.is_positive_definite(field.data)):
         raise InvalidObservation("initial field has non-positive-definite pixels")
-    labels, d1, _ = _assignments(field.data, protos, kind)
+    _check_stability(params.alpha, params.dt, params.h)
+    x = hm.to_packed(field.data)
+    assigned = _assignments(x, protos, kind)
+    labels = assigned[0]
     iters = [0]
-    mean_dist = [float(d1.mean())]
+    mean_dist = [float(assigned[1].mean())]
     changed = [0.0]
-    cur = field
     for n in range(1, params.iterations + 1):
-        cur = diffusion_step(cur, params)
-        cur = reaction_step(cur, protos, params.dt, kind)
-        new_labels, d1, _ = _assignments(cur.data, protos, kind)
+        x = _diffuse(x, params)
+        x = _react(x, protos, params.dt, _assignments(x, protos, kind))
+        assigned = _assignments(x, protos, kind)
         iters.append(n)
-        mean_dist.append(float(d1.mean()))
-        changed.append(float(np.mean(new_labels != labels)))
-        labels = new_labels
+        mean_dist.append(float(assigned[1].mean()))
+        changed.append(float(np.mean(assigned[0] != labels)))
+        labels = assigned[0]
     metrics = EvolutionMetrics(
         iteration=np.array(iters),
         mean_weighted_distance=np.array(mean_dist),
         changed_fraction=np.array(changed),
     )
-    return cur, metrics
+    return CovarianceField(hm.from_packed(x), looks=field.looks), metrics

@@ -155,18 +155,73 @@ def is_positive_definite(m) -> np.ndarray | bool:
 
 # Packed layout shared with the binary image format:
 # [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
+# tr(a @ b) of Hermitian a, b is the dot product of their packed forms under
+# these weights: each off-diagonal pair contributes twice its real part.
+TRACE_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+
+
 def to_packed(m) -> np.ndarray:
     a, d, f, b, c, e = _entries(m)
     return np.stack([a, d, f, b.real, b.imag, c.real, c.imag, e.real, e.imag], axis=-1)
 
 
 def from_packed(p) -> np.ndarray:
+    a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
+    return assemble(a, d, f, br + 1j * bi, cr + 1j * ci, er + 1j * ei)
+
+
+def _packed_entries(p):
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != 9:
         raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
-    return assemble(
-        p[..., 0], p[..., 1], p[..., 2],
-        p[..., 3] + 1j * p[..., 4],
-        p[..., 5] + 1j * p[..., 6],
-        p[..., 7] + 1j * p[..., 8],
-    )
+    return tuple(p[..., k] for k in range(9))
+
+
+def det_packed(p) -> np.ndarray:
+    """det3 of packed Hermitian matrices, without forming complex arrays."""
+    a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
+    return (a * d * f
+            - a * (er * er + ei * ei)
+            - f * (br * br + bi * bi)
+            - d * (cr * cr + ci * ci)
+            + 2.0 * ((br * er - bi * ei) * cr + (br * ei + bi * er) * ci))
+
+
+def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
+    """Packed cofactor inverse and determinant of packed Hermitian matrices.
+
+    Raises SingularMatrix under the same |det| < DET_TOL test as inv3.  The
+    packed kernels read and write one entry at a time, so they run fastest on
+    component-major data (each entry contiguous); the inverse is returned in
+    that layout.
+    """
+    a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
+    det = np.asarray(det_packed(p))
+    if np.any(np.abs(det) < DET_TOL):
+        raise SingularMatrix(f"|det| < {DET_TOL} (min |det| = {np.abs(det).min():.3e})")
+    inv = np.moveaxis(np.empty((9,) + np.shape(det)), 0, -1)
+    inv[..., 0] = d * f - (er * er + ei * ei)
+    inv[..., 1] = a * f - (cr * cr + ci * ci)
+    inv[..., 2] = a * d - (br * br + bi * bi)
+    inv[..., 3] = cr * er + ci * ei - br * f
+    inv[..., 4] = ci * er - cr * ei - bi * f
+    inv[..., 5] = br * er - bi * ei - cr * d
+    inv[..., 6] = br * ei + bi * er - ci * d
+    inv[..., 7] = cr * br + ci * bi - a * er
+    inv[..., 8] = ci * br - cr * bi - a * ei
+    inv /= det[..., None]
+    return inv, det
+
+
+def trace_product_packed(a, b) -> np.ndarray:
+    """tr(a @ b) for packed Hermitian a (..., 9) and one packed b (9,).
+
+    The terms are summed one entry at a time, so a pixel's value does not
+    depend on the shape of the array it arrives in.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    wb = TRACE_WEIGHTS * np.asarray(b, dtype=np.float64)
+    t = a[..., 0] * wb[0]
+    for k in range(1, 9):
+        t += a[..., k] * wb[k]
+    return t

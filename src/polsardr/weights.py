@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
+from .classify import SIMPLEX_TOL  # re-exported: one tolerance for every simplex check
 from .distances import distance
 from .errors import InvalidObservation, NonFiniteEnergy
 
-SIMPLEX_TOL = 1e-9
 FD_STEP = 1e-6
 
 

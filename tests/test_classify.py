@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polsardr import hermitian as hm
 from polsardr.classify import (RULES, PrototypeSet, classify_image, classify_pixel,
-                               distance_stack, score_stack)
-from polsardr.distances import kl_distance
-from polsardr.errors import InvalidObservation
+                               distance_stack, packed_distance_stack, score_stack)
+from polsardr.distances import KINDS, distance, kl_distance
+from polsardr.errors import InvalidObservation, SingularMatrix
 from polsardr.fields import CovarianceField
 from polsardr.wishart import WishartModel, sample
 
@@ -30,6 +33,14 @@ def test_prototype_set_validation(rng):
                      shared_looks=4.0)
     protos = _protos(rng)
     np.testing.assert_allclose(protos.weights, 1 / 3)
+
+
+def test_prototype_set_rejects_more_classes_than_labels(rng):
+    # labels are uint8 with 0 reserved for no-data, so 255 classes is the limit
+    sigmas = np.stack([make_hpd(rng) for _ in range(256)])
+    with pytest.raises(ValueError, match="255"):
+        PrototypeSet(sigmas=sigmas, shared_looks=4.0)
+    assert PrototypeSet(sigmas=sigmas[:255], shared_looks=4.0).n_classes == 255
 
 
 def test_pixel_at_prototype_is_classified_to_it(rng):
@@ -135,3 +146,40 @@ def test_per_class_looks_selectable(rng):
 def test_unknown_rule_rejected(rng):
     with pytest.raises(ValueError):
         classify_pixel(make_hpd(rng), _protos(rng), "NN")
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
+       use_class_looks=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_looks):
+    # the shared-feature kernel against the pairwise closed forms, column by
+    # column, with pixels spread over [1e-3, 1e3] around the prototypes' scale
+    rng = np.random.default_rng(seed)
+    m = 4
+    sigmas = np.stack([make_hpd(rng, scale=10.0 ** log_scale) for _ in range(m)])
+    protos = PrototypeSet(sigmas=sigmas, shared_looks=4.0,
+                          class_looks=rng.uniform(3.0, 20.0, m))
+    scales = 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, 12))
+    data = np.stack([make_hpd(rng, scale=c) for c in scales]).reshape(3, 4, 3, 3)
+    for kind in KINDS:
+        stack = distance_stack(data, protos, kind, use_class_looks)
+        assert stack.shape == (3, 4, m)
+        for k in range(m):
+            expected = distance(kind, data, sigmas[k], protos.looks_for(k, use_class_looks))
+            np.testing.assert_allclose(stack[..., k], expected, rtol=1e-10)
+        pairwise = np.stack([distance(kind, data, sigmas[k],
+                                      protos.looks_for(k, use_class_looks))
+                             for k in range(m)], axis=-1)
+        np.testing.assert_array_equal(np.argmin(stack, -1), np.argmin(pairwise, -1))
+        # a pixel's distances do not depend on the shape it arrives in
+        flat = distance_stack(data.reshape(-1, 3, 3), protos, kind, use_class_looks)
+        np.testing.assert_array_equal(flat, stack.reshape(-1, m))
+        np.testing.assert_array_equal(
+            packed_distance_stack(hm.to_packed(data), protos, kind, use_class_looks), stack)
+
+
+@pytest.mark.parametrize("kind", ["KL", "HD", "BD"])
+def test_distance_stack_rejects_singular_pixel(rng, kind):
+    data = np.stack([make_hpd(rng), np.ones((3, 3), dtype=complex)])
+    with pytest.raises(SingularMatrix):
+        distance_stack(data, _protos(rng), kind)

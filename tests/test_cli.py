@@ -71,6 +71,23 @@ def test_config_checks_stability_at_load(tmp_path):
         ExperimentConfig.from_file(cfg)
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("FALSE", False), ("no", False), ("Off", False)])
+def test_config_bool_spellings(tmp_path, value, expected):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"use_class_looks: {value}\n")
+    assert ExperimentConfig.from_file(cfg).use_class_looks is expected
+
+
+def test_config_rejects_unknown_bool(tmp_path):
+    # a typo must not silently switch the option off
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("width: 64\nuse_class_looks: ture\n")
+    with pytest.raises(ValueError, match=r"exp\.cfg:2: .*'ture'"):
+        ExperimentConfig.from_file(cfg)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("wdith: 64\n")

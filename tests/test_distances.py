@@ -49,13 +49,6 @@ def test_hellinger_monotone_in_looks():
     assert all(0 <= v < 1 for v in vals)
 
 
-def test_hellinger_as_printed_variant_differs(rng):
-    m = make_hpd(rng)
-    # the literally-printed formula does not vanish on coincident arguments
-    assert abs(hellinger_distance(m, m, 4.0, as_printed=True)) > 0.5
-    assert hellinger_distance(m, m, 4.0) <= 1e-12
-
-
 def test_bhattacharyya_cases(rng):
     m = make_hpd(rng)
     assert bhattacharyya_distance(m, m, 4.0) <= 1e-12

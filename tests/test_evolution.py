@@ -196,3 +196,34 @@ def test_metrics_csv(tmp_path, rng):
     assert lines[0] == "iteration,mean_weighted_distance,changed_fraction"
     assert len(lines) == 5
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("kind", ["KL", "HD"])
+def test_evolve_matches_public_steps_exactly(rng, kind):
+    # evolve runs the packed helpers that the public steps wrap, so repeating
+    # the steps must reproduce its field bit for bit
+    protos = _protos(rng)
+    field = _random_field(rng, 9, 7)
+    params = EvolutionParams(alpha=0.5, dt=0.01, iterations=6)
+    out, _ = evolve(field, protos, params, kind=kind)
+    cur = field
+    for _ in range(params.iterations):
+        cur = reaction_step(diffusion_step(cur, params), protos, params.dt, kind)
+    np.testing.assert_array_equal(out.data, cur.data)
+
+
+def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
+    # one inversion for the initial field, then two per iteration (after the
+    # diffusion for the reaction, after the reaction for the metrics)
+    protos = _protos(rng)
+    field = _random_field(rng, 6, 5)
+    inverted = []
+    inv_packed = hm.inv_packed
+
+    def counting(p):
+        inverted.append(np.shape(p)[0])
+        return inv_packed(p)
+
+    monkeypatch.setattr(hm, "inv_packed", counting)
+    evolve(field, protos, EvolutionParams(iterations=4))
+    assert inverted.count(field.height * field.width) == 2 * 4 + 1

@@ -180,3 +180,29 @@ def test_batched_operations_match_scalar(rng):
             assert dets[i, j] == pytest.approx(hm.det3(batch[i, j]), rel=1e-14)
             np.testing.assert_allclose(invs[i, j], hm.inv3(batch[i, j]), atol=1e-14)
             np.testing.assert_allclose(chols[i, j], hm.cholesky3(batch[i, j]), atol=1e-14)
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_packed_kernels_match_complex_kernels(seed, scale):
+    rng = np.random.default_rng(seed)
+    batch = np.stack([make_hpd(rng, scale=scale) for _ in range(4)])
+    other = make_hermitian(rng, scale=scale)
+    p = hm.to_packed(batch)
+    inv, det = hm.inv_packed(p)
+    np.testing.assert_allclose(det, hm.det3(batch), rtol=1e-12)
+    np.testing.assert_allclose(hm.det_packed(p), det, rtol=0)
+    np.testing.assert_allclose(hm.from_packed(inv), hm.inv3(batch), rtol=1e-10,
+                               atol=1e-12 / scale)
+    np.testing.assert_allclose(hm.trace_product_packed(p, hm.to_packed(other)),
+                               hm.trace_product(batch, other), rtol=1e-10,
+                               atol=1e-12 * scale**2)
+
+
+def test_packed_inverse_singular_raises():
+    with pytest.raises(SingularMatrix):
+        hm.inv_packed(hm.to_packed(np.ones((3, 3), dtype=complex)))
+    # the same |det| < DET_TOL test as inv3: a tiny but regular matrix passes
+    inv, det = hm.inv_packed(hm.to_packed(1e-90 * ID))
+    assert det == pytest.approx(1e-270)
+    np.testing.assert_allclose(hm.from_packed(inv), 1e90 * ID)
