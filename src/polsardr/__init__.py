@@ -5,7 +5,7 @@ from .classify import RULES, PrototypeSet, classify_image, classify_pixel
 from .distances import (bhattacharyya_distance, euclidean_distance,
                         hellinger_distance, kl_distance)
 from .estimation import (SampleStats, box_snell_bias, estimate_looks_corrected,
-                         estimate_looks_ml, estimate_sigma, polygamma3)
+                         estimate_looks_ml, polygamma3)
 from .evolution import (EvolutionMetrics, EvolutionParams, diffusion_step,
                         evolve, reaction_step)
 from .fields import ClassMap, CovarianceField, RoiSet, Split
@@ -19,7 +19,7 @@ __all__ = [
     "RULES", "PrototypeSet", "classify_image", "classify_pixel",
     "bhattacharyya_distance", "euclidean_distance", "hellinger_distance", "kl_distance",
     "SampleStats", "box_snell_bias", "estimate_looks_corrected", "estimate_looks_ml",
-    "estimate_sigma", "polygamma3",
+    "polygamma3",
     "EvolutionMetrics", "EvolutionParams", "diffusion_step", "evolve", "reaction_step",
     "ClassMap", "CovarianceField", "RoiSet", "Split",
     "PhantomSpec", "generate_phantom",

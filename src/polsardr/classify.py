@@ -1,8 +1,9 @@
 """Pointwise classification rules over a prototype set.
 
-Rules: "ML" (maximum Wishart log-density), "ED"/"HD"/"KL" (argmin distance to
-the class prototype), and "KL+OW" (argmin of the weight-scaled KL distance).
-Ties break toward the lowest class index.
+Every rule is the argmin over the class columns of one distance_stack call:
+"ML" (maximum Wishart log-density), "ED"/"HD"/"KL" (distance to the class
+prototype), and "KL+OW" (the weight-scaled KL distance).  Ties break toward
+the lowest class index.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ from . import hermitian as hm
 from .distances import KINDS
 from .errors import InvalidObservation
 from .fields import ClassMap, CovarianceField
-from .wishart import WishartModel, log_density
+from .wishart import log_gamma3
 
 logger = logging.getLogger(__name__)
 
 RULES = ("ML", "ED", "HD", "KL", "KL+OW")
+# rule -> (kind, weighted) of the distance_stack whose argmin it takes
+_RULE_STACKS = {"ML": ("ML", False), "ED": ("ED", False), "HD": ("HD", False),
+               "KL": ("KL", False), "KL+OW": ("KL", True)}
+STACK_KINDS = KINDS + ("ML",)
 SIMPLEX_TOL = 1e-9
 MAX_CLASSES = 255  # labels are uint8 and 0 is the no-data sentinel
 
@@ -76,50 +81,34 @@ class PrototypeSet:
             return float(self.class_looks[cls])
         return float(self.shared_looks)
 
-    def models(self, use_class_looks: bool = False) -> list[WishartModel]:
-        return [WishartModel(self.sigmas[m], self.looks_for(m, use_class_looks))
-                for m in range(self.n_classes)]
 
-
-def distance_stack(data, protos: PrototypeSet, kind: str = "KL",
+def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
                    use_class_looks: bool = False, weighted: bool = False) -> np.ndarray:
-    """Per-class distances d(data, prototype_m), stacked on a trailing axis.
+    """Lower-is-better score of packed (..., 9) pixels against every prototype.
 
-    ``data`` holds complex (..., 3, 3) covariances.  Except for ED, which has
-    no inverse to share, it is packed once and the per-pixel features serve
-    all classes (see packed_distance_stack).
+    One column per class on a trailing axis: the KL, HD, BD or ED distance,
+    or for "ML" the negative Wishart log-density.  The pixel features are
+    computed once per call, whatever the number of classes: KL needs
+    tr(S^-1 P_m) and tr(S P_m^-1), HD and BD need log|S| and the determinant
+    of (S^-1 + P_m^-1) / 2, ML needs log|S| and tr(P_m^-1 S).  Pixels are
+    flattened first and every operation is elementwise, so a pixel's scores
+    do not depend on the shape of the array it arrives in.
     With ``weighted`` each column is scaled by the class weight, which is the
     quantity the weighted argmin rule and the reaction term minimize.
     """
-    if kind == "ED":
-        cols = [np.asarray(hm.frobenius_distance(data, s)) for s in protos.sigmas]
-        return _stack(cols, protos, weighted)
-    return packed_distance_stack(hm.to_packed(data), protos, kind, use_class_looks, weighted)
-
-
-def packed_distance_stack(x, protos: PrototypeSet, kind: str = "KL",
-                          use_class_looks: bool = False, weighted: bool = False) -> np.ndarray:
-    """distance_stack for packed (..., 9) data.
-
-    The field is inverted once per call, whatever the number of classes:
-    KL needs tr(S^-1 P_m) and tr(S P_m^-1), HD and BD need log|S| and the
-    determinant of (S^-1 + P_m^-1) / 2.  Pixels are flattened first and every
-    operation is elementwise, so a pixel's distances do not depend on the
-    shape of the array it arrives in.
-    """
+    if kind not in STACK_KINDS:
+        raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
     x = np.asarray(x, dtype=np.float64)
     shape = x.shape[:-1]
-    x = x.reshape(-1, 9)
-    if kind == "ED":
-        return distance_stack(hm.from_packed(x), protos, kind, use_class_looks,
-                              weighted).reshape(shape + (protos.n_classes,))
-    if kind not in KINDS:
-        raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
-    x = np.ascontiguousarray(x.T).T  # component-major, for the entry-wise kernels
+    # component-major, so that the entry-wise kernels read contiguous entries
+    x = np.ascontiguousarray(x.reshape(-1, 9).T).T
     protos_packed = hm.to_packed(protos.sigmas)
-    x_inv, x_det = hm.inv_packed(x)
     p_inv, p_det = hm.inv_packed(protos_packed)
-    if kind != "KL":
+    if kind in ("KL", "HD", "BD"):
+        x_inv, x_det = hm.inv_packed(x)
+    elif kind == "ML":
+        x_det = hm.det_packed(x)
+    if kind in ("HD", "BD", "ML"):
         log_det = np.log(x_det)
     cols = []
     for m in range(protos.n_classes):
@@ -127,56 +116,51 @@ def packed_distance_stack(x, protos: PrototypeSet, kind: str = "KL",
         if kind == "KL":
             t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
                        + hm.trace_product_packed(x, p_inv[m])) - 3.0
-            cols.append(np.maximum(looks * t, 0.0))
+            col = np.maximum(looks * t, 0.0)
+        elif kind == "ED":
+            sq = np.zeros(x.shape[0])
+            for k in range(9):
+                diff = x[:, k] - protos_packed[m, k]
+                sq += hm.TRACE_WEIGHTS[k] * diff * diff
+            col = np.sqrt(sq)
+        elif kind == "ML":
+            log_norm = (3.0 * looks * np.log(looks) - looks * np.log(p_det[m])
+                        - log_gamma3(looks))
+            col = (looks * hm.trace_product_packed(x, p_inv[m])
+                   - (looks - 3.0) * log_det - log_norm)
         else:
             inv_mean = 0.5 * (x_inv + p_inv[m])
             r = np.minimum(-np.log(hm.det_packed(inv_mean))
                            - 0.5 * (log_det + np.log(p_det[m])), 0.0)
-            cols.append(-np.expm1(looks * r) if kind == "HD" else -looks * r)
-    return _stack(cols, protos, weighted).reshape(shape + (protos.n_classes,))
-
-
-def _stack(cols, protos: PrototypeSet, weighted: bool) -> np.ndarray:
-    if weighted:
-        cols = [protos.weights[m] * c for m, c in enumerate(cols)]
-    return np.stack(cols, axis=-1)
-
-
-def score_stack(data, protos: PrototypeSet, rule: str,
-                use_class_looks: bool = False) -> np.ndarray:
-    """Lower-is-better score per class for the given rule."""
-    if rule == "ML":
-        cols = [-np.asarray(log_density(model, data, validate=False))
-                for model in protos.models(use_class_looks)]
-        return np.stack(cols, axis=-1)
-    if rule in ("ED", "HD", "KL"):
-        return distance_stack(data, protos, rule, use_class_looks)
-    if rule == "KL+OW":
-        return distance_stack(data, protos, "KL", use_class_looks, weighted=True)
-    raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
+            col = -np.expm1(looks * r) if kind == "HD" else -looks * r
+        cols.append(protos.weights[m] * col if weighted else col)
+    return np.stack(cols, axis=-1).reshape(shape + (protos.n_classes,))
 
 
 def classify_pixel(x, protos: PrototypeSet, rule: str = "KL",
                    use_class_looks: bool = False) -> int:
     """1-based class of a single covariance matrix."""
-    x = np.asarray(x, dtype=np.complex128)
-    if not hm.is_positive_definite(x):
+    field = CovarianceField(np.asarray(x)[None, None])
+    label = int(classify_image(field, protos, rule, use_class_looks).labels[0, 0])
+    if label == 0:
         raise InvalidObservation("pixel covariance is not positive definite")
-    scores = score_stack(x[None], protos, rule, use_class_looks)[0]
-    return int(np.argmin(scores)) + 1
+    return label
 
 
 def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL",
                    use_class_looks: bool = False) -> ClassMap:
     """Classify every pixel independently; non-PD pixels get the 0 sentinel."""
+    if rule not in _RULE_STACKS:
+        raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
+    kind, weighted = _RULE_STACKS[rule]
     data = field.data
     valid = np.asarray(hm.is_positive_definite(data))
     labels = np.zeros(data.shape[:2], dtype=np.uint8)
     n_bad = int((~valid).sum())
     if n_bad:
         logger.warning("%d non-positive-definite pixels labeled 0", n_bad)
-    pts = data[valid]
-    if pts.shape[0]:
-        scores = score_stack(pts, protos, rule, use_class_looks)
+    x = hm.to_packed(data[valid])
+    if x.shape[0]:
+        scores = distance_stack(x, protos, kind, use_class_looks, weighted)
         labels[valid] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
     return ClassMap(labels)

@@ -15,8 +15,7 @@ import numpy as np
 from . import dataio
 from .classify import RULES, PrototypeSet, classify_image
 from .errors import MissingBaseline, PolsarError, StabilityViolation
-from .estimation import (LOOKS_BRACKET, SampleStats, estimate_looks_corrected,
-                         estimate_sigma)
+from .estimation import LOOKS_BRACKET, SampleStats, estimate_looks_corrected
 from .errors import NoRoot
 from .evolution import EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, Split
@@ -165,27 +164,20 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         kwargs = {}
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if ":" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key: value'")
-                key, value = (s.strip() for s in line.split(":", 1))
-                if key not in _CONFIG_TYPES:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                typ = _CONFIG_TYPES[key]
-                if typ is bool:
-                    if value.lower() not in _BOOLS:
-                        raise ValueError(f"{path}:{lineno}: {key} needs a boolean "
-                                         f"(1/true/yes/on or 0/false/no/off), got {value!r}")
-                    parsed = _BOOLS[value.lower()]
-                elif key == "rules":
-                    parsed = tuple(r.strip() for r in value.split(","))
-                else:
-                    parsed = typ(value)
-                kwargs["lam" if key == "lambda" else key] = parsed
+        for lineno, key, value in dataio.key_value_lines(path, ValueError):
+            if key not in _CONFIG_TYPES:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            typ = _CONFIG_TYPES[key]
+            if typ is bool:
+                if value.lower() not in _BOOLS:
+                    raise ValueError(f"{path}:{lineno}: {key} needs a boolean "
+                                     f"(1/true/yes/on or 0/false/no/off), got {value!r}")
+                parsed = _BOOLS[value.lower()]
+            elif key == "rules":
+                parsed = tuple(r.strip() for r in value.split(","))
+            else:
+                parsed = typ(value)
+            kwargs["lam" if key == "lambda" else key] = parsed
         return cls(**kwargs)
 
 
@@ -212,9 +204,8 @@ def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) 
     sigmas = []
     class_looks = []
     for cls in split.classes:
-        mats = _gather(field, split.train[cls])
-        sigmas.append(estimate_sigma(mats))
-        stats = SampleStats.from_sample(mats)
+        stats = SampleStats.from_sample(_gather(field, split.train[cls]))
+        sigmas.append(stats.mean)
         try:
             class_looks.append(estimate_looks_corrected(stats))
         except NoRoot as exc:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import hermitian as hm
-from .classify import PrototypeSet
+from .classify import PrototypeSet, distance_stack
 from .errors import (MalformedHeader, MalformedRoi, NonPositiveDefinitePixelWarning,
                      OutOfBounds, SizeMismatch)
 from .fields import ClassMap, CovarianceField, RoiSet, Split
@@ -31,18 +31,26 @@ def _write_header(path, width, height, dtype, looks=None):
         f.write("\n".join(lines) + "\n")
 
 
+def key_value_lines(path, error=MalformedHeader):
+    """Yield (lineno, key, value) for each `key: value` line of a text file.
+
+    '#' starts a comment and blank lines are skipped; the line splits on its
+    first ':', and a line without one raises ``error`` naming path:lineno.
+    """
+    with open(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if ":" not in line:
+                raise error(f"{path}:{lineno}: expected 'key: value'")
+            key, value = (s.strip() for s in line.split(":", 1))
+            yield lineno, key, value
+
+
 def _read_header(path):
-    fields: dict[str, str] = {}
     try:
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if ":" not in line:
-                    raise MalformedHeader(f"{path}:{lineno}: expected 'key: value'")
-                key, value = (s.strip() for s in line.split(":", 1))
-                fields[key] = value
+        fields = {key: value for _, key, value in key_value_lines(path)}
         width = int(fields["width"])
         height = int(fields["height"])
         dtype = fields["dtype"]
@@ -175,31 +183,24 @@ def read_model(path) -> PrototypeSet:
     covs: dict[int, np.ndarray] = {}
     looks: dict[int, float] = {}
     current = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise MalformedHeader(f"{path}:{lineno}: expected 'key: value'")
-            key, value = (s.strip() for s in line.split(":", 1))
-            try:
-                if key == "classes":
-                    n_classes = int(value)
-                elif key == "shared_looks":
-                    shared = float(value)
-                elif key == "weights":
-                    weights = np.array([float(v) for v in value.split()])
-                elif key == "class":
-                    current = int(value)
-                elif key == "looks":
-                    looks[current] = float(value)
-                elif key == "cov":
-                    covs[current] = np.array([float(v) for v in value.split()])
-                else:
-                    raise MalformedHeader(f"{path}:{lineno}: unknown key {key!r}")
-            except (TypeError, ValueError) as exc:
-                raise MalformedHeader(f"{path}:{lineno}: {exc}") from exc
+    for lineno, key, value in key_value_lines(path):
+        try:
+            if key == "classes":
+                n_classes = int(value)
+            elif key == "shared_looks":
+                shared = float(value)
+            elif key == "weights":
+                weights = np.array([float(v) for v in value.split()])
+            elif key == "class":
+                current = int(value)
+            elif key == "looks":
+                looks[current] = float(value)
+            elif key == "cov":
+                covs[current] = np.array([float(v) for v in value.split()])
+            else:
+                raise MalformedHeader(f"{path}:{lineno}: unknown key {key!r}")
+        except (TypeError, ValueError) as exc:
+            raise MalformedHeader(f"{path}:{lineno}: {exc}") from exc
     if n_classes is None or shared is None or set(covs) != set(range(1, n_classes + 1)):
         raise MalformedHeader(f"{path}: incomplete model file")
     sigmas = hm.from_packed(np.stack([covs[m] for m in range(1, n_classes + 1)]))
@@ -252,8 +253,7 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path,
     """
     if palette is None:
         palette = default_palette(protos.n_classes)
-    dists = np.stack([np.asarray(hm.frobenius_distance(field.data, s))
-                      for s in protos.sigmas], axis=-1)
+    dists = distance_stack(hm.to_packed(field.data), protos, "ED")
     inv = 1.0 / (dists + RENDER_EPS)
     weights = inv / inv.sum(axis=-1, keepdims=True)
     rgb = np.clip(np.rint(weights @ palette.astype(np.float64)), 0, 255).astype(np.uint8)

@@ -20,7 +20,6 @@ from scipy.special import polygamma
 
 from . import hermitian as hm
 from .errors import DomainError, EmptySample, InvalidObservation, NoRoot
-from .wishart import log_gamma3
 
 logger = logging.getLogger(__name__)
 
@@ -52,16 +51,6 @@ class SampleStats:
             mean=sample.mean(axis=0),
             mean_log_det=float(np.mean(np.log(dets))),
         )
-
-
-def estimate_sigma(sample) -> np.ndarray:
-    """Entrywise sample mean (the ML covariance estimate)."""
-    sample = np.asarray(sample, dtype=np.complex128)
-    if sample.ndim == 2:
-        sample = sample[None]
-    if sample.shape[0] == 0:
-        raise EmptySample("cannot average an empty sample")
-    return sample.mean(axis=0)
 
 
 def polygamma3(order: int, looks) -> np.ndarray | float:
@@ -131,16 +120,3 @@ def estimate_looks_corrected(stats: SampleStats) -> float:
         return 3.0
     return float(corrected)
 
-
-def log_likelihood(sigma, looks: float, sample) -> float:
-    """Full Wishart log-likelihood of a sample; exposed for testing only."""
-    sample = np.asarray(sample, dtype=np.complex128)
-    n = sample.shape[0]
-    stats = SampleStats.from_sample(sample)
-    return float(
-        3.0 * n * looks * np.log(looks)
-        + (looks - 3.0) * n * stats.mean_log_det
-        - looks * n * np.log(hm.det3(sigma))
-        - n * log_gamma3(looks)
-        - n * looks * hm.trace_product(hm.inv3(sigma), stats.mean)
-    )

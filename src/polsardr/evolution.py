@@ -19,26 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .classify import PrototypeSet, packed_distance_stack
+from .classify import PrototypeSet, distance_stack
+from .distances import KINDS
 from .errors import InvalidObservation, StabilityViolation
 from .fields import CovarianceField
 
 
-def _check_stability(alpha: float, dt: float, h: float) -> None:
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if dt <= 0 or h <= 0:
-        raise ValueError(f"dt and h must be > 0, got dt={dt}, h={h}")
-    margin = 1.0 - 4.0 * alpha * dt / h**2
-    if margin < 0:
-        raise StabilityViolation(
-            f"1 - 4*alpha*dt/h^2 = {margin:.4g} < 0 (alpha={alpha}, dt={dt}, h={h})"
-        )
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EvolutionParams:
-    """Scheme parameters; construction enforces the cone-membership condition."""
+    """Scheme parameters; construction enforces the cone-membership condition.
+
+    The parameters are frozen, so a checked object cannot become unstable.
+    """
 
     alpha: float = 0.5
     dt: float = 0.01
@@ -46,7 +38,14 @@ class EvolutionParams:
     iterations: int = 50
 
     def __post_init__(self):
-        _check_stability(self.alpha, self.dt, self.h)
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.dt <= 0 or self.h <= 0:
+            raise ValueError(f"dt and h must be > 0, got dt={self.dt}, h={self.h}")
+        margin = 1.0 - 4.0 * self.alpha * self.dt / self.h**2
+        if margin < 0:
+            raise StabilityViolation(f"1 - 4*alpha*dt/h^2 = {margin:.4g} < 0 "
+                                     f"(alpha={self.alpha}, dt={self.dt}, h={self.h})")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
@@ -79,9 +78,11 @@ def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str):
     """Labels (0-based), nearest and runner-up weighted distances of packed pixels.
 
     One elementwise pass over the class columns; the lowest index wins ties,
-    as with np.argmin.
+    as with np.argmin.  The reaction needs a distance, so "ML" is refused.
     """
-    stack = packed_distance_stack(x, protos, kind, weighted=True)
+    if kind not in KINDS:
+        raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
+    stack = distance_stack(x, protos, kind, weighted=True)
     d0, d1 = stack[..., 0], stack[..., 1]
     labels = (d1 < d0).astype(np.intp)
     nearest, runner_up = np.minimum(d0, d1), np.maximum(d0, d1)
@@ -106,7 +107,6 @@ def _react(x: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> np.nd
 
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
     """Five-point Laplacian update with replicated edges (discrete zero flux)."""
-    _check_stability(params.alpha, params.dt, params.h)
     out = _diffuse(hm.to_packed(field.data), params)
     return CovarianceField(hm.from_packed(out), looks=field.looks)
 
@@ -136,7 +136,6 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     """
     if not np.all(hm.is_positive_definite(field.data)):
         raise InvalidObservation("initial field has non-positive-definite pixels")
-    _check_stability(params.alpha, params.dt, params.h)
     x = hm.to_packed(field.data)
     assigned = _assignments(x, protos, kind)
     labels = assigned[0]

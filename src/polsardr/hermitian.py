@@ -17,10 +17,6 @@ DET_TOL = 1e-300
 PIVOT_RTOL = 1e-12
 
 
-def identity() -> np.ndarray:
-    return np.eye(3, dtype=np.complex128)
-
-
 def assemble(d1, d2, d3, o12, o13, o23) -> np.ndarray:
     """Build Hermitian arrays from the six independent entries.
 
@@ -137,13 +133,6 @@ def cholesky3(m) -> np.ndarray:
 def frobenius_distance(a, b) -> np.ndarray | float:
     d = np.sqrt(np.sum(np.abs(np.asarray(a) - np.asarray(b)) ** 2, axis=(-2, -1)))
     return d if d.ndim else float(d)
-
-
-def convex_combine(a, b, t: float) -> np.ndarray:
-    """(1 - t) * a + t * b; preserves positive definiteness for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return (1.0 - t) * np.asarray(a, dtype=np.complex128) + t * np.asarray(b, dtype=np.complex128)
 
 
 def is_positive_definite(m) -> np.ndarray | bool:

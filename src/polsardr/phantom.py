@@ -15,6 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import hermitian as hm
+from .dataio import key_value_lines
 from .errors import InvalidSpec
 from .fields import ClassMap, CovarianceField, RoiSet
 from .wishart import WishartModel, sample
@@ -177,27 +178,20 @@ def read_phantom_config(path) -> PhantomSpec:
     scalars: dict[str, int] = {}
     covs: dict[int, np.ndarray] = {}
     regions: dict[int, str] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise InvalidSpec(f"{path}:{lineno}: expected 'key: value'")
-            key, value = (s.strip() for s in line.split(":", 1))
-            if key in _SPEC_KEYS:
-                scalars[key] = int(value)
-            elif key.startswith("class") and key.endswith(".cov"):
-                cls = int(key[len("class"):-len(".cov")])
-                vals = np.array([float(v) for v in value.split()])
-                if vals.size != 9:
-                    raise InvalidSpec(f"{path}:{lineno}: class cov needs 9 values")
-                covs[cls] = vals
-            elif key.startswith("class") and key.endswith(".region"):
-                cls = int(key[len("class"):-len(".region")])
-                regions[cls] = value
-            else:
-                raise InvalidSpec(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, key, value in key_value_lines(path, InvalidSpec):
+        if key in _SPEC_KEYS:
+            scalars[key] = int(value)
+        elif key.startswith("class") and key.endswith(".cov"):
+            cls = int(key[len("class"):-len(".cov")])
+            vals = np.array([float(v) for v in value.split()])
+            if vals.size != 9:
+                raise InvalidSpec(f"{path}:{lineno}: class cov needs 9 values")
+            covs[cls] = vals
+        elif key.startswith("class") and key.endswith(".region"):
+            cls = int(key[len("class"):-len(".region")])
+            regions[cls] = value
+        else:
+            raise InvalidSpec(f"{path}:{lineno}: unknown key {key!r}")
     kwargs: dict = dict(scalars)
     if covs or regions:
         n = max(list(covs) + list(regions))

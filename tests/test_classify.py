@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polsardr import hermitian as hm
-from polsardr.classify import (RULES, PrototypeSet, classify_image, classify_pixel,
-                               distance_stack, packed_distance_stack, score_stack)
-from polsardr.distances import KINDS, distance, kl_distance
+from polsardr.classify import (RULES, STACK_KINDS, PrototypeSet, classify_image,
+                               classify_pixel, distance_stack)
+from polsardr.distances import distance, kl_distance
 from polsardr.errors import InvalidObservation, SingularMatrix
 from polsardr.fields import CovarianceField
-from polsardr.wishart import WishartModel, sample
+from polsardr.wishart import WishartModel, log_density, sample
 
 from conftest import make_hpd
 
@@ -84,7 +84,7 @@ def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
 def test_argmin_invariance_under_common_scaling(rng):
     protos = _protos(rng)
     pts = sample(WishartModel(protos.sigmas[0], 4), rng, size=40)
-    scores = score_stack(pts, protos, "KL+OW")
+    scores = distance_stack(hm.to_packed(pts), protos, "KL", weighted=True)
     assert np.array_equal(np.argmin(scores, -1), np.argmin(7.3 * scores, -1))
 
 
@@ -125,10 +125,9 @@ def test_classify_pixel_rejects_non_pd(rng):
 def test_ml_rule_matches_density_argmax(rng):
     protos = _protos(rng)
     pts = sample(WishartModel(protos.sigmas[2], 4), rng, size=30)
-    from polsardr.wishart import log_density
     dens = np.stack([log_density(WishartModel(protos.sigmas[m], 4.0), pts,
                                  validate=False) for m in range(3)], axis=-1)
-    got = np.argmin(score_stack(pts, protos, "ML"), axis=-1)
+    got = classify_image(CovarianceField(pts[None]), protos, "ML").labels[0] - 1
     np.testing.assert_array_equal(got, np.argmax(dens, axis=-1))
 
 
@@ -137,8 +136,8 @@ def test_per_class_looks_selectable(rng):
     protos = PrototypeSet(sigmas=sigmas, shared_looks=4.0,
                           class_looks=np.array([3.2, 9.0]))
     pts = sample(WishartModel(sigmas[0], 4), rng, size=10)
-    shared = distance_stack(pts, protos, "KL")
-    per_class = distance_stack(pts, protos, "KL", use_class_looks=True)
+    shared = distance_stack(hm.to_packed(pts), protos, "KL")
+    per_class = distance_stack(hm.to_packed(pts), protos, "KL", use_class_looks=True)
     np.testing.assert_allclose(per_class[:, 0], shared[:, 0] * 3.2 / 4.0, rtol=1e-12)
     np.testing.assert_allclose(per_class[:, 1], shared[:, 1] * 9.0 / 4.0, rtol=1e-12)
 
@@ -148,12 +147,20 @@ def test_unknown_rule_rejected(rng):
         classify_pixel(make_hpd(rng), _protos(rng), "NN")
 
 
+def _pairwise(kind, data, sigma, looks):
+    """The public pairwise reference of one distance_stack column."""
+    if kind == "ML":
+        return -log_density(WishartModel(sigma, looks), data, validate=False)
+    return distance(kind, data, sigma, looks)
+
+
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
        use_class_looks=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_looks):
-    # the shared-feature kernel against the pairwise closed forms, column by
-    # column, with pixels spread over [1e-3, 1e3] around the prototypes' scale
+    # the shared-feature kernel on packed pixels against the pairwise closed
+    # forms and the Wishart log-density, column by column, with pixels spread
+    # over [1e-3, 1e3] around the prototypes' scale
     rng = np.random.default_rng(seed)
     m = 4
     sigmas = np.stack([make_hpd(rng, scale=10.0 ** log_scale) for _ in range(m)])
@@ -161,25 +168,28 @@ def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_lo
                           class_looks=rng.uniform(3.0, 20.0, m))
     scales = 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, 12))
     data = np.stack([make_hpd(rng, scale=c) for c in scales]).reshape(3, 4, 3, 3)
-    for kind in KINDS:
-        stack = distance_stack(data, protos, kind, use_class_looks)
+    x = hm.to_packed(data)
+    for kind in STACK_KINDS:
+        stack = distance_stack(x, protos, kind, use_class_looks)
         assert stack.shape == (3, 4, m)
-        for k in range(m):
-            expected = distance(kind, data, sigmas[k], protos.looks_for(k, use_class_looks))
-            np.testing.assert_allclose(stack[..., k], expected, rtol=1e-10)
-        pairwise = np.stack([distance(kind, data, sigmas[k],
-                                      protos.looks_for(k, use_class_looks))
+        pairwise = np.stack([_pairwise(kind, data, sigmas[k],
+                                       protos.looks_for(k, use_class_looks))
                              for k in range(m)], axis=-1)
+        if kind == "ML":
+            # log-density terms of either sign cancel, so compare at the
+            # scale of the largest score
+            np.testing.assert_allclose(stack, pairwise, rtol=0,
+                                       atol=1e-9 * np.abs(pairwise).max())
+        else:
+            np.testing.assert_allclose(stack, pairwise, rtol=1e-10)
         np.testing.assert_array_equal(np.argmin(stack, -1), np.argmin(pairwise, -1))
-        # a pixel's distances do not depend on the shape it arrives in
-        flat = distance_stack(data.reshape(-1, 3, 3), protos, kind, use_class_looks)
+        # a pixel's scores do not depend on the shape it arrives in
+        flat = distance_stack(x.reshape(-1, 9), protos, kind, use_class_looks)
         np.testing.assert_array_equal(flat, stack.reshape(-1, m))
-        np.testing.assert_array_equal(
-            packed_distance_stack(hm.to_packed(data), protos, kind, use_class_looks), stack)
 
 
 @pytest.mark.parametrize("kind", ["KL", "HD", "BD"])
 def test_distance_stack_rejects_singular_pixel(rng, kind):
     data = np.stack([make_hpd(rng), np.ones((3, 3), dtype=complex)])
     with pytest.raises(SingularMatrix):
-        distance_stack(data, _protos(rng), kind)
+        distance_stack(hm.to_packed(data), _protos(rng), kind)

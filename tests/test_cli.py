@@ -1,5 +1,9 @@
 """CLI: evaluation arithmetic, config parsing, subcommands end to end."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,8 @@ from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
                           accuracy_report, main, run_pipeline)
 from polsardr.errors import MissingBaseline, PolsarError, StabilityViolation
 from polsardr.fields import ClassMap, RoiSet
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
 
 def _report(method, accs):
@@ -192,3 +198,11 @@ def test_default_pipeline_timing_and_dominance(tmp_path):
     ow = by_method["KL+OW"]
     for cls in (1, 2, 3):
         assert dr.per_class[cls] >= ow.per_class[cls]
+    # the class maps and the table (without its seconds column) are the
+    # benchmark's goldens for this configuration
+    golden = json.loads(GOLDENS.read_text())["pipeline_default"]
+    maps = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "full").glob("classmap_*.dat"))}
+    assert maps == golden["maps"]
+    table = [ln.rsplit(None, 1)[0] for ln in result.table.format().splitlines()]
+    assert table == golden["table"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from polsardr.distances import (bhattacharyya_distance, distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
-from polsardr.estimation import estimate_sigma
+from polsardr.estimation import SampleStats
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
@@ -110,7 +110,8 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
     hits_kl = hits_hd = 0
     trials = 200
     for t in range(trials):
-        z_hat = estimate_sigma(sample(model, np.random.default_rng([91, t]), size=5))
+        z_hat = SampleStats.from_sample(
+            sample(model, np.random.default_rng([91, t]), size=5)).mean
         hits_kl += kl_distance(z_hat, sig_a, 4.0) < kl_distance(z_hat, sig_b, 4.0)
         hits_hd += hellinger_distance(z_hat, sig_a, 4.0) < hellinger_distance(z_hat, sig_b, 4.0)
     assert hits_kl >= 0.95 * trials

@@ -12,9 +12,8 @@ import pytest
 
 from polsardr.errors import DomainError, EmptySample, NoRoot
 from polsardr.estimation import (SampleStats, box_snell_bias, estimate_looks_corrected,
-                                 estimate_looks_ml, estimate_sigma, log_likelihood,
-                                 looks_score, polygamma3)
-from polsardr.wishart import WishartModel, log_gamma3, sample
+                                 estimate_looks_ml, looks_score, polygamma3)
+from polsardr.wishart import WishartModel, log_density, log_gamma3, sample
 
 from conftest import make_hpd
 
@@ -36,19 +35,24 @@ def tetragamma_int(n):
     return -2.0 * (ZETA3 - sum(1.0 / k**3 for k in range(1, n)))
 
 
+def _sigma_hat(sample):
+    """The ML covariance estimate: the sample mean of the sufficient statistics."""
+    return SampleStats.from_sample(sample).mean
+
+
 def test_estimate_sigma_basics(rng):
     m = make_hpd(rng)
-    np.testing.assert_array_equal(estimate_sigma(m), m)
-    np.testing.assert_allclose(estimate_sigma(np.stack([ID, 3 * ID])), 2 * ID)
+    np.testing.assert_array_equal(_sigma_hat(m), m)
+    np.testing.assert_allclose(_sigma_hat(np.stack([ID, 3 * ID])), 2 * ID)
     with pytest.raises(EmptySample):
-        estimate_sigma(np.empty((0, 3, 3), dtype=complex))
+        _sigma_hat(np.empty((0, 3, 3), dtype=complex))
 
 
 def test_estimate_sigma_affine_and_permutation_invariant(rng):
     zs = np.stack([make_hpd(rng) for _ in range(7)])
-    np.testing.assert_allclose(estimate_sigma(3.5 * zs), 3.5 * estimate_sigma(zs), rtol=1e-14)
+    np.testing.assert_allclose(_sigma_hat(3.5 * zs), 3.5 * _sigma_hat(zs), rtol=1e-14)
     perm = np.random.default_rng(0).permutation(7)
-    np.testing.assert_allclose(estimate_sigma(zs[perm]), estimate_sigma(zs), rtol=1e-12)
+    np.testing.assert_allclose(_sigma_hat(zs[perm]), _sigma_hat(zs), rtol=1e-12)
 
 
 def test_estimate_sigma_consistency():
@@ -56,7 +60,7 @@ def test_estimate_sigma_consistency():
     sigma = make_hpd(rng, scale=1.4)
     z = sample(WishartModel(sigma, 4), rng, size=10000)
     se = z.std(axis=0) / np.sqrt(z.shape[0])
-    assert np.all(np.abs(estimate_sigma(z) - sigma) <= 5 * se + 1e-12)
+    assert np.all(np.abs(_sigma_hat(z) - sigma) <= 5 * se + 1e-12)
 
 
 @pytest.mark.parametrize("looks, expected", [
@@ -193,10 +197,13 @@ def test_log_likelihood_peaks_at_the_estimates(rng):
     sigma = make_hpd(rng)
     z = sample(WishartModel(sigma, 4), rng, size=400)
     stats = SampleStats.from_sample(z)
-    s_hat = estimate_sigma(z)
+    s_hat = _sigma_hat(z)
     l_hat = estimate_looks_ml(stats)
-    peak = log_likelihood(s_hat, l_hat, z)
-    assert log_likelihood(s_hat, l_hat + 0.05, z) < peak
-    assert log_likelihood(s_hat, l_hat - 0.05, z) < peak
-    assert log_likelihood(s_hat + 0.02 * np.eye(3), l_hat, z) < peak
-    assert log_likelihood(0.98 * s_hat, l_hat, z) < peak
+    def log_likelihood(s, looks):
+        return log_density(WishartModel(s, looks), z).sum()
+
+    peak = log_likelihood(s_hat, l_hat)
+    assert log_likelihood(s_hat, l_hat + 0.05) < peak
+    assert log_likelihood(s_hat, l_hat - 0.05) < peak
+    assert log_likelihood(s_hat + 0.02 * np.eye(3), l_hat) < peak
+    assert log_likelihood(0.98 * s_hat, l_hat) < peak

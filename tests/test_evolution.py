@@ -1,5 +1,7 @@
 """Two-step diffusion-reaction evolution of covariance fields."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,11 +54,12 @@ def test_params_validation():
     EvolutionParams(alpha=25.0, dt=0.01)  # exactly 1 - 4*0.25 = 0 is allowed
 
 
-def test_diffusion_step_guards_stability(rng):
+def test_diffusion_step_guards_stability():
+    # the checked parameters are frozen, so an unstable object cannot reach a step
     params = EvolutionParams()
-    params.alpha = 40.0  # corrupt after construction; the step must still refuse
-    with pytest.raises(StabilityViolation):
-        diffusion_step(_random_field(rng, 4, 4), params)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.alpha = 40.0
+    assert params.alpha == 0.5
 
 
 def test_diffusion_constant_field_is_fixed(rng):
@@ -107,7 +110,7 @@ def test_reaction_exact_tie_is_fixed_point():
     s2 = np.diag([2.0, 1.0, 1.0]).astype(complex)
     protos = PrototypeSet(sigmas=np.stack([s1, s2]), shared_looks=4.0)
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)
-    stack = distance_stack(x[None, None], protos, "KL", weighted=True)[0, 0]
+    stack = distance_stack(hm.to_packed(x), protos, "KL", weighted=True)
     assert stack[0] == pytest.approx(stack[1], rel=1e-14)
     out = reaction_step(CovarianceField(x[None, None]), protos, dt=0.01)
     np.testing.assert_allclose(out.data[0, 0], x, atol=1e-12)
@@ -140,12 +143,11 @@ def test_reaction_single_pixel_monotone_approach(rng):
     protos = _protos(rng)
     x = sample(WishartModel(protos.sigmas[2], 4), rng)
     field = CovarianceField(x[None, None])
-    label = int(np.argmin(distance_stack(x[None, None], protos, "KL",
-                                         weighted=True)[0, 0]))
+    label = int(np.argmin(distance_stack(hm.to_packed(x), protos, "KL", weighted=True)))
     dists = []
     for _ in range(60):
         field = reaction_step(field, protos, dt=0.01)
-        cur = int(np.argmin(distance_stack(field.data, protos, "KL",
+        cur = int(np.argmin(distance_stack(hm.to_packed(field.data), protos, "KL",
                                            weighted=True)[0, 0]))
         assert cur == label
         dists.append(float(hm.frobenius_distance(field.data[0, 0],
@@ -184,6 +186,13 @@ def test_evolve_preserves_cone_and_tracks_metrics(rng):
     # the reaction term contracts toward prototypes, so the mean weighted
     # distance must shrink substantially over 30 iterations
     assert metrics.mean_weighted_distance[-1] < 0.5 * metrics.mean_weighted_distance[0]
+
+
+def test_evolve_rejects_the_ml_rule(rng):
+    # ML scores are negative log-densities, not distances: no reaction term
+    with pytest.raises(ValueError, match="ML"):
+        evolve(_random_field(rng, 4, 4), _protos(rng), EvolutionParams(iterations=1),
+               kind="ML")
 
 
 def test_metrics_csv(tmp_path, rng):

@@ -125,26 +125,6 @@ def test_frobenius_matches_numpy(rng):
     assert hm.frobenius_distance(a, b) == pytest.approx(np.linalg.norm(a - b), rel=1e-12)
 
 
-def test_convex_combine_endpoints(rng):
-    a, b = make_hpd(rng), make_hpd(rng)
-    np.testing.assert_array_equal(hm.convex_combine(a, b, 0.0), a)
-    np.testing.assert_array_equal(hm.convex_combine(a, b, 1.0), b)
-    with pytest.raises(ValueError):
-        hm.convex_combine(a, b, 1.5)
-
-
-def test_convex_combine_preserves_pd():
-    # 1000 random PD pairs at a grid of mixing weights
-    rng = np.random.default_rng(7)
-    n = 1000
-    a = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-    b = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-    pa = a @ a.conj().transpose(0, 2, 1) / 3 + 0.05 * np.eye(3)
-    pb = b @ b.conj().transpose(0, 2, 1) / 3 + 0.05 * np.eye(3)
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert np.all(hm.is_positive_definite(hm.convex_combine(pa, pb, t)))
-
-
 def test_is_positive_definite_against_eigvalsh():
     rng = np.random.default_rng(11)
     for _ in range(200):
