@@ -100,8 +100,10 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
     x = np.asarray(x, dtype=np.float64)
     shape = x.shape[:-1]
-    # component-major, so that the entry-wise kernels read contiguous entries
-    x = np.ascontiguousarray(x.reshape(-1, 9).T).T
+    x = x.reshape(-1, 9)
+    if x.strides[0] != x.itemsize:
+        # component-major, so that the entry-wise kernels read contiguous entries
+        x = np.ascontiguousarray(x.T).T
     protos_packed = hm.to_packed(protos.sigmas)
     p_inv, p_det = hm.inv_packed(protos_packed)
     if kind in ("KL", "HD", "BD"):

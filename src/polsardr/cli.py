@@ -137,7 +137,7 @@ class ExperimentConfig:
 
     width: int = 300
     height: int = 300
-    looks: int = 4
+    looks: int | None = None  # phantom: 4; image: the header's value
     phantom_seed: int = 20240801
     split_seed: int = 42
     alpha: float = 0.5
@@ -362,7 +362,8 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                 spec = read_phantom_config(config.phantom_config)
             else:
                 spec = PhantomSpec(width=config.width, height=config.height,
-                                   looks=config.looks, seed=config.phantom_seed)
+                                   looks=4 if config.looks is None else config.looks,
+                                   seed=config.phantom_seed)
             field, truth = generate_phantom(spec)
             _save_image(field, outdir / "image")
             dataio.write_classmap(truth, *_paths(outdir / "truth"))
@@ -378,7 +379,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
 
         stage = "train"
         t0 = time.perf_counter()
-        shared = float(config.looks) if config.looks else (field.looks or 4.0)
+        shared = float(config.looks) if config.looks is not None else (field.looks or 4.0)
         protos = train_prototypes(field, split, shared)
         train_seconds = time.perf_counter() - t0
 

@@ -14,7 +14,11 @@ positive definite matrices, so the field never leaves the cone.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -67,11 +71,55 @@ class EvolutionMetrics:
                 writer.writerow([int(i), repr(float(d)), repr(float(c))])
 
 
-def _diffuse(x: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """Five-point Laplacian update of a packed (H, W, 9) field, replicated edges."""
-    p = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * x
-    return x + (params.alpha * params.dt / params.h**2) * lap
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _planes(data) -> np.ndarray:
+    """Packed (9, H, W) copy of a complex (H, W, 3, 3) field, each entry contiguous."""
+    return np.ascontiguousarray(np.moveaxis(hm.to_packed(data), -1, 0))
+
+
+def _field(planes: np.ndarray, looks) -> CovarianceField:
+    return CovarianceField(hm.from_packed(np.moveaxis(planes, 0, -1)), looks=looks)
+
+
+def _pixels(planes: np.ndarray) -> np.ndarray:
+    """(N, 9) view of the pixels of (9, rows, W) planes; writes go through."""
+    return planes.reshape(9, -1).T
+
+
+def _diffuse(x: np.ndarray, r0: int, r1: int, params: EvolutionParams,
+             out: np.ndarray) -> None:
+    """Write rows r0:r1 of the five-point update of planes x into out, replicated edges.
+
+    Reads one row of x above and one below the band.  The neighbours are
+    summed up, down, left, right for every pixel, so a band gets the same
+    bits as the whole field.
+    """
+    h = x.shape[1]
+    xb = x[:, r0:r1]
+    if r0 > 0:
+        out[...] = x[:, r0 - 1:r1 - 1]
+    else:
+        out[:, 0] = x[:, 0]
+        out[:, 1:] = x[:, :r1 - 1]
+    if r1 < h:
+        out += x[:, r0 + 1:r1 + 1]
+    else:
+        out[:, :-1] += x[:, r0 + 1:]
+        out[:, -1] += x[:, -1]
+    out[:, :, 1:] += xb[:, :, :-1]
+    out[:, :, 0] += xb[:, :, 0]
+    out[:, :, :-1] += xb[:, :, 1:]
+    out[:, :, -1] += xb[:, :, -1]
+    out -= 4.0 * xb
+    out *= params.alpha * params.dt / params.h**2
+    out += xb
 
 
 def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str):
@@ -94,21 +142,58 @@ def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str):
     return labels, nearest, runner_up
 
 
-def _react(x: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> np.ndarray:
-    """Contract each packed pixel toward the prototype its assignment names."""
+def _react(pixels: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> None:
+    """Contract packed (N, 9) pixels in place toward the prototypes their assignment names."""
     labels, d1, d2 = assignments
-    factor = np.exp(dt * (d1 - d2))[..., None]
-    anchor = hm.to_packed(protos.sigmas)[labels]
-    out = x - anchor
-    out *= factor
-    out += anchor
-    return out
+    factor = np.exp(dt * (d1 - d2))
+    anchors = hm.to_packed(protos.sigmas)
+    for k in range(9):
+        anchor = anchors[labels, k]
+        entry = pixels[:, k]
+        entry -= anchor
+        entry *= factor
+        entry += anchor
+
+
+def _assign_band(protos, kind, x, labels, nearest, r0, r1) -> None:
+    """Write the labels and nearest distances of rows r0:r1 of planes x."""
+    band_labels, band_nearest, _ = _assignments(_pixels(x[:, r0:r1]), protos, kind)
+    labels[r0:r1] = band_labels.reshape(r1 - r0, -1)
+    nearest[r0:r1] = band_nearest.reshape(r1 - r0, -1)
+
+
+def _evolve_band(protos, params, kind, x, y, labels, nearest, r0, r1) -> None:
+    """One iteration on rows r0:r1: diffuse x into y, react in place, assign the result."""
+    yb = y[:, r0:r1]
+    _diffuse(x, r0, r1, params, yb)
+    pixels = _pixels(yb)
+    _react(pixels, protos, params.dt, _assignments(pixels, protos, kind))
+    _assign_band(protos, kind, y, labels, nearest, r0, r1)
+
+
+def _each_band(pool, bands, step) -> None:
+    """Run step(r0, r1) on every band; return once all of them have finished.
+
+    The calling thread takes the first band and the pool the others.  The
+    outcome of every band is read, so an exception in any band reaches the
+    caller, and only after no band is still writing.
+    """
+    futures = [pool.submit(step, r0, r1) for r0, r1 in bands[1:]]
+    try:
+        step(*bands[0])
+    finally:
+        errors = [f.exception() for f in futures]
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
     """Five-point Laplacian update with replicated edges (discrete zero flux)."""
-    out = _diffuse(hm.to_packed(field.data), params)
-    return CovarianceField(hm.from_packed(out), looks=field.looks)
+    x = _planes(field.data)
+    out = np.empty_like(x)
+    _diffuse(x, 0, x.shape[1], params, out)
+    return _field(out, field.looks)
 
 
 def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
@@ -119,9 +204,10 @@ def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
     factor lies in (0, 1] and the update is a convex combination; a pixel
     tied between two classes is a fixed point.
     """
-    x = hm.to_packed(field.data)
-    out = _react(x, protos, dt, _assignments(x, protos, kind))
-    return CovarianceField(hm.from_packed(out), looks=field.looks)
+    x = _planes(field.data)
+    pixels = _pixels(x)
+    _react(pixels, protos, dt, _assignments(pixels, protos, kind))
+    return _field(x, field.looks)
 
 
 def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams,
@@ -131,28 +217,38 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     Metrics row n holds the mean weighted distance to the nearest prototype
     and the fraction of pixels whose nearest class changed, both measured on
     the field at the end of iteration n (row 0: initial field, fraction 0).
-    The field evolves in the packed (H, W, 9) layout through the same helpers
-    as diffusion_step and reaction_step, and is inverted once per state.
+
+    The field evolves as packed (9, H, W) planes in contiguous row bands, one
+    per usable CPU.  Each iteration diffuses, reacts and assigns every band at
+    once, a band reading one row of the previous state above and below it,
+    and waits for all bands before the next.  The bands run the helpers of
+    diffusion_step and reaction_step and every pixel is inverted once per
+    state, so the result does not depend on the number of bands.
     """
     if not np.all(hm.is_positive_definite(field.data)):
         raise InvalidObservation("initial field has non-positive-definite pixels")
-    x = hm.to_packed(field.data)
-    assigned = _assignments(x, protos, kind)
-    labels = assigned[0]
-    iters = [0]
-    mean_dist = [float(assigned[1].mean())]
-    changed = [0.0]
-    for n in range(1, params.iterations + 1):
-        x = _diffuse(x, params)
-        x = _react(x, protos, params.dt, _assignments(x, protos, kind))
-        assigned = _assignments(x, protos, kind)
-        iters.append(n)
-        mean_dist.append(float(assigned[1].mean()))
-        changed.append(float(np.mean(assigned[0] != labels)))
-        labels = assigned[0]
+    x = _planes(field.data)
+    y = np.empty_like(x)
+    h, w = x.shape[1:]
+    labels, prev = np.empty((2, h, w), dtype=np.intp)
+    nearest = np.empty((h, w))
+    n_bands = min(_usable_cpus(), h)
+    bands = [(h * i // n_bands, h * (i + 1) // n_bands) for i in range(n_bands)]
+    iters, changed = [0], [0.0]
+    with (ThreadPoolExecutor(n_bands - 1) if n_bands > 1 else nullcontext()) as pool:
+        _each_band(pool, bands, partial(_assign_band, protos, kind, x, labels, nearest))
+        mean_dist = [float(nearest.mean())]
+        for n in range(1, params.iterations + 1):
+            labels, prev = prev, labels
+            _each_band(pool, bands, partial(_evolve_band, protos, params, kind,
+                                            x, y, labels, nearest))
+            x, y = y, x
+            iters.append(n)
+            mean_dist.append(float(nearest.mean()))
+            changed.append(float(np.mean(labels != prev)))
     metrics = EvolutionMetrics(
         iteration=np.array(iters),
         mean_weighted_distance=np.array(mean_dist),
         changed_fraction=np.array(changed),
     )
-    return CovarianceField(hm.from_packed(x), looks=field.looks), metrics
+    return _field(x, field.looks), metrics

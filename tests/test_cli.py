@@ -168,6 +168,21 @@ def test_pipeline_small(tmp_path):
     assert "DR+KL+OW+8" in text
 
 
+@pytest.mark.parametrize("looks_line, shared", [("", 7.0), ("looks: 5\n", 5.0)])
+def test_pipeline_shared_looks_from_image_header(tmp_path, looks_line, shared):
+    # the header's looks of an image: input wins unless the config sets looks:
+    base = str(tmp_path / "img")
+    assert main(["simulate", "--width", "96", "--height", "96", "--looks", "7",
+                 "--seed", "3", "--out", base]) == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"image: {base}\nroi: {base}_roi.txt\nrules: KL\niterations: 1\n"
+                   f"outdir: {tmp_path / 'run'}\n{looks_line}")
+    result = run_pipeline(ExperimentConfig.from_file(cfg))
+    assert result.protos.shared_looks == shared
+    model = (tmp_path / "run" / "model.txt").read_text()
+    assert f"shared_looks: {shared!r}" in model
+
+
 def test_pipeline_fail_fast_stage_tag(tmp_path):
     config = ExperimentConfig(image=str(tmp_path / "missing"),
                               roi=str(tmp_path / "missing_roi.txt"),

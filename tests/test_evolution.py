@@ -1,12 +1,17 @@
 """Two-step diffusion-reaction evolution of covariance fields."""
 
 import dataclasses
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polsardr import evolution
 from polsardr.classify import PrototypeSet, distance_stack
-from polsardr.errors import InvalidObservation, StabilityViolation
+from polsardr.errors import InvalidObservation, SingularMatrix, StabilityViolation
 from polsardr.evolution import (EvolutionParams, diffusion_step, evolve,
                                 reaction_step)
 from polsardr.fields import CovarianceField
@@ -222,17 +227,103 @@ def test_evolve_matches_public_steps_exactly(rng, kind):
 
 
 def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
-    # one inversion for the initial field, then two per iteration (after the
-    # diffusion for the reaction, after the reaction for the metrics)
+    # one inversion of every pixel for the initial field, then two per
+    # iteration (after the diffusion for the reaction, after the reaction for
+    # the metrics), whatever the number of bands; every distance_stack call
+    # also inverts the (M, 9) prototypes, which no band matches in size here
     protos = _protos(rng)
     field = _random_field(rng, 6, 5)
     inverted = []
     inv_packed = hm.inv_packed
 
     def counting(p):
-        inverted.append(np.shape(p)[0])
+        if np.shape(p)[0] != protos.n_classes:
+            inverted.append(np.shape(p)[0])
         return inv_packed(p)
 
     monkeypatch.setattr(hm, "inv_packed", counting)
-    evolve(field, protos, EvolutionParams(iterations=4))
-    assert inverted.count(field.height * field.width) == 2 * 4 + 1
+    iterations = 4
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        inverted.clear()
+        evolve(field, protos, EvolutionParams(iterations=iterations))
+        assert len(inverted) == (2 * iterations + 1) * cpus
+        assert sum(inverted) == (2 * iterations + 1) * field.height * field.width
+
+
+def _chained_reference(field, protos, params, kind):
+    """The field and both metric columns of evolve, from the public steps."""
+    def assign(f):
+        stack = distance_stack(hm.to_packed(f.data), protos, kind, weighted=True)
+        return np.argmin(stack, axis=-1), stack.min(axis=-1)
+
+    labels, nearest = assign(field)
+    mean_dist, changed = [float(nearest.mean())], [0.0]
+    cur = field
+    for _ in range(params.iterations):
+        cur = reaction_step(diffusion_step(cur, params), protos, params.dt, kind)
+        new_labels, nearest = assign(cur)
+        mean_dist.append(float(nearest.mean()))
+        changed.append(float(np.mean(new_labels != labels)))
+        labels = new_labels
+    return cur.data, np.array(mean_dist), np.array(changed)
+
+
+@pytest.mark.parametrize("kind", ["KL", "HD"])
+def test_evolve_bands_are_independent_under_thread_switching(rng, monkeypatch, kind):
+    # more bands than rows or cores, and a thread switch every microsecond:
+    # the field and both metric columns must not depend on the band count
+    protos = _protos(rng)
+    params = EvolutionParams(alpha=0.5, dt=0.01, iterations=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for h, w in [(1, 7), (2, 5), (9, 7)]:
+            field = _random_field(rng, h, w)
+            expected = _chained_reference(field, protos, params, kind)
+            for cpus in (1, 2, 3, 8):
+                monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+                out, metrics = evolve(field, protos, params, kind=kind)
+                np.testing.assert_array_equal(out.data, expected[0])
+                np.testing.assert_array_equal(metrics.mean_weighted_distance, expected[1])
+                np.testing.assert_array_equal(metrics.changed_fraction, expected[2])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_evolve_raises_a_worker_band_error_and_joins_the_pool(rng, monkeypatch):
+    # the second band runs on a pool thread; its exception keeps its type and
+    # no pool thread outlives the call
+    protos = _protos(rng)
+    field = _random_field(rng, 6, 5)
+    kernel = evolution.distance_stack
+
+    def failing_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise SingularMatrix("injected in a worker band")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evolution, "distance_stack", failing_off_the_main_thread)
+    before = threading.active_count()
+    with pytest.raises(SingularMatrix, match="worker band"):
+        evolve(field, protos, EvolutionParams(iterations=3))
+    assert threading.active_count() == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 6), w=st.integers(1, 6),
+       cpus=st.sampled_from([1, 2, 3]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       kind=st.sampled_from(["KL", "HD"]))
+def test_evolve_preserves_cone_at_the_stability_boundary(seed, h, w, cpus, scale, kind):
+    # 1 - 4*alpha*dt/h^2 = 0: the diffusion replaces every pixel by the mean
+    # of its four neighbours, still a convex combination of PD matrices
+    params = EvolutionParams(alpha=0.25, dt=1.0, h=1.0, iterations=5)
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, h, w)
+    field = CovarianceField(scale * field.data)
+    protos = PrototypeSet(sigmas=scale * _protos(rng).sigmas, shared_looks=4.0)
+    with mock.patch.object(evolution, "_usable_cpus", lambda: cpus):
+        out, metrics = evolve(field, protos, params, kind=kind)
+    assert np.all(hm.is_positive_definite(out.data))
+    assert np.all(np.isfinite(metrics.mean_weighted_distance))
