@@ -54,7 +54,7 @@ class PrototypeSet:
         if m > MAX_CLASSES:
             raise ValueError(f"at most {MAX_CLASSES} classes fit the uint8 labels "
                              f"(0 marks no-data), got {m}")
-        if not np.all(hm.is_positive_definite(self.sigmas)):
+        if not np.all(hm.is_positive_definite(hm.to_packed(self.sigmas))):
             raise InvalidObservation("every prototype must be positive definite")
         if self.shared_looks < 3:
             raise ValueError(f"shared looks must be >= 3, got {self.shared_looks}")
@@ -141,8 +141,8 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
 
 def classify_pixel(x, protos: PrototypeSet, rule: str = "KL",
                    use_class_looks: bool = False) -> int:
-    """1-based class of a single covariance matrix."""
-    field = CovarianceField(np.asarray(x)[None, None])
+    """1-based class of a single complex 3x3 covariance matrix."""
+    field = CovarianceField(hm.to_packed(x)[None, None])
     label = int(classify_image(field, protos, rule, use_class_looks).labels[0, 0])
     if label == 0:
         raise InvalidObservation("pixel covariance is not positive definite")
@@ -156,12 +156,12 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL
         raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
     kind, weighted = _RULE_STACKS[rule]
     data = field.data
-    valid = np.asarray(hm.is_positive_definite(data))
+    valid = hm.is_positive_definite(data)
     labels = np.zeros(data.shape[:2], dtype=np.uint8)
     n_bad = int((~valid).sum())
     if n_bad:
         logger.warning("%d non-positive-definite pixels labeled 0", n_bad)
-    x = hm.to_packed(data[valid])
+    x = data[valid]
     if x.shape[0]:
         scores = distance_stack(x, protos, kind, use_class_looks, weighted)
         labels[valid] = np.argmin(scores, axis=-1).astype(np.uint8) + 1

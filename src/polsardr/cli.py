@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
+from . import hermitian as hm
 from .classify import RULES, PrototypeSet, classify_image
-from .errors import MissingBaseline, PolsarError, StabilityViolation
+from .errors import MissingBaseline, NoRoot, PolsarError, StabilityViolation
 from .estimation import LOOKS_BRACKET, SampleStats, estimate_looks_corrected
-from .errors import NoRoot
-from .evolution import EvolutionParams, evolve
+from .evolution import EvolutionMetrics, EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, Split
 from .phantom import PhantomSpec, generate_phantom, inscribed_rois, read_phantom_config
 from .weights import TrainingSet, optimize_weights
@@ -196,7 +196,8 @@ def _save_image(field, base) -> None:
 
 
 def _gather(field: CovarianceField, coords: np.ndarray) -> np.ndarray:
-    return field.data[coords[:, 0], coords[:, 1]]
+    """Complex (n, 3, 3) matrices of the pixels at the (y, x) coords."""
+    return hm.from_packed(field.data[coords[:, 0], coords[:, 1]])
 
 
 def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) -> PrototypeSet:
@@ -342,7 +343,7 @@ def cmd_render(args) -> int:
 class PipelineResult:
     table: ComparisonTable
     protos: PrototypeSet
-    metrics: "object"
+    metrics: EvolutionMetrics
     outdir: Path
 
 

@@ -71,8 +71,7 @@ def write_covariance_image(field: CovarianceField, header_path, data_path,
     if dtype not in ("f32", "f64"):
         raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")
     _write_header(header_path, field.width, field.height, dtype, looks=field.looks)
-    packed = hm.to_packed(field.data).astype(_DTYPES[dtype])
-    packed.tofile(data_path)
+    field.data.astype(_DTYPES[dtype], copy=False).tofile(data_path)
 
 
 def read_covariance_image(header_path, data_path) -> CovarianceField:
@@ -84,9 +83,9 @@ def read_covariance_image(header_path, data_path) -> CovarianceField:
     expected = width * height * 9
     if raw.size != expected:
         raise SizeMismatch(f"{data_path}: expected {expected} values, found {raw.size}")
-    data = hm.from_packed(raw.astype(np.float64).reshape(height, width, 9))
-    field = CovarianceField(data, looks=looks)
-    bad = np.argwhere(~np.asarray(hm.is_positive_definite(data)))
+    field = CovarianceField(raw.astype(np.float64, copy=False).reshape(height, width, 9),
+                            looks=looks)
+    bad = np.argwhere(~hm.is_positive_definite(field.data))
     if bad.size:
         warnings.warn(NonPositiveDefinitePixelWarning(
             [(int(y), int(x)) for y, x in bad], (height, width)))
@@ -253,7 +252,7 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path,
     """
     if palette is None:
         palette = default_palette(protos.n_classes)
-    dists = distance_stack(hm.to_packed(field.data), protos, "ED")
+    dists = distance_stack(field.data, protos, "ED")
     inv = 1.0 / (dists + RENDER_EPS)
     weights = inv / inv.sum(axis=-1, keepdims=True)
     rgb = np.clip(np.rint(weights @ palette.astype(np.float64)), 0, 255).astype(np.uint8)

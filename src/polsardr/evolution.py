@@ -80,12 +80,8 @@ def _usable_cpus() -> int:
 
 
 def _planes(data) -> np.ndarray:
-    """Packed (9, H, W) copy of a complex (H, W, 3, 3) field, each entry contiguous."""
-    return np.ascontiguousarray(np.moveaxis(hm.to_packed(data), -1, 0))
-
-
-def _field(planes: np.ndarray, looks) -> CovarianceField:
-    return CovarianceField(hm.from_packed(np.moveaxis(planes, 0, -1)), looks=looks)
+    """Contiguous (9, H, W) copy of packed (H, W, 9) pixels, for the steps to write into."""
+    return np.moveaxis(data, -1, 0).copy()
 
 
 def _pixels(planes: np.ndarray) -> np.ndarray:
@@ -193,7 +189,7 @@ def diffusion_step(field: CovarianceField, params: EvolutionParams) -> Covarianc
     x = _planes(field.data)
     out = np.empty_like(x)
     _diffuse(x, 0, x.shape[1], params, out)
-    return _field(out, field.looks)
+    return CovarianceField(np.moveaxis(out, 0, -1), field.looks)
 
 
 def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
@@ -207,7 +203,7 @@ def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
     x = _planes(field.data)
     pixels = _pixels(x)
     _react(pixels, protos, dt, _assignments(pixels, protos, kind))
-    return _field(x, field.looks)
+    return CovarianceField(np.moveaxis(x, 0, -1), field.looks)
 
 
 def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams,
@@ -251,4 +247,4 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
         mean_weighted_distance=np.array(mean_dist),
         changed_fraction=np.array(changed),
     )
-    return _field(x, field.looks), metrics
+    return CovarianceField(np.moveaxis(x, 0, -1), field.looks), metrics

@@ -11,17 +11,20 @@ import numpy as np
 class CovarianceField:
     """A width x height image whose pixels are 3x3 Hermitian covariance matrices.
 
-    ``data`` has shape (height, width, 3, 3), complex128.  ``looks`` carries
-    the equivalent number of looks when known (e.g. from an image header).
+    ``data`` is the packed on-disk layout, shape (height, width, 9), float64,
+    each pixel [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
+    (``hermitian.to_packed`` packs complex matrices).  ``looks`` carries the
+    equivalent number of looks when known (e.g. from an image header).
     """
 
     data: np.ndarray
     looks: float | None = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 4 or self.data.shape[2:] != (3, 3):
-            raise ValueError(f"expected (H, W, 3, 3) data, got {self.data.shape}")
+        data = np.asarray(self.data)
+        if np.iscomplexobj(data) or data.ndim != 3 or data.shape[2] != 9:
+            raise ValueError(f"expected packed (H, W, 9) data, got {data.dtype} {data.shape}")
+        self.data = data.astype(np.float64, copy=False)
 
     @property
     def height(self) -> int:

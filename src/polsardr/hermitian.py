@@ -1,8 +1,9 @@
 """Closed-form linear algebra for 3x3 Hermitian matrices.
 
-Every function accepts stacked inputs of shape ``(..., 3, 3)`` (complex128)
-and broadcasts over the leading axes, so the same code paths serve single
-matrices and whole covariance images.  All operations are pure.
+Covariance images are packed ``(..., 9)`` float64 arrays (see TRACE_WEIGHTS)
+and the ``*_packed`` kernels and ``is_positive_definite`` work on them.  The
+complex ``(..., 3, 3)`` kernels serve prototypes, training samples, ``wishart``
+and the pairwise ``distances``.  All functions broadcast and are pure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, SingularMatrix
 
-# A matrix counts as singular when |det| < DET_TOL; a Cholesky pivot fails
+# A matrix counts as singular unless |det| >= DET_TOL (a NaN det fails); a Cholesky pivot fails
 # when it drops below PIVOT_RTOL times the largest diagonal entry.
 DET_TOL = 1e-300
 PIVOT_RTOL = 1e-12
@@ -67,12 +68,13 @@ def det3(m) -> np.ndarray | float:
 def inv3(m) -> np.ndarray:
     """Cofactor inverse; Hermitian in, Hermitian out.
 
-    Raises SingularMatrix when any determinant magnitude is below DET_TOL.
+    Raises SingularMatrix unless every |det| >= DET_TOL; a NaN det (from a NaN or
+    infinite entry) fails too.
     """
     a, d, f, b, c, e = _entries(m)
     det = np.asarray(det3(m))
-    if np.any(np.abs(det) < DET_TOL):
-        raise SingularMatrix(f"|det| < {DET_TOL} (min |det| = {np.abs(det).min():.3e})")
+    if not np.all(np.abs(det) >= DET_TOL):  # also False for a NaN det
+        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
     return assemble(
         (d * f - np.abs(e) ** 2) / det,
         (a * f - np.abs(c) ** 2) / det,
@@ -81,12 +83,6 @@ def inv3(m) -> np.ndarray:
         (b * e - c * d) / det,
         (c * np.conj(b) - a * e) / det,
     )
-
-
-def trace3(m) -> np.ndarray | float:
-    m = np.asarray(m)
-    t = (m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]).real
-    return t if t.ndim else float(t)
 
 
 def trace_product(a, b) -> np.ndarray | float:
@@ -135,13 +131,6 @@ def frobenius_distance(a, b) -> np.ndarray | float:
     return d if d.ndim else float(d)
 
 
-def is_positive_definite(m) -> np.ndarray | bool:
-    """True iff all three leading principal minors are strictly positive."""
-    a, d, f, b, c, e = _entries(m)
-    ok = (a > 0) & (a * d - np.abs(b) ** 2 > 0) & (np.asarray(det3(m)) > 0)
-    return ok if ok.ndim else bool(ok)
-
-
 # Packed layout shared with the binary image format:
 # [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
 # tr(a @ b) of Hermitian a, b is the dot product of their packed forms under
@@ -166,6 +155,12 @@ def _packed_entries(p):
     return tuple(p[..., k] for k in range(9))
 
 
+def is_positive_definite(p) -> np.ndarray:
+    """True where the three leading minors of packed p are > 0 (so NaN counts as False)."""
+    a, d, _, br, bi = _packed_entries(p)[:5]
+    return (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(p) > 0)
+
+
 def det_packed(p) -> np.ndarray:
     """det3 of packed Hermitian matrices, without forming complex arrays."""
     a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
@@ -179,15 +174,15 @@ def det_packed(p) -> np.ndarray:
 def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
     """Packed cofactor inverse and determinant of packed Hermitian matrices.
 
-    Raises SingularMatrix under the same |det| < DET_TOL test as inv3.  The
+    Raises SingularMatrix under the same determinant test as inv3.  The
     packed kernels read and write one entry at a time, so they run fastest on
     component-major data (each entry contiguous); the inverse is returned in
     that layout.
     """
     a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
     det = np.asarray(det_packed(p))
-    if np.any(np.abs(det) < DET_TOL):
-        raise SingularMatrix(f"|det| < {DET_TOL} (min |det| = {np.abs(det).min():.3e})")
+    if not np.all(np.abs(det) >= DET_TOL):  # also False for a NaN det
+        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
     inv = np.moveaxis(np.empty((9,) + np.shape(det)), 0, -1)
     inv[..., 0] = d * f - (er * er + ei * ei)
     inv[..., 1] = a * f - (cr * cr + ci * ci)

@@ -70,7 +70,7 @@ class PhantomSpec:
         self.sigmas = np.asarray(self.sigmas, dtype=np.complex128)
         if self.sigmas.ndim != 3 or self.sigmas.shape[1:] != (3, 3):
             raise InvalidSpec(f"sigmas must be (M, 3, 3), got {self.sigmas.shape}")
-        if not np.all(hm.is_positive_definite(self.sigmas)):
+        if not np.all(hm.is_positive_definite(hm.to_packed(self.sigmas))):
             raise InvalidSpec("every class covariance must be positive definite")
         if len(self.regions) != self.sigmas.shape[0]:
             raise InvalidSpec("one region per class required")
@@ -125,14 +125,14 @@ def generate_phantom(spec: PhantomSpec) -> tuple[CovarianceField, ClassMap]:
     """
     labels = region_map(spec)
     models = spec.models()
-    data = np.empty((spec.height, spec.width, 3, 3), dtype=np.complex128)
+    data = np.empty((spec.height, spec.width, 9))
     for y in range(spec.height):
         rng = np.random.default_rng([spec.seed, y])
         row_labels = labels[y]
         for m, model in enumerate(models):
             mask = row_labels == m + 1
             if mask.any():
-                data[y, mask] = sample(model, rng, size=int(mask.sum()))
+                data[y, mask] = hm.to_packed(sample(model, rng, size=int(mask.sum())))
     return CovarianceField(data, looks=float(spec.looks)), ClassMap(labels)
 
 

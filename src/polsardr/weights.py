@@ -70,8 +70,8 @@ class TrainingSet:
             raise ValueError("one sample block per class required")
         if any(s.shape[0] < 1 for s in self.samples):
             raise ValueError("every class needs at least one training sample")
-        if not np.all(hm.is_positive_definite(self.prototypes)) or not all(
-                np.all(hm.is_positive_definite(s)) for s in self.samples):
+        if not all(np.all(hm.is_positive_definite(hm.to_packed(m)))
+                   for m in [self.prototypes, *self.samples]):
             raise InvalidObservation("training matrices must be positive definite")
 
     @property

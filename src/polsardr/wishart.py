@@ -34,7 +34,7 @@ class WishartModel:
         sigma = hm.hermitian_part(np.asarray(self.sigma, dtype=np.complex128))
         if sigma.shape != (3, 3):
             raise ValueError(f"sigma must be 3x3, got {sigma.shape}")
-        if not hm.is_positive_definite(sigma):
+        if not hm.is_positive_definite(hm.to_packed(sigma)):
             raise InvalidObservation("model covariance is not positive definite")
         if not np.isfinite(self.looks) or self.looks < 3:
             raise InvalidLooks(f"looks must be >= 3, got {self.looks}")
@@ -54,7 +54,7 @@ def log_gamma3(looks) -> np.ndarray | float:
 def log_density(model: WishartModel, z, validate: bool = True) -> np.ndarray | float:
     """Log density of the scaled complex Wishart law at z (broadcasts over z)."""
     z = np.asarray(z, dtype=np.complex128)
-    if validate and not np.all(hm.is_positive_definite(z)):
+    if validate and not np.all(hm.is_positive_definite(hm.to_packed(z))):
         raise InvalidObservation("observation matrix is not positive definite")
     looks = model.looks
     det_z = np.asarray(hm.det3(z))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polsardr import hermitian as hm
 from polsardr.classify import (RULES, STACK_KINDS, PrototypeSet, classify_image,
                                classify_pixel, distance_stack)
-from polsardr.distances import distance, kl_distance
+from polsardr.distances import KINDS, distance, kl_distance
 from polsardr.errors import InvalidObservation, SingularMatrix
 from polsardr.fields import CovarianceField
 from polsardr.wishart import WishartModel, log_density, sample
@@ -74,8 +74,8 @@ def test_weighted_argmin_hand_example(rng):
 
 def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
     protos = _protos(rng)
-    field = CovarianceField(sample(WishartModel(protos.sigmas[1], 4),
-                                   rng, size=(12, 9)))
+    field = CovarianceField(hm.to_packed(sample(WishartModel(protos.sigmas[1], 4),
+                                                rng, size=(12, 9))))
     plain = classify_image(field, protos, "KL")
     weighted = classify_image(field, protos, "KL+OW")
     np.testing.assert_array_equal(plain.labels, weighted.labels)
@@ -98,7 +98,7 @@ def test_tie_breaks_to_lowest_class_index(rng):
 
 def test_classify_image_uniform_field(rng):
     protos = _protos(rng)
-    field = CovarianceField(np.broadcast_to(protos.sigmas[1], (6, 8, 3, 3)).copy())
+    field = CovarianceField(np.broadcast_to(hm.to_packed(protos.sigmas[1]), (6, 8, 9)))
     cmap = classify_image(field, protos, "ED")
     assert cmap.labels.shape == (6, 8)
     assert np.all(cmap.labels == 2)
@@ -108,7 +108,7 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
     protos = _protos(rng)
     data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(5, 7))
     data[2, 3] = np.diag([1.0, -1.0, 1.0])  # not positive definite
-    field = CovarianceField(data)
+    field = CovarianceField(hm.to_packed(data))
     a = classify_image(field, protos, "KL")
     b = classify_image(field, protos, "KL")
     np.testing.assert_array_equal(a.labels, b.labels)
@@ -127,7 +127,7 @@ def test_ml_rule_matches_density_argmax(rng):
     pts = sample(WishartModel(protos.sigmas[2], 4), rng, size=30)
     dens = np.stack([log_density(WishartModel(protos.sigmas[m], 4.0), pts,
                                  validate=False) for m in range(3)], axis=-1)
-    got = classify_image(CovarianceField(pts[None]), protos, "ML").labels[0] - 1
+    got = classify_image(CovarianceField(hm.to_packed(pts)[None]), protos, "ML").labels[0] - 1
     np.testing.assert_array_equal(got, np.argmax(dens, axis=-1))
 
 
@@ -193,3 +193,35 @@ def test_distance_stack_rejects_singular_pixel(rng, kind):
     data = np.stack([make_hpd(rng), np.ones((3, 3), dtype=complex)])
     with pytest.raises(SingularMatrix):
         distance_stack(hm.to_packed(data), _protos(rng), kind)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["KL", "HD", "BD"])
+@pytest.mark.parametrize("entry, value", [(0, np.nan), (4, np.nan), (0, np.inf), (1, np.inf),
+                                          (2, -np.inf)])
+def test_distance_stack_rejects_non_finite_pixel(rng, kind, entry, value):
+    # a NaN entry, or an infinite one on the diagonal, makes the determinant
+    # NaN; the singularity test must raise instead of returning NaN scores
+    x = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng)]))
+    x[1, entry] = value
+    with pytest.raises(SingularMatrix):
+        distance_stack(x, _protos(rng), kind)
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
+       log_ratio=st.floats(-1.0, 1.0), looks=st.floats(3.0, 20.0))
+@settings(max_examples=50, deadline=None)
+def test_distance_stack_self_distance_and_symmetry(seed, log_scale, log_ratio, looks):
+    # two prototypes x, y scored as pixels: the diagonal of the stack holds
+    # d(x, x) and d(y, y), the off-diagonal d(x, y) and d(y, x)
+    rng = np.random.default_rng(seed)
+    sigmas = np.stack([make_hpd(rng, scale=10.0 ** log_scale),
+                       make_hpd(rng, scale=10.0 ** (log_scale + log_ratio))])
+    protos = PrototypeSet(sigmas=sigmas, shared_looks=looks)
+    for kind in KINDS:
+        stack = distance_stack(hm.to_packed(protos.sigmas), protos, kind)
+        if kind == "ED":
+            assert np.all(np.diag(stack) == 0.0)
+        else:
+            assert np.all((np.diag(stack) >= 0.0) & (np.diag(stack) <= 1e-10)), kind
+        assert stack[0, 1] == pytest.approx(stack[1, 0], rel=1e-9), kind

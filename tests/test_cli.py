@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
 from polsardr.errors import MissingBaseline, PolsarError, StabilityViolation
 from polsardr.fields import ClassMap, RoiSet
 
-GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDENS = ROOT / "perfbench" / "goldens.json"
 
 
 def _report(method, accs):
@@ -221,3 +225,20 @@ def test_default_pipeline_timing_and_dominance(tmp_path):
     assert maps == golden["maps"]
     table = [ln.rsplit(None, 1)[0] for ln in result.table.format().splitlines()]
     assert table == golden["table"]
+
+
+def test_run_phantom_experiment_script(tmp_path):
+    # the script runs in its own interpreter, as a user starts it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_phantom_experiment.py"),
+         "--size", "100", "--iters", "3", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["method", "class", "1", "class", "2", "class", "3",
+                                "overall", "seconds"]
+    assert [ln.split()[0] for ln in lines[1:7]] == ["ML", "ED", "HD", "KL", "KL+OW",
+                                                    "DR+KL+OW+3"]
+    assert f"artifacts in {tmp_path}" in proc.stdout

@@ -17,7 +17,7 @@ from conftest import make_hpd
 
 def _random_field(rng, h=6, w=5, looks=4.0):
     data = sample(WishartModel(make_hpd(rng), 4), rng, size=(h, w))
-    return CovarianceField(data, looks=looks)
+    return CovarianceField(hm.to_packed(data), looks=looks)
 
 
 def test_covariance_roundtrip_f64(tmp_path, rng):
@@ -37,7 +37,7 @@ def test_covariance_roundtrip_f32(tmp_path, rng):
 
 
 def test_single_pixel_layout(tmp_path):
-    field = CovarianceField(np.eye(3, dtype=complex)[None, None])
+    field = CovarianceField(hm.to_packed(np.eye(3, dtype=complex))[None, None])
     dataio.write_covariance_image(field, tmp_path / "i.hdr", tmp_path / "i.dat")
     raw = np.fromfile(tmp_path / "i.dat", dtype="<f8")
     np.testing.assert_array_equal(raw, [1, 1, 1, 0, 0, 0, 0, 0, 0])
@@ -69,12 +69,12 @@ def test_malformed_headers(tmp_path, header):
 
 def test_non_pd_pixels_warn_with_coordinates(tmp_path, rng):
     field = _random_field(rng, 3, 3)
-    field.data[1, 2] = np.diag([1.0, -2.0, 1.0])
+    field.data[1, 2] = hm.to_packed(np.diag([1.0, -2.0, 1.0]))
     dataio.write_covariance_image(field, tmp_path / "a.hdr", tmp_path / "a.dat")
     with pytest.warns(NonPositiveDefinitePixelWarning) as rec:
         back = dataio.read_covariance_image(tmp_path / "a.hdr", tmp_path / "a.dat")
     assert rec[0].message.pixels == [(1, 2)]
-    assert back.data.shape == (3, 3, 3, 3)
+    assert back.data.shape == (3, 3, 9)
 
 
 def test_classmap_roundtrip(tmp_path, rng):
@@ -180,7 +180,7 @@ def test_ppm_roundtrip(tmp_path, rng):
 def test_render_pixel_at_prototype_gets_its_color(tmp_path, rng):
     protos = PrototypeSet(sigmas=np.stack([make_hpd(rng), make_hpd(rng, scale=3)]),
                           shared_looks=4.0)
-    data = np.stack([protos.sigmas[0], protos.sigmas[1]])[None]
+    data = hm.to_packed(np.stack([protos.sigmas[0], protos.sigmas[1]]))[None]
     palette = dataio.default_palette(2)
     rgb = dataio.render_rgb(CovarianceField(data), protos, tmp_path / "r.ppm")
     np.testing.assert_array_equal(rgb[0, 0], palette[0])
@@ -193,7 +193,8 @@ def test_render_equidistant_pixel_gets_mean_color(tmp_path):
     protos = PrototypeSet(sigmas=np.stack([s1, s2]), shared_looks=4.0)
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)  # equidistant by symmetry
     palette = dataio.default_palette(2)
-    rgb = dataio.render_rgb(CovarianceField(x[None, None]), protos, tmp_path / "e.ppm")
+    rgb = dataio.render_rgb(CovarianceField(hm.to_packed(x)[None, None]), protos,
+                            tmp_path / "e.ppm")
     np.testing.assert_array_equal(rgb[0, 0], np.rint(palette.mean(axis=0)))
 
 

@@ -26,7 +26,7 @@ ID = np.eye(3, dtype=complex)
 def _random_field(rng, h, w, jitter=0.2):
     a = rng.standard_normal((h, w, 3, 3)) + 1j * rng.standard_normal((h, w, 3, 3))
     data = a @ a.conj().transpose(0, 1, 3, 2) / 3 + jitter * np.eye(3)
-    return CovarianceField(hm.hermitian_part(data))
+    return CovarianceField(hm.to_packed(hm.hermitian_part(data)))
 
 
 def _protos(rng, m=3):
@@ -69,7 +69,7 @@ def test_diffusion_step_guards_stability():
 
 def test_diffusion_constant_field_is_fixed(rng):
     m = make_hpd(rng)
-    field = CovarianceField(np.broadcast_to(m, (5, 6, 3, 3)).copy())
+    field = CovarianceField(np.broadcast_to(hm.to_packed(m), (5, 6, 9)))
     out = diffusion_step(field, EvolutionParams())
     np.testing.assert_array_equal(out.data, field.data)
 
@@ -88,23 +88,26 @@ def test_diffusion_checkerboard_interior_value():
     for y in range(h):
         for x in range(w):
             data[y, x] = ID if (x + y) % 2 == 0 else 3 * ID
-    out = diffusion_step(CovarianceField(data), EvolutionParams(alpha=12.5, dt=0.01))
-    np.testing.assert_allclose(out.data[3, 3], 2 * ID, atol=1e-14)
-    np.testing.assert_allclose(out.data[3, 4], 3 * ID - ID, atol=1e-14)  # 3I shrinks to 2I
+    out = diffusion_step(CovarianceField(hm.to_packed(data)),
+                         EvolutionParams(alpha=12.5, dt=0.01))
+    out = hm.from_packed(out.data)
+    np.testing.assert_allclose(out[3, 3], 2 * ID, atol=1e-14)
+    np.testing.assert_allclose(out[3, 4], 3 * ID - ID, atol=1e-14)  # 3I shrinks to 2I
 
 
 def test_diffusion_matches_scalar_stencil_oracle(rng):
     params = EvolutionParams(alpha=0.5, dt=0.01)
     field = _random_field(rng, 12, 10)
     out = diffusion_step(field, params)
-    expected = scalar_five_point(field.data, params.alpha * params.dt / params.h**2)
-    assert np.abs(out.data - expected).max() < 1e-12
+    expected = scalar_five_point(hm.from_packed(field.data),
+                                 params.alpha * params.dt / params.h**2)
+    assert np.abs(hm.from_packed(out.data) - expected).max() < 1e-12
 
 
 def test_reaction_fixed_points(rng):
     protos = _protos(rng)
     # a pixel equal to its nearest prototype does not move
-    data = np.broadcast_to(protos.sigmas[1], (3, 4, 3, 3)).copy()
+    data = np.broadcast_to(hm.to_packed(protos.sigmas[1]), (3, 4, 9))
     out = reaction_step(CovarianceField(data), protos, dt=0.01)
     np.testing.assert_array_equal(out.data, data)
 
@@ -117,8 +120,8 @@ def test_reaction_exact_tie_is_fixed_point():
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)
     stack = distance_stack(hm.to_packed(x), protos, "KL", weighted=True)
     assert stack[0] == pytest.approx(stack[1], rel=1e-14)
-    out = reaction_step(CovarianceField(x[None, None]), protos, dt=0.01)
-    np.testing.assert_allclose(out.data[0, 0], x, atol=1e-12)
+    out = reaction_step(CovarianceField(hm.to_packed(x)[None, None]), protos, dt=0.01)
+    np.testing.assert_allclose(hm.from_packed(out.data[0, 0]), x, atol=1e-12)
 
 
 def test_reaction_contraction_factor(rng):
@@ -127,18 +130,19 @@ def test_reaction_contraction_factor(rng):
     protos = _protos(rng)
     field = _random_field(rng, 4, 5, jitter=0.4)
     dt = 0.01
-    out = reaction_step(CovarianceField(field.data.copy()), protos, dt)
+    out = hm.from_packed(reaction_step(field, protos, dt).data)
+    data = hm.from_packed(field.data)
     from polsardr.distances import kl_distance
     for y in range(4):
         for x in range(5):
-            d = np.array([protos.weights[m] * kl_distance(field.data[y, x],
+            d = np.array([protos.weights[m] * kl_distance(data[y, x],
                                                           protos.sigmas[m], 4.0)
                           for m in range(3)])
             order = np.sort(d)
             factor = np.exp(dt * (order[0] - order[1]))
             anchor = protos.sigmas[int(np.argmin(d))]
-            expected = anchor + factor * (field.data[y, x] - anchor)
-            np.testing.assert_allclose(out.data[y, x], expected, rtol=1e-10, atol=1e-12)
+            expected = anchor + factor * (data[y, x] - anchor)
+            np.testing.assert_allclose(out[y, x], expected, rtol=1e-10, atol=1e-12)
     assert np.exp(0.01 * (2.0 - 5.0)) == pytest.approx(0.97045, abs=5e-6)
 
 
@@ -147,22 +151,34 @@ def test_reaction_single_pixel_monotone_approach(rng):
     # Frobenius distance while the assignment stays put
     protos = _protos(rng)
     x = sample(WishartModel(protos.sigmas[2], 4), rng)
-    field = CovarianceField(x[None, None])
+    field = CovarianceField(hm.to_packed(x)[None, None])
     label = int(np.argmin(distance_stack(hm.to_packed(x), protos, "KL", weighted=True)))
     dists = []
     for _ in range(60):
         field = reaction_step(field, protos, dt=0.01)
-        cur = int(np.argmin(distance_stack(hm.to_packed(field.data), protos, "KL",
-                                           weighted=True)[0, 0]))
+        cur = int(np.argmin(distance_stack(field.data, protos, "KL", weighted=True)[0, 0]))
         assert cur == label
-        dists.append(float(hm.frobenius_distance(field.data[0, 0],
+        dists.append(float(hm.frobenius_distance(hm.from_packed(field.data[0, 0]),
                                                  protos.sigmas[label])))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
+def test_steps_and_evolve_leave_their_input_unchanged(rng):
+    # a step returns a view of its (9, H, W) planes; the next step or evolve
+    # must copy it before writing, so the field it was given stays as it was
+    protos = _protos(rng)
+    params = EvolutionParams(iterations=2)
+    field = diffusion_step(_random_field(rng, 5, 4), params)
+    before = field.data.copy()
+    reaction_step(field, protos, params.dt)
+    diffusion_step(field, params)
+    evolve(field, protos, params)
+    np.testing.assert_array_equal(field.data, before)
+
+
 def test_evolve_fixed_point_field(rng):
     protos = _protos(rng)
-    data = np.broadcast_to(protos.sigmas[0], (4, 4, 3, 3)).copy()
+    data = np.broadcast_to(hm.to_packed(protos.sigmas[0]), (4, 4, 9))
     out, metrics = evolve(CovarianceField(data), protos,
                           EvolutionParams(iterations=5))
     np.testing.assert_array_equal(out.data, data)
@@ -172,8 +188,8 @@ def test_evolve_fixed_point_field(rng):
 
 def test_evolve_requires_pd_field(rng):
     protos = _protos(rng)
-    data = np.broadcast_to(ID, (3, 3, 3, 3)).copy()
-    data[1, 1] = np.diag([1.0, -1.0, 1.0])
+    data = np.broadcast_to(hm.to_packed(ID), (3, 3, 9)).copy()
+    data[1, 1] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(InvalidObservation):
         evolve(CovarianceField(data), protos, EvolutionParams(iterations=1))
 
@@ -254,7 +270,7 @@ def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
 def _chained_reference(field, protos, params, kind):
     """The field and both metric columns of evolve, from the public steps."""
     def assign(f):
-        stack = distance_stack(hm.to_packed(f.data), protos, kind, weighted=True)
+        stack = distance_stack(f.data, protos, kind, weighted=True)
         return np.argmin(stack, axis=-1), stack.min(axis=-1)
 
     labels, nearest = assign(field)

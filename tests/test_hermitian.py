@@ -57,7 +57,7 @@ def test_inverse_matches_numpy_and_is_hermitian_pd(rng):
         inv = hm.inv3(m)
         np.testing.assert_allclose(inv, np.linalg.inv(m), rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(inv, inv.conj().T)
-        assert hm.is_positive_definite(inv)
+        assert hm.is_positive_definite(hm.to_packed(inv))
 
 
 def test_inverse_singular_raises():
@@ -69,11 +69,6 @@ def test_det_of_inverse_reciprocal(rng):
     for _ in range(50):
         m = make_hpd(rng, scale=1.7)
         assert hm.det3(hm.inv3(m)) == pytest.approx(1.0 / hm.det3(m), rel=1e-10)
-
-
-def test_trace():
-    assert hm.trace3(ID) == 3.0
-    assert hm.trace3(diag(1, 2, 3)) == 6.0
 
 
 def test_trace_product_identity_case():
@@ -130,7 +125,34 @@ def test_is_positive_definite_against_eigvalsh():
     for _ in range(200):
         m = make_hermitian(rng, scale=1.5) + rng.uniform(-0.5, 1.5) * np.eye(3)
         expected = bool(np.all(np.linalg.eigvalsh(m) > 0))
-        assert hm.is_positive_definite(m) == expected
+        assert hm.is_positive_definite(hm.to_packed(m)) == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_smallest=st.floats(-8.0, 0.0),
+       negative=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+@settings(max_examples=200, deadline=None)
+def test_packed_pd_test_matches_eigvalsh(seed, log_smallest, negative):
+    # Q diag(lam) Q^H with a random unitary Q and eigenvalues of either sign,
+    # the smallest in magnitude down to 1e-8: near-singular, either side of 0
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    lam = rng.uniform(0.1, 10.0, 3)
+    lam[0] = 10.0 ** log_smallest
+    lam[np.array(negative)] *= -1.0
+    m = (q * lam) @ q.conj().T
+    m = 0.5 * (m + m.conj().T)
+    expected = bool(np.all(np.linalg.eigvalsh(m) > 0))
+    assert bool(hm.is_positive_definite(hm.to_packed(m))) == expected
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1), entry=st.integers(0, 8),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=100, deadline=None)
+def test_packed_pd_test_rejects_non_finite_entries(seed, entry, value):
+    p = np.stack([hm.to_packed(make_hpd(np.random.default_rng(seed))) for _ in range(2)])
+    p[1, entry] = value
+    np.testing.assert_array_equal(hm.is_positive_definite(p), [True, False])
 
 
 def test_assemble_is_hermitian_by_construction(rng):
@@ -177,6 +199,18 @@ def test_packed_kernels_match_complex_kernels(seed, scale):
     np.testing.assert_allclose(hm.trace_product_packed(p, hm.to_packed(other)),
                                hm.trace_product(batch, other), rtol=1e-10,
                                atol=1e-12 * scale**2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_inverses_reject_non_finite_entries(value):
+    for k in range(9):
+        p = hm.to_packed(ID)
+        p[k] = value
+        with pytest.raises(SingularMatrix):
+            hm.inv_packed(p)
+        with pytest.raises(SingularMatrix):
+            hm.inv3(hm.from_packed(p))
 
 
 def test_packed_inverse_singular_raises():

@@ -36,7 +36,7 @@ def test_default_separations():
     assert kl_distance(s[1], s[2], 4.0) == pytest.approx(3.0, abs=0.1)
     assert kl_distance(s[0], s[1], 4.0) > 30
     assert kl_distance(s[0], s[2], 4.0) > 30
-    assert np.all(hm.is_positive_definite(s))
+    assert np.all(hm.is_positive_definite(hm.to_packed(s)))
 
 
 def test_region_map_partitions():
@@ -58,7 +58,7 @@ def test_seed_changes_field_not_truth():
     a, ta = generate_phantom(PhantomSpec(width=24, height=16, seed=1))
     b, tb = generate_phantom(PhantomSpec(width=24, height=16, seed=2))
     np.testing.assert_array_equal(ta.labels, tb.labels)
-    assert np.abs(a.data - b.data).max() > 1e-3
+    assert np.abs(hm.from_packed(a.data) - hm.from_packed(b.data)).max() > 1e-3
 
 
 def test_single_class_spec():
@@ -67,8 +67,9 @@ def test_single_class_spec():
                        regions=("background",))
     field, truth = generate_phantom(spec)
     assert np.all(truth.labels == 1)
-    mean = field.data.reshape(-1, 3, 3).mean(axis=0)
-    se = field.data.reshape(-1, 3, 3).std(axis=0) / 100.0
+    data = hm.from_packed(field.data).reshape(-1, 3, 3)
+    mean = data.mean(axis=0)
+    se = data.std(axis=0) / 100.0
     assert np.all(np.abs(mean - sigma[0]) <= 5 * se + 1e-12)
 
 
@@ -81,7 +82,7 @@ def test_per_region_means_converge():
     spec = PhantomSpec(width=150, height=150, seed=11)
     field, truth = generate_phantom(spec)
     for cls in (1, 2):  # background and band both exceed 4000 pixels
-        pts = field.data[truth.labels == cls]
+        pts = hm.from_packed(field.data[truth.labels == cls])
         mean = pts.mean(axis=0)
         se = pts.std(axis=0) / np.sqrt(pts.shape[0])
         assert np.all(np.abs(mean - spec.sigmas[cls - 1]) <= 5 * se + 1e-12)

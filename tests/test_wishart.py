@@ -107,5 +107,5 @@ def test_sample_whitened_trace():
 def test_samples_positive_definite(rng):
     model = WishartModel(make_hpd(rng), 3)
     z = sample(model, rng, size=2000)
-    assert np.all(hm.is_positive_definite(z))
+    assert np.all(hm.is_positive_definite(hm.to_packed(z)))
     assert np.all(np.abs(z - np.conj(np.swapaxes(z, -1, -2))) == 0)
