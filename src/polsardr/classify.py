@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermitian as hm
-from .distances import KINDS
 from .errors import InvalidObservation
 from .fields import ClassMap, CovarianceField
 from .wishart import log_gamma3
@@ -25,6 +24,7 @@ RULES = ("ML", "ED", "HD", "KL", "KL+OW")
 # rule -> (kind, weighted) of the distance_stack whose argmin it takes
 _RULE_STACKS = {"ML": ("ML", False), "ED": ("ED", False), "HD": ("HD", False),
                "KL": ("KL", False), "KL+OW": ("KL", True)}
+KINDS = ("KL", "HD", "BD", "ED")  # the stochastic distances and the Euclidean baseline
 STACK_KINDS = KINDS + ("ML",)
 SIMPLEX_TOL = 1e-9
 MAX_CLASSES = 255  # labels are uint8 and 0 is the no-data sentinel

@@ -176,7 +176,10 @@ class ExperimentConfig:
             elif key == "rules":
                 parsed = tuple(r.strip() for r in value.split(","))
             else:
-                parsed = typ(value)
+                try:
+                    parsed = typ(value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             kwargs["lam" if key == "lambda" else key] = parsed
         return cls(**kwargs)
 
@@ -196,8 +199,8 @@ def _save_image(field, base) -> None:
 
 
 def _gather(field: CovarianceField, coords: np.ndarray) -> np.ndarray:
-    """Complex (n, 3, 3) matrices of the pixels at the (y, x) coords."""
-    return hm.from_packed(field.data[coords[:, 0], coords[:, 1]])
+    """Packed (n, 9) pixels at the (y, x) coords."""
+    return field.data[coords[:, 0], coords[:, 1]]
 
 
 def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) -> PrototypeSet:
@@ -205,7 +208,7 @@ def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) 
     sigmas = []
     class_looks = []
     for cls in split.classes:
-        stats = SampleStats.from_sample(_gather(field, split.train[cls]))
+        stats = SampleStats.from_sample(hm.from_packed(_gather(field, split.train[cls])))
         sigmas.append(stats.mean)
         try:
             class_looks.append(estimate_looks_corrected(stats))
@@ -218,9 +221,7 @@ def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) 
 
 
 def build_training_set(field, split: Split, protos: PrototypeSet) -> TrainingSet:
-    samples = [_gather(field, split.train[cls]) for cls in split.classes]
-    return TrainingSet(prototypes=protos.sigmas, samples=samples,
-                       looks=protos.shared_looks)
+    return TrainingSet(protos, [_gather(field, split.train[cls]) for cls in split.classes])
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -326,6 +327,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.image and not args.model:
+        raise ValueError("--image needs --model")
     if args.classmap:
         cmap = dataio.read_classmap(*_paths(args.classmap))
         dataio.render_classmap(cmap, args.out, n_classes=args.classes)
@@ -516,9 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("render", help="RGB renders of fields or class maps")
-    p.add_argument("--image", help="covariance image base path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--image", help="covariance image base path")
+    source.add_argument("--classmap", help="classmap base path")
     p.add_argument("--model", help="model file (needed with --image)")
-    p.add_argument("--classmap", help="classmap base path")
     p.add_argument("--classes", type=int, help="palette size for --classmap")
     p.add_argument("--out", required=True, help="output PPM path")
     p.set_defaults(func=cmd_render)

@@ -1,6 +1,7 @@
 """Closed-form stochastic distances between Wishart laws sharing a looks value.
 
-All distances broadcast over leading axes of either argument and are
+The pairwise references of ``classify.distance_stack``, which does all the
+scoring.  They broadcast over leading axes of either argument and are
 symmetric, nonnegative, and zero iff the covariances coincide (they are not
 metrics: no triangle inequality is claimed).
 """
@@ -54,20 +55,3 @@ def euclidean_distance(s1, s2) -> np.ndarray | float:
     """Frobenius norm of the difference (the non-stochastic baseline)."""
     return hm.frobenius_distance(s1, s2)
 
-
-KINDS = ("KL", "HD", "BD", "ED")
-
-
-def distance(kind: str, s1, s2, looks: float | None = None) -> np.ndarray | float:
-    """Dispatch by distance kind; ``looks`` is ignored for "ED"."""
-    if kind == "ED":
-        return euclidean_distance(s1, s2)
-    if looks is None:
-        raise ValueError(f"distance kind {kind!r} needs a looks value")
-    if kind == "KL":
-        return kl_distance(s1, s2, looks)
-    if kind == "HD":
-        return hellinger_distance(s1, s2, looks)
-    if kind == "BD":
-        return bhattacharyya_distance(s1, s2, looks)
-    raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")

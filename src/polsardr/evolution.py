@@ -23,8 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import hermitian as hm
-from .classify import PrototypeSet, distance_stack
-from .distances import KINDS
+from .classify import KINDS, PrototypeSet, distance_stack
 from .errors import InvalidObservation, StabilityViolation
 from .fields import CovarianceField
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
+from .classify import KINDS, PrototypeSet, distance_stack
 from .classify import SIMPLEX_TOL  # re-exported: one tolerance for every simplex check
-from .distances import distance
 from .errors import InvalidObservation, NonFiniteEnergy
 
 FD_STEP = 1e-6
@@ -50,42 +50,30 @@ def project_to_simplex(v) -> np.ndarray:
 
 @dataclass(eq=False)
 class TrainingSet:
-    """Per-class prototype covariances and training samples.
+    """Class prototypes and per-class training samples.
 
-    ``samples[m]`` holds the (M_m, 3, 3) covariance observations of class m;
-    distances are always evaluated at the shared ``looks``.
+    ``samples[m]`` holds the packed (n_m, 9) covariance observations of class
+    m; distances are evaluated unweighted at ``protos.shared_looks``.
     """
 
-    prototypes: np.ndarray
+    protos: PrototypeSet
     samples: list[np.ndarray]
-    looks: float
 
     def __post_init__(self):
-        self.prototypes = np.asarray(self.prototypes, dtype=np.complex128)
-        if self.prototypes.ndim != 3 or self.prototypes.shape[0] < 2:
-            raise ValueError("need prototypes shaped (M, 3, 3) with M >= 2")
-        self.samples = [np.asarray(s, dtype=np.complex128).reshape(-1, 3, 3)
-                        for s in self.samples]
-        if len(self.samples) != self.prototypes.shape[0]:
+        self.samples = [np.asarray(s, dtype=np.float64).reshape(-1, 9) for s in self.samples]
+        if len(self.samples) != self.protos.n_classes:
             raise ValueError("one sample block per class required")
         if any(s.shape[0] < 1 for s in self.samples):
             raise ValueError("every class needs at least one training sample")
-        if not all(np.all(hm.is_positive_definite(hm.to_packed(m)))
-                   for m in [self.prototypes, *self.samples]):
-            raise InvalidObservation("training matrices must be positive definite")
-
-    @property
-    def n_classes(self) -> int:
-        return self.prototypes.shape[0]
+        if not all(np.all(hm.is_positive_definite(s)) for s in self.samples):
+            raise InvalidObservation("training samples must be positive definite")
 
 
 def distance_tables(train: TrainingSet, kind: str = "KL") -> list[np.ndarray]:
     """tables[m][k, m'] = d(sample k of class m, prototype m'); weight-independent."""
-    tables = []
-    for s in train.samples:
-        cols = [np.asarray(distance(kind, s, p, train.looks)) for p in train.prototypes]
-        tables.append(np.stack(cols, axis=-1))
-    return tables
+    if kind not in KINDS:
+        raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
+    return [distance_stack(s, train.protos, kind) for s in train.samples]
 
 
 def _energy(weights: np.ndarray, tables: list[np.ndarray], lam: float) -> float:
@@ -137,7 +125,7 @@ def optimize_weights(train: TrainingSet, kind: str = "KL", lam: float = 1.0,
     Accepted steps never increase the energy (backtracking enforces it) and
     every iterate is simplex-feasible.
     """
-    m = train.n_classes
+    m = train.protos.n_classes
     tables = distance_tables(train, kind)
     w = np.full(m, 1.0 / m)
     cur = _energy(w, tables, lam)

@@ -235,7 +235,8 @@ def test_criterion_8_weight_optimizer_properties(phantom_run):
     own = [np.mean(kl_distance(samples[m], sigmas[m], 4.0)) for m in range(3)]
     assert own[2] > 3.5 * max(own[0], own[1])
     spread_result = optimize_weights(
-        TrainingSet(prototypes=np.stack(sigmas), samples=samples, looks=4.0))
+        TrainingSet(PrototypeSet(sigmas=np.stack(sigmas), shared_looks=4.0),
+                    [hm.to_packed(z) for z in samples]))
     assert int(np.argmin(spread_result.weights)) == 2
     assert time.perf_counter() - t0 < 60.0
     _pass(8, "weight optimizer descent, feasibility, variability ordering")

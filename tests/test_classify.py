@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polsardr import hermitian as hm
-from polsardr.classify import (RULES, STACK_KINDS, PrototypeSet, classify_image,
+from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, classify_image,
                                classify_pixel, distance_stack)
-from polsardr.distances import KINDS, distance, kl_distance
+from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
+                                hellinger_distance, kl_distance)
 from polsardr.errors import InvalidObservation, SingularMatrix
 from polsardr.fields import CovarianceField
 from polsardr.wishart import WishartModel, log_density, sample
@@ -145,13 +146,18 @@ def test_per_class_looks_selectable(rng):
 def test_unknown_rule_rejected(rng):
     with pytest.raises(ValueError):
         classify_pixel(make_hpd(rng), _protos(rng), "NN")
+    with pytest.raises(ValueError, match="unknown distance kind 'XX'"):
+        distance_stack(hm.to_packed(make_hpd(rng)), _protos(rng), "XX")
 
 
 def _pairwise(kind, data, sigma, looks):
     """The public pairwise reference of one distance_stack column."""
     if kind == "ML":
         return -log_density(WishartModel(sigma, looks), data, validate=False)
-    return distance(kind, data, sigma, looks)
+    if kind == "ED":
+        return euclidean_distance(data, sigma)
+    pairwise = {"KL": kl_distance, "HD": hellinger_distance, "BD": bhattacharyya_distance}
+    return pairwise[kind](data, sigma, looks)
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),

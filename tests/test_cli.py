@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from polsardr import dataio
+from polsardr import hermitian as hm
 from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
                           accuracy_report, main, run_pipeline)
 from polsardr.errors import MissingBaseline, PolsarError, StabilityViolation
-from polsardr.fields import ClassMap, RoiSet
+from polsardr.fields import ClassMap, CovarianceField, RoiSet
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "goldens.json"
@@ -98,6 +99,16 @@ def test_config_rejects_unknown_bool(tmp_path):
         ExperimentConfig.from_file(cfg)
 
 
+@pytest.mark.parametrize("line", ["width: abc", "alpha: fast"])
+def test_config_conversion_error_names_its_line(tmp_path, line):
+    # a value that does not convert is located like every other config error
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"height: 64\n{line}\n")
+    key, value = line.split(": ")
+    with pytest.raises(ValueError, match=rf"exp\.cfg:2: {key}: .*'{value}'"):
+        ExperimentConfig.from_file(cfg)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("wdith: 64\n")
@@ -152,6 +163,29 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error" in err
     assert main(["evaluate", "--roi", str(tmp_path / "r.txt"), "--pred", "badformat",
                  ]) == 1
+
+
+@pytest.mark.parametrize("args, code, message", [
+    ([], 2, "one of the arguments --image --classmap is required"),
+    (["--image", "IMG", "--classmap", "IMG"], 2,
+     "--classmap: not allowed with argument --image"),
+    (["--image", "IMG"], 1, "polsardr render: error: --image needs --model"),
+])
+def test_render_argument_checks(tmp_path, capsys, args, code, message):
+    # render takes exactly one of --image and --classmap; --image needs --model
+    base = str(tmp_path / "img")
+    field = CovarianceField(np.tile(hm.to_packed(np.eye(3, dtype=complex)), (2, 2, 1)))
+    dataio.write_covariance_image(field, f"{base}.hdr", f"{base}.dat")
+    out = str(tmp_path / "x.ppm")
+    argv = ["render"] + [base if a == "IMG" else a for a in args] + ["--out", out]
+    if code == 2:  # argparse usage errors exit
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_pipeline_small(tmp_path):

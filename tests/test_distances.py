@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polsardr.distances import (bhattacharyya_distance, distance, euclidean_distance,
+from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
 from polsardr.estimation import SampleStats
 from polsardr.wishart import WishartModel, sample
@@ -116,16 +116,6 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
         hits_hd += hellinger_distance(z_hat, sig_a, 4.0) < hellinger_distance(z_hat, sig_b, 4.0)
     assert hits_kl >= 0.95 * trials
     assert hits_hd >= 0.95 * trials
-
-
-def test_dispatch(rng):
-    a, b = make_hpd(rng), make_hpd(rng)
-    assert distance("KL", a, b, 4.0) == kl_distance(a, b, 4.0)
-    assert distance("ED", a, b) == euclidean_distance(a, b)
-    with pytest.raises(ValueError):
-        distance("XX", a, b, 4.0)
-    with pytest.raises(ValueError):
-        distance("KL", a, b)  # needs a looks value
 
 
 def test_broadcasting(rng):

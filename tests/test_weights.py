@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from polsardr.errors import NonFiniteEnergy
-from polsardr.weights import (TrainingSet, distance_tables, energy, optimize_weights,
-                              project_to_simplex, saturate)
+from polsardr.classify import PrototypeSet
+from polsardr.errors import InvalidObservation, NonFiniteEnergy
+from polsardr.weights import (SIMPLEX_TOL, TrainingSet, distance_tables, energy,
+                              optimize_weights, project_to_simplex, saturate)
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 from polsardr.distances import kl_distance
@@ -66,26 +67,38 @@ def test_project_to_simplex(seed, n):
     np.testing.assert_allclose(project_to_simplex(w), w, atol=1e-12)
 
 
+def _training_set(sigmas, samples, looks=4.0):
+    """TrainingSet of complex prototypes and complex (n, 3, 3) sample blocks."""
+    return TrainingSet(PrototypeSet(sigmas=np.stack(sigmas), shared_looks=looks),
+                       [hm.to_packed(z) for z in samples])
+
+
 def _wishart_training_set(rng, sigmas, gen_looks, n_per_class, dist_looks=4.0):
     samples = [sample(WishartModel(s, g), rng, size=n) for s, g, n in
                zip(sigmas, gen_looks, n_per_class)]
-    return TrainingSet(prototypes=np.stack(sigmas), samples=samples, looks=dist_looks)
+    return _training_set(sigmas, samples, dist_looks)
 
 
 def test_training_set_validation(rng):
     a, b = make_hpd(rng), make_hpd(rng)
     with pytest.raises(ValueError):
-        TrainingSet(prototypes=a[None], samples=[a[None]], looks=4.0)  # M = 1
+        _training_set([a], [a[None]])  # M = 1
     with pytest.raises(ValueError):
-        TrainingSet(prototypes=np.stack([a, b]), samples=[a[None]], looks=4.0)
+        _training_set([a, b], [a[None]])
+    with pytest.raises(ValueError):
+        _training_set([a, b], [a[None], np.empty((0, 3, 3), dtype=complex)])
+    with pytest.raises(InvalidObservation):
+        _training_set([a, b], [a[None], -b[None]])
+    for kind in ("ML", "XX"):  # ML scores are log-densities, not distances
+        with pytest.raises(ValueError, match=f"unknown distance kind '{kind}'"):
+            distance_tables(_training_set([a, b], [a[None], b[None]]), kind)
 
 
 def test_energy_of_prototype_only_training_set(rng):
     # samples equal to their prototypes: every margin is -w' * d(proto, proto'),
     # so the energy has the closed form below and rises as any rival weight drops
     sigmas = [make_hpd(rng) for _ in range(3)]
-    train = TrainingSet(prototypes=np.stack(sigmas),
-                        samples=[s[None] for s in sigmas], looks=4.0)
+    train = _training_set(sigmas, [s[None] for s in sigmas])
     w = np.array([0.2, 0.5, 0.3])
     expected = sum(
         saturate(-w[mp] * kl_distance(sigmas[m], sigmas[mp], 4.0))
@@ -119,8 +132,7 @@ def test_energy_gradient_matches_finite_differences(rng):
 def test_two_identical_classes_keep_uniform_weights(rng):
     sigma = make_hpd(rng)
     z = sample(WishartModel(sigma, 4), rng, size=30)
-    train = TrainingSet(prototypes=np.stack([sigma, sigma]),
-                        samples=[z, z.copy()], looks=4.0)
+    train = _training_set([sigma, sigma], [z, z.copy()])
     result = optimize_weights(train)
     np.testing.assert_allclose(result.weights, [0.5, 0.5], atol=1e-9)
 
@@ -137,6 +149,26 @@ def test_optimizer_invariants(rng):
     assert result.energy <= energy(np.full(3, 1 / 3), train)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4),
+       log_scale=st.floats(-3.0, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_optimizer_descends_on_the_simplex(seed, n_classes, log_scale):
+    # random training sets: prototypes within a decade of 10**log_scale, and
+    # 5 to 40 samples per class drawn from their Wishart laws at 3 to 16 looks
+    rng = np.random.default_rng(seed)
+    sigmas = [make_hpd(rng, scale=10.0 ** (log_scale + rng.uniform(-1.0, 1.0)))
+              for _ in range(n_classes)]
+    train = _wishart_training_set(rng, sigmas, rng.integers(3, 17, n_classes),
+                                  rng.integers(5, 41, n_classes))
+    result = optimize_weights(train)
+    energies = [e for _, e, _ in result.trace]
+    assert all(a > b for a, b in zip(energies, energies[1:]))  # strict descent
+    for _, _, w in result.trace:
+        assert np.all(w >= 0) and abs(w.sum() - 1.0) <= SIMPLEX_TOL
+    assert result.energy == energies[-1]
+    assert result.energy <= energy(np.full(n_classes, 1 / n_classes), train)
+
+
 def test_high_variability_class_gets_smallest_weight():
     # class 3 is generated with far fewer looks, so its samples sit much
     # farther from their own prototype in KL distance
@@ -144,7 +176,7 @@ def test_high_variability_class_gets_smallest_weight():
     sigmas = [make_hpd(rng, scale=s) for s in (0.6, 1.0, 2.0)]
     train = _wishart_training_set(rng, sigmas, gen_looks=[16, 16, 4],
                                   n_per_class=[80, 80, 80])
-    own = [np.mean([kl_distance(z, sigmas[m], 4.0) for z in train.samples[m]])
+    own = [np.mean(kl_distance(hm.from_packed(train.samples[m]), sigmas[m], 4.0))
            for m in range(3)]
     assert own[2] > 3.5 * max(own[0], own[1])  # ~4x intra-class spread
     result = optimize_weights(train)
@@ -155,8 +187,8 @@ def test_optimizer_equivariant_under_class_permutation(rng):
     sigmas = [make_hpd(rng, scale=s) for s in (0.7, 1.3, 2.4)]
     train = _wishart_training_set(rng, sigmas, [4, 4, 4], [50, 40, 30])
     perm = [2, 0, 1]
-    permuted = TrainingSet(prototypes=train.prototypes[perm],
-                           samples=[train.samples[i] for i in perm], looks=4.0)
+    permuted = TrainingSet(PrototypeSet(sigmas=train.protos.sigmas[perm], shared_looks=4.0),
+                           [train.samples[i] for i in perm])
     res = optimize_weights(train, max_iters=120)
     res_p = optimize_weights(permuted, max_iters=120)
     np.testing.assert_allclose(res_p.weights, res.weights[perm], atol=2e-3)
@@ -170,8 +202,7 @@ def test_optimizer_equivariant_under_class_permutation(rng):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_energy_aborts():
     huge = 1e308 * np.eye(3, dtype=complex)
-    train = TrainingSet(prototypes=np.stack([ID, 2 * ID]),
-                        samples=[huge[None], (2 * ID)[None]], looks=4.0)
+    train = _training_set([ID, 2 * ID], [huge[None], (2 * ID)[None]])
     with pytest.raises(NonFiniteEnergy):
         optimize_weights(train)
 
