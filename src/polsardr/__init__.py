@@ -1,7 +1,7 @@
 """PolSAR covariance-image classification by weighted Wishart stochastic distances
 with diffusion-reaction refinement."""
 
-from .classify import RULES, PrototypeSet, classify_image, classify_pixel
+from .classify import RULES, PrototypeSet, classify_image
 from .distances import (bhattacharyya_distance, euclidean_distance,
                         hellinger_distance, kl_distance)
 from .estimation import (SampleStats, box_snell_bias, estimate_looks_corrected,
@@ -16,7 +16,7 @@ from .wishart import WishartModel, log_density, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "RULES", "PrototypeSet", "classify_image", "classify_pixel",
+    "RULES", "PrototypeSet", "classify_image",
     "bhattacharyya_distance", "euclidean_distance", "hellinger_distance", "kl_distance",
     "SampleStats", "box_snell_bias", "estimate_looks_corrected", "estimate_looks_ml",
     "polygamma3",

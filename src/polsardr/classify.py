@@ -1,15 +1,15 @@
 """Pointwise classification rules over a prototype set.
 
-Every rule is the argmin over the class columns of one distance_stack call:
-"ML" (maximum Wishart log-density), "ED"/"HD"/"KL" (distance to the class
-prototype), and "KL+OW" (the weight-scaled KL distance).  Ties break toward
-the lowest class index.
+A rule is a kind ("ML", the maximum Wishart log-density, or the distance to
+the class prototype: "KL", "HD", "BD", "ED"), or a distance kind plus "+OW"
+for its weight-scaled form.  Every rule is the argmin over the class columns
+of one distance_stack call; ties break toward the lowest class index.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,9 @@ from .wishart import log_gamma3
 
 logger = logging.getLogger(__name__)
 
-RULES = ("ML", "ED", "HD", "KL", "KL+OW")
-# rule -> (kind, weighted) of the distance_stack whose argmin it takes
-_RULE_STACKS = {"ML": ("ML", False), "ED": ("ED", False), "HD": ("HD", False),
-               "KL": ("KL", False), "KL+OW": ("KL", True)}
 KINDS = ("KL", "HD", "BD", "ED")  # the stochastic distances and the Euclidean baseline
 STACK_KINDS = KINDS + ("ML",)
+RULES = STACK_KINDS + tuple(f"{kind}+OW" for kind in KINDS)
 SIMPLEX_TOL = 1e-9
 MAX_CLASSES = 255  # labels are uint8 and 0 is the no-data sentinel
 
@@ -42,7 +39,6 @@ class PrototypeSet:
     shared_looks: float
     weights: np.ndarray | None = None
     class_looks: np.ndarray | None = None
-    names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.sigmas = hm.hermitian_part(np.asarray(self.sigmas, dtype=np.complex128))
@@ -69,8 +65,6 @@ class PrototypeSet:
             self.class_looks = np.asarray(self.class_looks, dtype=np.float64)
             if self.class_looks.shape != (m,):
                 raise ValueError("class_looks must have one entry per class")
-        if not self.names:
-            self.names = [f"class {i + 1}" for i in range(m)]
 
     @property
     def n_classes(self) -> int:
@@ -139,30 +133,19 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     return np.stack(cols, axis=-1).reshape(shape + (protos.n_classes,))
 
 
-def classify_pixel(x, protos: PrototypeSet, rule: str = "KL",
-                   use_class_looks: bool = False) -> int:
-    """1-based class of a single complex 3x3 covariance matrix."""
-    field = CovarianceField(hm.to_packed(x)[None, None])
-    label = int(classify_image(field, protos, rule, use_class_looks).labels[0, 0])
-    if label == 0:
-        raise InvalidObservation("pixel covariance is not positive definite")
-    return label
-
-
 def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL",
                    use_class_looks: bool = False) -> ClassMap:
     """Classify every pixel independently; non-PD pixels get the 0 sentinel."""
-    if rule not in _RULE_STACKS:
+    if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
-    kind, weighted = _RULE_STACKS[rule]
-    data = field.data
-    valid = hm.is_positive_definite(data)
-    labels = np.zeros(data.shape[:2], dtype=np.uint8)
+    kind = rule.removesuffix("+OW")  # "<kind>+OW" scales <kind> by the class weights
+    valid = field.pd_mask
+    labels = np.zeros(valid.shape, dtype=np.uint8)
     n_bad = int((~valid).sum())
     if n_bad:
         logger.warning("%d non-positive-definite pixels labeled 0", n_bad)
-    x = data[valid]
+    x = field.data[valid]
     if x.shape[0]:
-        scores = distance_stack(x, protos, kind, use_class_looks, weighted)
+        scores = distance_stack(x, protos, kind, use_class_looks, weighted=kind != rule)
         labels[valid] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
     return ClassMap(labels)

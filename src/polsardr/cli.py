@@ -7,6 +7,7 @@ import csv
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -14,13 +15,13 @@ import numpy as np
 
 from . import dataio
 from . import hermitian as hm
-from .classify import RULES, PrototypeSet, classify_image
-from .errors import MissingBaseline, NoRoot, PolsarError, StabilityViolation
+from .classify import KINDS, RULES, PrototypeSet, classify_image
+from .errors import MissingBaseline, NoRoot, PolsarError
 from .estimation import LOOKS_BRACKET, SampleStats, estimate_looks_corrected
-from .evolution import EvolutionMetrics, EvolutionParams, evolve
+from .evolution import EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, Split
 from .phantom import PhantomSpec, generate_phantom, inscribed_rois, read_phantom_config
-from .weights import TrainingSet, optimize_weights
+from .weights import TrainingSet, WeightResult, optimize_weights
 
 logger = logging.getLogger(__name__)
 
@@ -144,8 +145,8 @@ class ExperimentConfig:
     dt: float = 0.01
     iterations: int = 50
     lam: float = 1.0
-    distance: str = "KL"
-    rules: tuple[str, ...] = RULES
+    distance: str = "KL"  # the weights' tables, the reaction and the DR map's rule
+    rules: tuple[str, ...] = ("ML", "ED", "HD", "KL", "KL+OW")
     outdir: str = "phantom_run"
     image: str | None = None
     roi: str | None = None
@@ -157,6 +158,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # Raises StabilityViolation up front when alpha*dt is too large.
         EvolutionParams(alpha=self.alpha, dt=self.dt, iterations=self.iterations)
+        if self.distance not in KINDS:
+            raise ValueError(f"unknown distance {self.distance!r}; choose from {KINDS}")
         unknown = [r for r in self.rules if r not in RULES]
         if unknown:
             raise ValueError(f"unknown rules {unknown}; choose from {RULES}")
@@ -203,8 +206,21 @@ def _gather(field: CovarianceField, coords: np.ndarray) -> np.ndarray:
     return field.data[coords[:, 0], coords[:, 1]]
 
 
-def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) -> PrototypeSet:
-    """Estimate per-class covariance and bias-corrected looks from train pixels."""
+def _save_classmap(cmap: ClassMap, base, n_classes: int | None = None) -> None:
+    """Write <base>.hdr/.dat and render <base>.ppm."""
+    dataio.write_classmap(cmap, *_paths(base))
+    dataio.render_classmap(cmap, f"{base}.ppm", n_classes=n_classes)
+
+
+def read_split(roi_path, seed: int, field: CovarianceField | None = None) -> Split:
+    """Train/test halves of the ROI file; with a field, its rectangles must fit it."""
+    size = {} if field is None else {"width": field.width, "height": field.height}
+    return dataio.split_roi(dataio.read_roi(roi_path, **size), seed)
+
+
+def train_prototypes(field: CovarianceField, split: Split, looks=None) -> PrototypeSet:
+    """Per-class covariance and bias-corrected looks from the train pixels; the
+    shared looks are ``looks`` if given, else the field's (its header's), else 4."""
     sigmas = []
     class_looks = []
     for cls in split.classes:
@@ -216,12 +232,18 @@ def train_prototypes(field: CovarianceField, split: Split, shared_looks: float) 
             clamp = LOOKS_BRACKET[1] if exc.side == "high" else 3.0
             logger.warning("class %d looks estimation: %s; using %.1f", cls, exc, clamp)
             class_looks.append(clamp)
-    return PrototypeSet(sigmas=np.stack(sigmas), shared_looks=shared_looks,
+    shared = float(looks) if looks is not None else (field.looks or 4.0)
+    return PrototypeSet(sigmas=np.stack(sigmas), shared_looks=shared,
                         class_looks=np.array(class_looks))
 
 
-def build_training_set(field, split: Split, protos: PrototypeSet) -> TrainingSet:
-    return TrainingSet(protos, [_gather(field, split.train[cls]) for cls in split.classes])
+def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,
+                kind: str = "KL", lam: float = 1.0) -> WeightResult:
+    """Optimize the class weights on the train pixels and store them in ``protos``."""
+    train = TrainingSet(protos, [_gather(field, split.train[cls]) for cls in split.classes])
+    result = optimize_weights(train, kind=kind, lam=lam)
+    protos.weights = result.weights
+    return result
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -245,13 +267,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     field = _load_image(args.image)
-    rois = dataio.read_roi(args.roi, width=field.width, height=field.height)
-    split = dataio.split_roi(rois, args.seed)
-    shared = args.looks if args.looks is not None else (field.looks or 4.0)
-    protos = train_prototypes(field, split, shared)
+    protos = train_prototypes(field, read_split(args.roi, args.seed, field), args.looks)
     dataio.write_model(protos, args.out)
     looks_str = " ".join(f"{v:.3f}" for v in protos.class_looks)
-    print(f"trained {protos.n_classes} classes (shared looks {shared}, "
+    print(f"trained {protos.n_classes} classes (shared looks {protos.shared_looks}, "
           f"corrected looks {looks_str}) -> {args.out}")
     return 0
 
@@ -259,11 +278,8 @@ def cmd_train(args) -> int:
 def cmd_weights(args) -> int:
     field = _load_image(args.image)
     protos = dataio.read_model(args.model)
-    rois = dataio.read_roi(args.roi, width=field.width, height=field.height)
-    split = dataio.split_roi(rois, args.seed)
-    result = optimize_weights(build_training_set(field, split, protos),
-                              kind=args.distance, lam=args.lam)
-    protos.weights = result.weights
+    result = fit_weights(field, read_split(args.roi, args.seed, field), protos,
+                         kind=args.distance, lam=args.lam)
     out = args.out or args.model
     dataio.write_model(protos, out)
     if args.trace:
@@ -302,8 +318,7 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"--pred wants NAME=BASE, got {item!r}")
         name, base = item.split("=", 1)
         preds.append((name, dataio.read_classmap(*_paths(base))))
-    rois = dataio.read_roi(args.roi)
-    split = dataio.split_roi(rois, args.seed)
+    split = read_split(args.roi, args.seed)
     reports = [accuracy_report(name, cmap, split) for name, cmap in preds]
     if args.improvements:
         table = ComparisonTable(reports)
@@ -346,16 +361,29 @@ def cmd_render(args) -> int:
 class PipelineResult:
     table: ComparisonTable
     protos: PrototypeSet
-    metrics: EvolutionMetrics
     outdir: Path
 
 
+@contextmanager
+def _stage(name: str, seconds: dict[str, float]):
+    """Time a pipeline stage into ``seconds[name]``; a PolsarError names the stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except PolsarError as exc:
+        raise PolsarError(f"stage {name!r} failed: {exc}") from exc
+    seconds[name] = time.perf_counter() - t0
+
+
 def run_pipeline(config: ExperimentConfig) -> PipelineResult:
-    """Simulate/load, train, optimize weights, classify, evolve, evaluate, render."""
+    """Simulate/load, train, optimize weights, classify, evolve, evaluate, render.
+
+    A row's seconds are its classify stage's, the DR row's the evolve stage's.
+    """
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stage = "simulate"
-    try:
+    seconds: dict[str, float] = {}
+    with _stage("simulate", seconds):
         if config.image:
             field = _load_image(config.image)
             if config.roi is None:
@@ -370,74 +398,54 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                                    seed=config.phantom_seed)
             field, truth = generate_phantom(spec)
             _save_image(field, outdir / "image")
-            dataio.write_classmap(truth, *_paths(outdir / "truth"))
-            dataio.render_classmap(truth, outdir / "truth.ppm")
+            _save_classmap(truth, outdir / "truth")
             roi_path = config.roi or outdir / "roi.txt"
             if config.roi is None:
                 dataio.write_roi(inscribed_rois(truth, margin=config.roi_margin,
                                                 max_side=config.roi_max_side), roi_path)
-
-        stage = "split"
-        rois = dataio.read_roi(roi_path, width=field.width, height=field.height)
-        split = dataio.split_roi(rois, config.split_seed)
-
-        stage = "train"
-        t0 = time.perf_counter()
-        shared = float(config.looks) if config.looks is not None else (field.looks or 4.0)
-        protos = train_prototypes(field, split, shared)
-        train_seconds = time.perf_counter() - t0
-
-        stage = "weights"
-        t0 = time.perf_counter()
-        result = optimize_weights(build_training_set(field, split, protos),
-                                  kind=config.distance, lam=config.lam)
-        protos.weights = result.weights
-        weight_seconds = time.perf_counter() - t0
+    with _stage("split", seconds):
+        split = read_split(roi_path, config.split_seed, field)
+    with _stage("train", seconds):
+        protos = train_prototypes(field, split, config.looks)
+    with _stage("weights", seconds):
+        result = fit_weights(field, split, protos, kind=config.distance, lam=config.lam)
+    with _stage("write model", seconds):
         dataio.write_model(protos, outdir / "model.txt")
         result.write_trace_csv(outdir / "weights_trace.csv")
         dataio.render_rgb(field, protos, outdir / "input.ppm")
 
-        reports = []
-        for rule in config.rules:
-            stage = f"classify {rule}"
-            t0 = time.perf_counter()
-            cmap = classify_image(field, protos, rule,
-                                  use_class_looks=config.use_class_looks)
-            seconds = time.perf_counter() - t0
-            tag = rule.replace("+", "_")
-            dataio.write_classmap(cmap, *_paths(outdir / f"classmap_{tag}"))
-            dataio.render_classmap(cmap, outdir / f"classmap_{tag}.ppm",
-                                   n_classes=protos.n_classes)
-            reports.append(accuracy_report(rule, cmap, split, seconds=seconds))
+    reports = []
+    for rule in config.rules:
+        with _stage(f"classify {rule}", seconds):
+            cmap = classify_image(field, protos, rule, use_class_looks=config.use_class_looks)
+        with _stage(f"write {rule}", seconds):
+            _save_classmap(cmap, outdir / f"classmap_{rule.replace('+', '_')}",
+                           protos.n_classes)
+            reports.append(accuracy_report(rule, cmap, split, seconds[f"classify {rule}"]))
 
-        stage = "evolve"
-        t0 = time.perf_counter()
+    with _stage("evolve", seconds):
         params = EvolutionParams(alpha=config.alpha, dt=config.dt,
                                  iterations=config.iterations)
         evolved, metrics = evolve(field, protos, params, kind=config.distance)
-        dr_rule = f"DR+{config.distance}+OW+{config.iterations}"
-        cmap = classify_image(evolved, protos, "KL+OW",
+        cmap = classify_image(evolved, protos, f"{config.distance}+OW",
                               use_class_looks=config.use_class_looks)
-        seconds = time.perf_counter() - t0
+    with _stage("write DR", seconds):
         _save_image(evolved, outdir / "evolved")
         metrics.write_csv(outdir / "metrics.csv")
-        dataio.write_classmap(cmap, *_paths(outdir / "classmap_DR"))
-        dataio.render_classmap(cmap, outdir / "classmap_DR.ppm",
-                               n_classes=protos.n_classes)
+        _save_classmap(cmap, outdir / "classmap_DR", protos.n_classes)
         dataio.render_rgb(evolved, protos, outdir / "evolved.ppm")
-        reports.append(accuracy_report(dr_rule, cmap, split, seconds=seconds))
+        reports.append(accuracy_report(f"DR+{config.distance}+OW+{config.iterations}",
+                                       cmap, split, seconds["evolve"]))
 
-        stage = "evaluate"
+    with _stage("evaluate", seconds):
         table = ComparisonTable(reports)
         report_text = (table.format()
-                       + f"\n\ntrain: {train_seconds:.3f} s   "
-                         f"weights: {weight_seconds:.3f} s   "
+                       + f"\n\ntrain: {seconds['train']:.3f} s   "
+                         f"weights: {seconds['weights']:.3f} s   "
                          f"weights vector: {np.round(protos.weights, 4)}\n")
         (outdir / "report.txt").write_text(report_text)
         table.write_csv(outdir / "report.csv")
-        return PipelineResult(table=table, protos=protos, metrics=metrics, outdir=outdir)
-    except PolsarError as exc:
-        raise PolsarError(f"stage {stage!r} failed: {exc}") from exc
+    return PipelineResult(table=table, protos=protos, outdir=outdir)
 
 
 def cmd_pipeline(args) -> int:
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--distance", default="KL", choices=("KL", "HD", "ED", "BD"))
+    p.add_argument("--distance", default="KL", choices=KINDS)
     p.add_argument("--trace", help="write the optimizer trace CSV here")
     p.add_argument("--out", help="output model file (default: update --model in place)")
     p.set_defaults(func=cmd_weights)
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--distance", default="KL", choices=("KL", "HD", "ED", "BD"))
+    p.add_argument("--distance", default="KL", choices=KINDS)
     p.add_argument("--metrics", help="write per-iteration metrics CSV here")
     p.add_argument("--out", required=True, help="evolved image base path")
     p.set_defaults(func=cmd_evolve)

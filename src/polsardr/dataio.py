@@ -85,7 +85,7 @@ def read_covariance_image(header_path, data_path) -> CovarianceField:
         raise SizeMismatch(f"{data_path}: expected {expected} values, found {raw.size}")
     field = CovarianceField(raw.astype(np.float64, copy=False).reshape(height, width, 9),
                             looks=looks)
-    bad = np.argwhere(~hm.is_positive_definite(field.data))
+    bad = np.argwhere(~field.pd_mask)
     if bad.size:
         warnings.warn(NonPositiveDefinitePixelWarning(
             [(int(y), int(x)) for y, x in bad], (height, width)))

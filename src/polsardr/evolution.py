@@ -220,7 +220,7 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     diffusion_step and reaction_step and every pixel is inverted once per
     state, so the result does not depend on the number of bands.
     """
-    if not np.all(hm.is_positive_definite(field.data)):
+    if not np.all(field.pd_mask):
         raise InvalidObservation("initial field has non-positive-definite pixels")
     x = _planes(field.data)
     y = np.empty_like(x)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from . import hermitian as hm
 
 
 @dataclass(eq=False)
@@ -15,6 +18,7 @@ class CovarianceField:
     each pixel [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
     (``hermitian.to_packed`` packs complex matrices).  ``looks`` carries the
     equivalent number of looks when known (e.g. from an image header).
+    ``data`` is not modified after construction: ``pd_mask`` is computed once.
     """
 
     data: np.ndarray
@@ -33,6 +37,11 @@ class CovarianceField:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def pd_mask(self) -> np.ndarray:
+        """(H, W) bool, True where the pixel is positive definite."""
+        return hm.is_positive_definite(self.data)
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ import pytest
 from polsardr import hermitian as hm
 from polsardr.classify import PrototypeSet, classify_image
 from polsardr.cli import (AccuracyReport, ComparisonTable, accuracy_report,
-                          build_training_set, train_prototypes)
+                          fit_weights, train_prototypes)
 from polsardr.dataio import split_roi
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
@@ -51,9 +51,8 @@ def phantom_run():
     spec = PhantomSpec(width=150, height=150, looks=4, seed=2)
     field, truth = generate_phantom(spec)
     split = split_roi(inscribed_rois(truth), seed=42)
-    protos = train_prototypes(field, split, shared_looks=4.0)
-    result = optimize_weights(build_training_set(field, split, protos))
-    protos.weights = result.weights
+    protos = train_prototypes(field, split, looks=4.0)
+    result = fit_weights(field, split, protos)
     reports = {rule: accuracy_report(rule, classify_image(field, protos, rule), split)
                for rule in RULES}
     params = EvolutionParams(alpha=0.5, dt=0.01, iterations=50)

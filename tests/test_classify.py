@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polsardr import hermitian as hm
 from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, classify_image,
-                               classify_pixel, distance_stack)
+                               distance_stack)
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
 from polsardr.errors import InvalidObservation, SingularMatrix
@@ -22,6 +22,12 @@ ID = np.eye(3, dtype=complex)
 def _protos(rng, m=3, weights=None, shared_looks=4.0):
     sigmas = np.stack([make_hpd(rng, scale=s) for s in np.linspace(0.5, 3.0, m)])
     return PrototypeSet(sigmas=sigmas, shared_looks=shared_looks, weights=weights)
+
+
+def _label(x, protos, rule):
+    """Class of one complex 3x3 matrix, classified as a one-pixel field."""
+    field = CovarianceField(hm.to_packed(x)[None, None])
+    return int(classify_image(field, protos, rule).labels[0, 0])
 
 
 def test_prototype_set_validation(rng):
@@ -48,7 +54,7 @@ def test_pixel_at_prototype_is_classified_to_it(rng):
     protos = _protos(rng)
     for rule in ("ED", "HD", "KL"):
         for m in range(3):
-            assert classify_pixel(protos.sigmas[m], protos, rule) == m + 1
+            assert _label(protos.sigmas[m], protos, rule) == m + 1
 
 
 def test_weighted_argmin_hand_example(rng):
@@ -70,16 +76,18 @@ def test_weighted_argmin_hand_example(rng):
     protos = PrototypeSet(sigmas=np.stack(sigmas), shared_looks=4.0, weights=w / w.sum())
     for m, target in enumerate(d):
         assert kl_distance(x, protos.sigmas[m], 4.0) == pytest.approx(target, rel=1e-10)
-    assert classify_pixel(x, protos, "KL+OW") == 2
+    assert _label(x, protos, "KL+OW") == 2
 
 
 def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
+    # with uniform weights "<kind>+OW" gives <kind>'s map, for every distance
     protos = _protos(rng)
     field = CovarianceField(hm.to_packed(sample(WishartModel(protos.sigmas[1], 4),
                                                 rng, size=(12, 9))))
-    plain = classify_image(field, protos, "KL")
-    weighted = classify_image(field, protos, "KL+OW")
-    np.testing.assert_array_equal(plain.labels, weighted.labels)
+    for kind in KINDS:
+        plain = classify_image(field, protos, kind)
+        weighted = classify_image(field, protos, f"{kind}+OW")
+        np.testing.assert_array_equal(plain.labels, weighted.labels, err_msg=kind)
 
 
 def test_argmin_invariance_under_common_scaling(rng):
@@ -94,7 +102,7 @@ def test_tie_breaks_to_lowest_class_index(rng):
     protos = PrototypeSet(sigmas=np.stack([sigma, sigma]), shared_looks=4.0)
     x = make_hpd(rng)
     for rule in RULES:
-        assert classify_pixel(x, protos, rule) == 1
+        assert _label(x, protos, rule) == 1
 
 
 def test_classify_image_uniform_field(rng):
@@ -115,12 +123,6 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.labels[2, 3] == 0
     assert np.all(a.labels[:2] > 0)
-
-
-def test_classify_pixel_rejects_non_pd(rng):
-    protos = _protos(rng)
-    with pytest.raises(InvalidObservation):
-        classify_pixel(np.diag([1.0, -1.0, 1.0]).astype(complex), protos, "KL")
 
 
 def test_ml_rule_matches_density_argmax(rng):
@@ -144,8 +146,9 @@ def test_per_class_looks_selectable(rng):
 
 
 def test_unknown_rule_rejected(rng):
-    with pytest.raises(ValueError):
-        classify_pixel(make_hpd(rng), _protos(rng), "NN")
+    for rule in ("NN", "ML+OW", "KL+", "+OW", "kl", "KL+OW+OW"):
+        with pytest.raises(ValueError, match="unknown rule"):
+            _label(make_hpd(rng), _protos(rng), rule)
     with pytest.raises(ValueError, match="unknown distance kind 'XX'"):
         distance_stack(hm.to_packed(make_hpd(rng)), _protos(rng), "XX")
 

@@ -12,6 +12,7 @@ import pytest
 
 from polsardr import dataio
 from polsardr import hermitian as hm
+from polsardr.classify import RULES
 from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
                           accuracy_report, main, run_pipeline)
 from polsardr.errors import MissingBaseline, PolsarError, StabilityViolation
@@ -114,6 +115,33 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("wdith: 64\n")
     with pytest.raises(ValueError):
         ExperimentConfig.from_file(cfg)
+
+
+@pytest.mark.parametrize("value", ["ML", "XX"])
+def test_config_rejects_unknown_distance(tmp_path, value):
+    # checked when the config loads, before the simulate stage writes anything
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"distance: {value}\n")
+    with pytest.raises(ValueError, match=f"unknown distance '{value}'"):
+        ExperimentConfig.from_file(cfg)
+
+
+def test_every_rule_is_accepted_by_classify_and_rules(tmp_path):
+    # the rule grammar: a kind, or a distance kind + "+OW" for its weighted form
+    assert set(RULES) == {"ML", "KL", "HD", "BD", "ED",
+                          "KL+OW", "HD+OW", "BD+OW", "ED+OW"}
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"rules: {', '.join(RULES)}\n")
+    assert ExperimentConfig.from_file(cfg).rules == RULES
+    base, model = tmp_path / "img", tmp_path / "model.txt"
+    assert main(["simulate", "--width", "96", "--height", "96", "--out", str(base)]) == 0
+    assert main(["train", "--image", str(base), "--roi", f"{base}_roi.txt",
+                 "--out", str(model)]) == 0
+    for rule in RULES:
+        out = tmp_path / f"map_{rule.replace('+', '_')}"
+        assert main(["classify", "--image", str(base), "--model", str(model),
+                     "--rule", rule, "--out", str(out)]) == 0, rule
+        assert dataio.read_classmap(f"{out}.hdr", f"{out}.dat").labels.min() >= 1
 
 
 def test_subcommands_end_to_end(tmp_path, capsys):
@@ -227,6 +255,61 @@ def test_pipeline_fail_fast_stage_tag(tmp_path):
                               outdir=str(tmp_path / "run"))
     with pytest.raises((PolsarError, OSError)):
         run_pipeline(config)
+    # a package error is prefixed with the name of the stage that raised it
+    base = str(tmp_path / "img")
+    assert main(["simulate", "--width", "96", "--height", "96", "--out", base]) == 0
+    (tmp_path / "far.txt").write_text("1 0 0 120 120\n2 0 0 3 3\n")
+    config = ExperimentConfig(image=base, roi=str(tmp_path / "far.txt"),
+                              outdir=str(tmp_path / "run"))
+    with pytest.raises(PolsarError, match="^stage 'split' failed: .*exceeds 96x96"):
+        run_pipeline(config)
+
+
+@pytest.mark.parametrize("distance", ["KL", "HD"])
+def test_pipeline_matches_the_step_by_step_cli(tmp_path, distance):
+    # the pipeline runs the subcommands' stages, and `distance` picks the
+    # weights' tables, the reaction and the rule of the DR map alike
+    run, steps = tmp_path / "run", tmp_path / "steps"
+    steps.mkdir()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"width: 100\nheight: 100\niterations: 3\ndistance: {distance}\n"
+                   f"outdir: {run}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    img, roi, model = steps / "image", steps / "roi.txt", steps / "model.txt"
+    for argv in (
+            ["simulate", "--width", 100, "--height", 100, "--out", img, "--roi", roi],
+            ["train", "--image", img, "--roi", roi, "--out", model],
+            ["weights", "--image", img, "--roi", roi, "--model", model,
+             "--distance", distance],
+            ["classify", "--image", img, "--model", model, "--rule", "KL+OW",
+             "--out", steps / "classmap_KL_OW"],
+            ["evolve", "--image", img, "--model", model, "--iters", 3,
+             "--distance", distance, "--out", steps / "evolved"],
+            ["classify", "--image", steps / "evolved", "--model", model,
+             "--rule", f"{distance}+OW", "--out", steps / "classmap_DR"]):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    for name in ("image.dat", "roi.txt", "model.txt", "classmap_KL_OW.dat",
+                 "evolved.dat", "classmap_DR.dat"):
+        assert (run / name).read_bytes() == (steps / name).read_bytes(), name
+
+
+def test_classify_computes_the_pd_mask_once(tmp_path, monkeypatch):
+    # one PD test of the image per run: the read warning and the labels share it
+    base, model = str(tmp_path / "img"), str(tmp_path / "model.txt")
+    assert main(["simulate", "--width", "96", "--height", "96", "--out", base]) == 0
+    assert main(["train", "--image", base, "--roi", f"{base}_roi.txt", "--out", model]) == 0
+    shapes = []
+    original = hm.is_positive_definite
+
+    def counting(x):
+        shapes.append(np.shape(x))
+        return original(x)
+
+    monkeypatch.setattr(hm, "is_positive_definite", counting)
+    assert main(["classify", "--image", base, "--model", model,
+                 "--out", str(tmp_path / "map")]) == 0
+    # the model's prototypes are checked too, as an (M, 9) block
+    assert [s for s in shapes if s == (96, 96, 9)] == [(96, 96, 9)]
 
 
 def test_pipeline_command_via_main(tmp_path, capsys):

@@ -144,21 +144,20 @@ def test_phantom_config_requires_complete_classes(tmp_path):
 def test_default_phantom_classification_patterns():
     # desk-scale integration: the maximum-likelihood row shows class 1 perfect
     # and class 3 worst, and the evolved weighted-KL map beats plain KL
-    from polsardr.cli import (accuracy_report, build_training_set,
+    from polsardr.cli import (accuracy_report, fit_weights,
                               train_prototypes)
     from polsardr.classify import classify_image
     from polsardr.dataio import split_roi
     from polsardr.evolution import EvolutionParams, evolve
-    from polsardr.weights import optimize_weights
 
     spec = PhantomSpec(width=150, height=150, looks=4, seed=1)
     field, truth = generate_phantom(spec)
     split = split_roi(inscribed_rois(truth), 42)
-    protos = train_prototypes(field, split, shared_looks=4.0)
+    protos = train_prototypes(field, split, looks=4.0)
     ml = accuracy_report("ML", classify_image(field, protos, "ML"), split)
     assert ml.per_class[1] == 100.0
     assert ml.per_class[3] <= min(ml.per_class[1], ml.per_class[2])
-    protos.weights = optimize_weights(build_training_set(field, split, protos)).weights
+    fit_weights(field, split, protos)
     kl = accuracy_report("KL", classify_image(field, protos, "KL"), split)
     evolved, _ = evolve(field, protos, EvolutionParams(iterations=25))
     dr = accuracy_report("DR", classify_image(evolved, protos, "KL+OW"), split)
