@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hermitian as hm
 from .errors import InvalidObservation
-from .fields import ClassMap, CovarianceField
+from .fields import ClassMap, CovarianceField, row_blocks
 from .wishart import log_gamma3
 
 logger = logging.getLogger(__name__)
@@ -85,8 +85,10 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     computed once per call, whatever the number of classes: KL needs
     tr(S^-1 P_m) and tr(S P_m^-1), HD and BD need log|S| and the determinant
     of (S^-1 + P_m^-1) / 2, ML needs log|S| and tr(P_m^-1 S).  Pixels are
-    flattened first and every operation is elementwise, so a pixel's scores
-    do not depend on the shape of the array it arrives in.
+    flattened first and scored in blocks of ``hermitian.BLOCK_PIXELS``; every
+    operation is elementwise, so a pixel's scores do not depend on the shape
+    of the array it arrives in or on the block it lands in.  No threads are
+    started here: ``evolve``'s bands already call this from theirs.
     With ``weighted`` each column is scaled by the class weight, which is the
     quantity the weighted argmin rule and the reaction term minimize.
     """
@@ -95,47 +97,50 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     x = np.asarray(x, dtype=np.float64)
     shape = x.shape[:-1]
     x = x.reshape(-1, 9)
-    if x.strides[0] != x.itemsize:
-        # component-major, so that the entry-wise kernels read contiguous entries
-        x = np.ascontiguousarray(x.T).T
     protos_packed = hm.to_packed(protos.sigmas)
     p_inv, p_det = hm.inv_packed(protos_packed)
-    if kind in ("KL", "HD", "BD"):
-        x_inv, x_det = hm.inv_packed(x)
-    elif kind == "ML":
-        x_det = hm.det_packed(x)
-    if kind in ("HD", "BD", "ML"):
-        log_det = np.log(x_det)
-    cols = []
-    for m in range(protos.n_classes):
-        looks = protos.looks_for(m, use_class_looks)
-        if kind == "KL":
-            t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
-                       + hm.trace_product_packed(x, p_inv[m])) - 3.0
-            col = np.maximum(looks * t, 0.0)
-        elif kind == "ED":
-            sq = np.zeros(x.shape[0])
-            for k in range(9):
-                diff = x[:, k] - protos_packed[m, k]
-                sq += hm.TRACE_WEIGHTS[k] * diff * diff
-            col = np.sqrt(sq)
+    out = np.empty((x.shape[0], protos.n_classes))
+    for rows, block in hm.pixel_blocks(x):
+        if kind in ("KL", "HD", "BD"):
+            x_inv, x_det = hm.inv_packed(block)
         elif kind == "ML":
-            log_norm = (3.0 * looks * np.log(looks) - looks * np.log(p_det[m])
-                        - log_gamma3(looks))
-            col = (looks * hm.trace_product_packed(x, p_inv[m])
-                   - (looks - 3.0) * log_det - log_norm)
-        else:
-            inv_mean = 0.5 * (x_inv + p_inv[m])
-            r = np.minimum(-np.log(hm.det_packed(inv_mean))
-                           - 0.5 * (log_det + np.log(p_det[m])), 0.0)
-            col = -np.expm1(looks * r) if kind == "HD" else -looks * r
-        cols.append(protos.weights[m] * col if weighted else col)
-    return np.stack(cols, axis=-1).reshape(shape + (protos.n_classes,))
+            x_det = hm.det_packed(block)
+        if kind in ("HD", "BD", "ML"):
+            log_det = np.log(x_det)
+        for m in range(protos.n_classes):
+            looks = protos.looks_for(m, use_class_looks)
+            if kind == "KL":
+                t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
+                           + hm.trace_product_packed(block, p_inv[m])) - 3.0
+                col = np.maximum(looks * t, 0.0)
+            elif kind == "ED":
+                sq = np.zeros(block.shape[0])
+                for k in range(9):
+                    diff = block[:, k] - protos_packed[m, k]
+                    sq += hm.TRACE_WEIGHTS[k] * diff * diff
+                col = np.sqrt(sq)
+            elif kind == "ML":
+                log_norm = (3.0 * looks * np.log(looks) - looks * np.log(p_det[m])
+                            - log_gamma3(looks))
+                col = (looks * hm.trace_product_packed(block, p_inv[m])
+                       - (looks - 3.0) * log_det - log_norm)
+            else:
+                inv_mean = 0.5 * (x_inv + p_inv[m])
+                r = np.minimum(-np.log(hm.det_packed(inv_mean))
+                               - 0.5 * (log_det + np.log(p_det[m])), 0.0)
+                col = -np.expm1(looks * r) if kind == "HD" else -looks * r
+            out[rows, m] = protos.weights[m] * col if weighted else col
+    return out.reshape(shape + (protos.n_classes,))
 
 
 def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL",
                    use_class_looks: bool = False) -> ClassMap:
-    """Classify every pixel independently; non-PD pixels get the 0 sentinel."""
+    """Classify every pixel independently; non-PD pixels get the 0 sentinel.
+
+    The rows are scored in blocks of about ``hermitian.BLOCK_PIXELS`` pixels
+    on every usable CPU (``fields.row_blocks``); each block gathers its valid
+    pixels, scores them and writes their labels.
+    """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
     kind = rule.removesuffix("+OW")  # "<kind>+OW" scales <kind> by the class weights
@@ -144,8 +149,14 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL
     n_bad = int((~valid).sum())
     if n_bad:
         logger.warning("%d non-positive-definite pixels labeled 0", n_bad)
-    x = field.data[valid]
-    if x.shape[0]:
-        scores = distance_stack(x, protos, kind, use_class_looks, weighted=kind != rule)
-        labels[valid] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
+
+    def label_rows(r0, r1):
+        ok = valid[r0:r1]
+        x = field.data[r0:r1][ok]
+        if x.shape[0]:
+            scores = distance_stack(x, protos, kind, use_class_looks, weighted=kind != rule)
+            labels[r0:r1][ok] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
+
+    with row_blocks("classify_image", field.height, field.width) as each_block:
+        each_block(label_rows)
     return ClassMap(labels)

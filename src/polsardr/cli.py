@@ -466,6 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="PolSAR covariance-image classification by weighted Wishart "
                     "stochastic distances with diffusion-reaction refinement",
     )
+    parser.add_argument("--log-level", default="INFO",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="lowest level of the records logged to stderr (default: INFO)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a Wishart phantom image")
@@ -544,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (PolsarError, ValueError, OSError) as exc:

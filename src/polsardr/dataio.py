@@ -17,7 +17,7 @@ from . import hermitian as hm
 from .classify import PrototypeSet, distance_stack
 from .errors import (MalformedHeader, MalformedRoi, NonPositiveDefinitePixelWarning,
                      OutOfBounds, SizeMismatch)
-from .fields import ClassMap, CovarianceField, RoiSet, Split
+from .fields import ClassMap, CovarianceField, RoiSet, Split, row_blocks
 
 _DTYPES = {"f32": "<f4", "f64": "<f8", "u8": "|u1"}
 RENDER_EPS = 1e-12
@@ -249,13 +249,20 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path,
     Pixel color = sum_m c_m * color_m with c_m proportional to
     1 / (d_E(pixel, prototype_m) + eps), normalized to sum 1, so a pixel at a
     prototype gets that class color and an equidistant pixel the palette mean.
+    The rows are colored in blocks on every usable CPU (``fields.row_blocks``).
     """
     if palette is None:
         palette = default_palette(protos.n_classes)
-    dists = distance_stack(field.data, protos, "ED")
-    inv = 1.0 / (dists + RENDER_EPS)
-    weights = inv / inv.sum(axis=-1, keepdims=True)
-    rgb = np.clip(np.rint(weights @ palette.astype(np.float64)), 0, 255).astype(np.uint8)
+    colors = palette.astype(np.float64)
+    rgb = np.empty((field.height, field.width, 3), dtype=np.uint8)
+
+    def color_rows(r0, r1):
+        inv = 1.0 / (distance_stack(field.data[r0:r1], protos, "ED") + RENDER_EPS)
+        weights = inv / inv.sum(axis=-1, keepdims=True)
+        rgb[r0:r1] = np.clip(np.rint(weights @ colors), 0, 255)
+
+    with row_blocks("render_rgb", field.height, field.width) as each_block:
+        each_block(color_rows)
     write_ppm(path, rgb)
     return rgb
 

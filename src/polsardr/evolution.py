@@ -14,9 +14,6 @@ positive definite matrices, so the field never leaves the cone.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +22,7 @@ import numpy as np
 from . import hermitian as hm
 from .classify import KINDS, PrototypeSet, distance_stack
 from .errors import InvalidObservation, StabilityViolation
-from .fields import CovarianceField
+from .fields import CovarianceField, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +65,6 @@ class EvolutionMetrics:
             for i, d, c in zip(self.iteration, self.mean_weighted_distance,
                                self.changed_fraction):
                 writer.writerow([int(i), repr(float(d)), repr(float(c))])
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _planes(data) -> np.ndarray:
@@ -166,23 +155,6 @@ def _evolve_band(protos, params, kind, x, y, labels, nearest, r0, r1) -> None:
     _assign_band(protos, kind, y, labels, nearest, r0, r1)
 
 
-def _each_band(pool, bands, step) -> None:
-    """Run step(r0, r1) on every band; return once all of them have finished.
-
-    The calling thread takes the first band and the pool the others.  The
-    outcome of every band is read, so an exception in any band reaches the
-    caller, and only after no band is still writing.
-    """
-    futures = [pool.submit(step, r0, r1) for r0, r1 in bands[1:]]
-    try:
-        step(*bands[0])
-    finally:
-        errors = [f.exception() for f in futures]
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
     """Five-point Laplacian update with replicated edges (discrete zero flux)."""
     x = _planes(field.data)
@@ -213,10 +185,11 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     and the fraction of pixels whose nearest class changed, both measured on
     the field at the end of iteration n (row 0: initial field, fraction 0).
 
-    The field evolves as packed (9, H, W) planes in contiguous row bands, one
-    per usable CPU.  Each iteration diffuses, reacts and assigns every band at
-    once, a band reading one row of the previous state above and below it,
-    and waits for all bands before the next.  The bands run the helpers of
+    The field evolves as packed (9, H, W) planes in contiguous row bands of
+    about ``hermitian.BLOCK_PIXELS`` pixels, at least one per usable CPU
+    (``fields.row_blocks``).  Each iteration diffuses, reacts and assigns
+    every band, a band reading one row of the previous state above and below
+    it, and waits for all bands before the next.  The bands run the helpers of
     diffusion_step and reaction_step and every pixel is inverted once per
     state, so the result does not depend on the number of bands.
     """
@@ -227,16 +200,13 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     h, w = x.shape[1:]
     labels, prev = np.empty((2, h, w), dtype=np.intp)
     nearest = np.empty((h, w))
-    n_bands = min(_usable_cpus(), h)
-    bands = [(h * i // n_bands, h * (i + 1) // n_bands) for i in range(n_bands)]
     iters, changed = [0], [0.0]
-    with (ThreadPoolExecutor(n_bands - 1) if n_bands > 1 else nullcontext()) as pool:
-        _each_band(pool, bands, partial(_assign_band, protos, kind, x, labels, nearest))
+    with row_blocks("evolve", h, w) as each_band:
+        each_band(partial(_assign_band, protos, kind, x, labels, nearest))
         mean_dist = [float(nearest.mean())]
         for n in range(1, params.iterations + 1):
             labels, prev = prev, labels
-            _each_band(pool, bands, partial(_evolve_band, protos, params, kind,
-                                            x, y, labels, nearest))
+            each_band(partial(_evolve_band, protos, params, kind, x, y, labels, nearest))
             x, y = y, x
             iters.append(n)
             mean_dist.append(float(nearest.mean()))

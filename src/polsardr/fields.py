@@ -1,13 +1,71 @@
-"""Grid-shaped containers: covariance images, label maps, ROIs and splits."""
+"""Grid-shaped containers: covariance images, label maps, ROIs and splits.
+
+``row_blocks`` runs a whole-field step over row blocks on every usable CPU.
+"""
 
 from __future__ import annotations
 
+import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import hermitian as hm
+
+logger = logging.getLogger(__name__)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _each_block(pool, blocks, n_workers, step) -> None:
+    """Run step(r0, r1) on every block; return once all of them have finished.
+
+    Worker k runs blocks k, k + n_workers, ...; the calling thread is worker 0
+    and the pool runs the others.  The outcome of every worker is read, so an
+    exception in any block reaches the caller, and only after no block is
+    still being written.
+    """
+    def run(k):
+        for r0, r1 in blocks[k::n_workers]:
+            step(r0, r1)
+
+    futures = [pool.submit(run, k) for k in range(1, n_workers)]
+    try:
+        run(0)
+    finally:
+        errors = [f.exception() for f in futures]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+@contextmanager
+def row_blocks(name: str, height: int, width: int):
+    """Yield each_block(step), which runs step(r0, r1) over the rows in blocks.
+
+    The blocks are contiguous, of about ``hermitian.BLOCK_PIXELS`` pixels, at
+    least one per usable CPU and at most one per row.  They run on a pool of
+    one worker per usable CPU, kept until the context exits.  ``name`` labels
+    the DEBUG record of the split.
+    """
+    cpus = _usable_cpus()
+    n_blocks = min(height, max(cpus, -(-height * width // hm.BLOCK_PIXELS)))
+    blocks = [(height * i // n_blocks, height * (i + 1) // n_blocks) for i in range(n_blocks)]
+    n_workers = max(min(cpus, n_blocks), 1)
+    logger.debug("%s: %dx%d pixels in %d row blocks on %d workers",
+                 name, height, width, n_blocks, n_workers)
+    with (ThreadPoolExecutor(n_workers - 1) if n_workers > 1 else nullcontext()) as pool:
+        yield partial(_each_block, pool, blocks, n_workers)
 
 
 @dataclass(eq=False)

@@ -4,6 +4,7 @@ Covariance images are packed ``(..., 9)`` float64 arrays (see TRACE_WEIGHTS)
 and the ``*_packed`` kernels and ``is_positive_definite`` work on them.  The
 complex ``(..., 3, 3)`` kernels serve prototypes, training samples, ``wishart``
 and the pairwise ``distances``.  All functions broadcast and are pure.
+Whole-field work runs in blocks of BLOCK_PIXELS pixels (``pixel_blocks``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .errors import NotPositiveDefinite, SingularMatrix
 # when it drops below PIVOT_RTOL times the largest diagonal entry.
 DET_TOL = 1e-300
 PIVOT_RTOL = 1e-12
+# Pixels per block of whole-field work: a block's temporaries (0.36 MB per
+# float64 entry array) stay in cache, and per-call overhead stays small.
+BLOCK_PIXELS = 45_000
 
 
 def assemble(d1, d2, d3, o12, o13, o23) -> np.ndarray:
@@ -68,13 +72,10 @@ def det3(m) -> np.ndarray | float:
 def inv3(m) -> np.ndarray:
     """Cofactor inverse; Hermitian in, Hermitian out.
 
-    Raises SingularMatrix unless every |det| >= DET_TOL; a NaN det (from a NaN or
-    infinite entry) fails too.
+    Raises SingularMatrix unless every entry is finite and every |det| >= DET_TOL.
     """
     a, d, f, b, c, e = _entries(m)
-    det = np.asarray(det3(m))
-    if not np.all(np.abs(det) >= DET_TOL):  # also False for a NaN det
-        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
+    det = _checked_det(m, det3)
     return assemble(
         (d * f - np.abs(e) ** 2) / det,
         (a * f - np.abs(c) ** 2) / det,
@@ -148,6 +149,33 @@ def from_packed(p) -> np.ndarray:
     return assemble(a, d, f, br + 1j * bi, cr + 1j * ci, er + 1j * ei)
 
 
+def _checked_det(m, det) -> np.ndarray:
+    """det(m), raising SingularMatrix unless every entry of m is finite and every |det| >= DET_TOL.
+
+    The entries are tested first, not only det: an infinite off-diagonal
+    entry can leave det finite or infinite and the inverse NaN.
+    """
+    if not np.all(np.isfinite(m)):
+        raise SingularMatrix("non-finite matrix entry")
+    d = np.asarray(det(m))
+    if not np.all(np.abs(d) >= DET_TOL):  # also False for a NaN det
+        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(d).min():.3e})")
+    return d
+
+
+def pixel_blocks(x):
+    """Yield (slice, block) over packed (N, 9) pixels, BLOCK_PIXELS pixels at a time.
+
+    Each block is component-major (each entry contiguous), the layout the
+    packed kernels read fastest; a block that is not is copied on its own.
+    """
+    for start in range(0, x.shape[0], BLOCK_PIXELS):
+        block = x[start:start + BLOCK_PIXELS]
+        if block.strides[0] != block.itemsize:
+            block = np.ascontiguousarray(block.T).T
+        yield slice(start, start + block.shape[0]), block
+
+
 def _packed_entries(p):
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != 9:
@@ -157,8 +185,14 @@ def _packed_entries(p):
 
 def is_positive_definite(p) -> np.ndarray:
     """True where the three leading minors of packed p are > 0 (so NaN counts as False)."""
-    a, d, _, br, bi = _packed_entries(p)[:5]
-    return (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(p) > 0)
+    p = np.asarray(p, dtype=np.float64)
+    _packed_entries(p)  # checks the trailing axis
+    out = np.empty(p.shape[:-1], dtype=bool)
+    flat = out.reshape(-1)
+    for rows, block in pixel_blocks(p.reshape(-1, 9)):
+        a, d, _, br, bi = _packed_entries(block)[:5]
+        flat[rows] = (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(block) > 0)
+    return out
 
 
 def det_packed(p) -> np.ndarray:
@@ -174,15 +208,13 @@ def det_packed(p) -> np.ndarray:
 def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
     """Packed cofactor inverse and determinant of packed Hermitian matrices.
 
-    Raises SingularMatrix under the same determinant test as inv3.  The
-    packed kernels read and write one entry at a time, so they run fastest on
+    Raises SingularMatrix under the same tests as inv3.  The packed kernels
+    read and write one entry at a time, so they run fastest on
     component-major data (each entry contiguous); the inverse is returned in
     that layout.
     """
     a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
-    det = np.asarray(det_packed(p))
-    if not np.all(np.abs(det) >= DET_TOL):  # also False for a NaN det
-        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
+    det = _checked_det(p, det_packed)
     inv = np.moveaxis(np.empty((9,) + np.shape(det)), 0, -1)
     inv[..., 0] = d * f - (er * er + ei * ei)
     inv[..., 1] = a * f - (cr * cr + ci * ci)

@@ -1,13 +1,18 @@
 """Pointwise classification rules."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polsardr import fields
 from polsardr import hermitian as hm
 from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, classify_image,
                                distance_stack)
+from polsardr.dataio import render_rgb
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
 from polsardr.errors import InvalidObservation, SingularMatrix
@@ -207,14 +212,19 @@ def test_distance_stack_rejects_singular_pixel(rng, kind):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["KL", "HD", "BD"])
 @pytest.mark.parametrize("entry, value", [(0, np.nan), (4, np.nan), (0, np.inf), (1, np.inf),
-                                          (2, -np.inf)])
+                                          (2, -np.inf), (3, np.inf), (3, -np.inf),
+                                          (6, np.inf), (6, -np.inf), (8, np.inf),
+                                          (8, -np.inf)])
 def test_distance_stack_rejects_non_finite_pixel(rng, kind, entry, value):
-    # a NaN entry, or an infinite one on the diagonal, makes the determinant
-    # NaN; the singularity test must raise instead of returning NaN scores
-    x = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng)]))
-    x[1, entry] = value
-    with pytest.raises(SingularMatrix):
-        distance_stack(x, _protos(rng), kind)
+    # a non-finite entry must raise instead of returning NaN scores, also an
+    # infinite off-diagonal entry, whose determinant is NaN for some pixels
+    # only: each case is tried on ten random pixels
+    protos = _protos(rng)
+    for _ in range(10):
+        x = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng)]))
+        x[1, entry] = value
+        with pytest.raises(SingularMatrix):
+            distance_stack(x, protos, kind)
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
@@ -234,3 +244,73 @@ def test_distance_stack_self_distance_and_symmetry(seed, log_scale, log_ratio, l
         else:
             assert np.all((np.diag(stack) >= 0.0) & (np.diag(stack) <= 1e-10)), kind
         assert stack[0, 1] == pytest.approx(stack[1, 0], rel=1e-9), kind
+
+
+def _split_results(field, protos, tmp_path):
+    """Everything that runs in pixel or row blocks, on a fresh copy of field."""
+    field = CovarianceField(field.data)
+    pd = field.pd_mask
+    x = field.data[pd]
+    return {"pd_mask": pd,
+            **{rule: classify_image(field, protos, rule).labels for rule in RULES},
+            "rgb": render_rgb(field, protos, tmp_path / "img.ppm"),
+            **{f"{kind} stack": distance_stack(x, protos, kind) for kind in STACK_KINDS},
+            "KL+OW component-major stack": distance_stack(np.asfortranarray(x), protos,
+                                                          "KL", weighted=True)}
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, block, cpus):
+    # every test image is smaller than one block of BLOCK_PIXELS pixels, so tiny
+    # blocks and more workers than cores force the many-block and many-thread
+    # paths; they must give the bits of one unblocked single-thread pass
+    protos = _protos(rng, weights=np.array([0.5, 0.3, 0.2]))
+    data = sample(WishartModel(protos.sigmas[1], 4), rng, size=(13, 11))
+    data[7, 5] = np.diag([1.0, -1.0, 1.0])  # not positive definite
+    field = CovarianceField(hm.to_packed(data))
+    monkeypatch.setattr(hm, "BLOCK_PIXELS", 10**9)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
+    expected = _split_results(field, protos, tmp_path)
+    monkeypatch.setattr(hm, "BLOCK_PIXELS", block)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # a thread switch every microsecond
+    try:
+        got = _split_results(field, protos, tmp_path)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not got["pd_mask"][7, 5]
+    for rule in RULES:
+        assert got[rule][7, 5] == 0, rule
+        assert np.all(np.delete(got[rule].ravel(), 7 * 11 + 5) > 0), rule
+    for name, value in expected.items():
+        assert np.array_equal(got[name], value), name
+
+
+def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
+    # a PD pixel with |det| < DET_TOL in the last row, which a pool thread
+    # scores: its exception keeps its type, and no pool thread outlives the call
+    protos = _protos(rng)
+    data = hm.to_packed(sample(WishartModel(protos.sigmas[0], 4), rng, size=(6, 5)))
+    data[5, 4] = hm.to_packed(1e-101 * ID)
+    field = CovarianceField(data)
+    assert field.pd_mask[5, 4]
+    monkeypatch.setattr(hm, "BLOCK_PIXELS", 5)  # one row per block
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    failed_in = []
+    inv_packed = hm.inv_packed
+
+    def recording(p):
+        try:
+            return inv_packed(p)
+        except SingularMatrix:
+            failed_in.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(hm, "inv_packed", recording)
+    before = threading.active_count()
+    with pytest.raises(SingularMatrix, match="det"):
+        classify_image(field, protos, "KL")
+    assert threading.active_count() == before
+    assert len(failed_in) == 1 and failed_in[0] is not threading.main_thread()

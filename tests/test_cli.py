@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +311,35 @@ def test_classify_computes_the_pd_mask_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "map")]) == 0
     # the model's prototypes are checked too, as an (M, 9) block
     assert [s for s in shapes if s == (96, 96, 9)] == [(96, 96, 9)]
+
+
+def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):
+    # classify, render and evolve log their row blocks and workers at DEBUG;
+    # the default level (INFO) leaves that out
+    base, model = str(tmp_path / "img"), str(tmp_path / "model.txt")
+    assert main(["simulate", "--width", "96", "--height", "80", "--out", base]) == 0
+    assert main(["train", "--image", base, "--roi", f"{base}_roi.txt", "--out", model]) == 0
+
+    def split(step):
+        return re.compile(rf"{step}: 80x96 pixels in [1-9]\d* row blocks on [1-9]\d* workers")
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    classify = ["classify", "--image", base, "--model", model, "--out", str(tmp_path / "map")]
+    for level in ("DEBUG", None):
+        proc = subprocess.run([sys.executable, "-m", "polsardr.cli",
+                               *(["--log-level", level] if level else []), *classify],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert bool(split("DEBUG polsardr.fields: classify_image").search(proc.stderr)) \
+            == (level == "DEBUG")
+    with caplog.at_level("DEBUG", logger="polsardr"):
+        assert main(["render", "--image", base, "--model", model,
+                     "--out", str(tmp_path / "img.ppm")]) == 0
+        assert main(["evolve", "--image", base, "--model", model, "--iters", "1",
+                     "--out", str(tmp_path / "evolved")]) == 0
+    assert split("render_rgb").search(caplog.text)
+    assert split("evolve").search(caplog.text)
 
 
 def test_pipeline_command_via_main(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsardr import evolution
+from polsardr import evolution, fields
 from polsardr.classify import PrototypeSet, distance_stack
 from polsardr.errors import InvalidObservation, SingularMatrix, StabilityViolation
 from polsardr.evolution import (EvolutionParams, diffusion_step, evolve,
@@ -260,7 +260,7 @@ def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
     monkeypatch.setattr(hm, "inv_packed", counting)
     iterations = 4
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
         inverted.clear()
         evolve(field, protos, EvolutionParams(iterations=iterations))
         assert len(inverted) == (2 * iterations + 1) * cpus
@@ -298,7 +298,7 @@ def test_evolve_bands_are_independent_under_thread_switching(rng, monkeypatch, k
             field = _random_field(rng, h, w)
             expected = _chained_reference(field, protos, params, kind)
             for cpus in (1, 2, 3, 8):
-                monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
                 out, metrics = evolve(field, protos, params, kind=kind)
                 np.testing.assert_array_equal(out.data, expected[0])
                 np.testing.assert_array_equal(metrics.mean_weighted_distance, expected[1])
@@ -319,7 +319,7 @@ def test_evolve_raises_a_worker_band_error_and_joins_the_pool(rng, monkeypatch):
             raise SingularMatrix("injected in a worker band")
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(evolution, "distance_stack", failing_off_the_main_thread)
     before = threading.active_count()
     with pytest.raises(SingularMatrix, match="worker band"):
@@ -339,7 +339,7 @@ def test_evolve_preserves_cone_at_the_stability_boundary(seed, h, w, cpus, scale
     field = _random_field(rng, h, w)
     field = CovarianceField(scale * field.data)
     protos = PrototypeSet(sigmas=scale * _protos(rng).sigmas, shared_looks=4.0)
-    with mock.patch.object(evolution, "_usable_cpus", lambda: cpus):
+    with mock.patch.object(fields, "_usable_cpus", lambda: cpus):
         out, metrics = evolve(field, protos, params, kind=kind)
     assert np.all(hm.is_positive_definite(out.data))
     assert np.all(np.isfinite(metrics.mean_weighted_distance))

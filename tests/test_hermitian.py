@@ -213,6 +213,25 @@ def test_inverses_reject_non_finite_entries(value):
             hm.inv3(hm.from_packed(p))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_inverses_reject_infinite_off_diagonal_entries(rng, value):
+    # an infinite off-diagonal entry leaves the determinant finite or infinite
+    # for many pixels, so the entries are tested, not the determinant
+    for _ in range(50):
+        m = make_hpd(rng)
+        for k in range(3, 9):
+            p = hm.to_packed(m)
+            p[k] = value
+            with pytest.raises(SingularMatrix, match="non-finite"):
+                hm.inv_packed(p)
+            i, j = [(0, 1), (0, 2), (1, 2)][(k - 3) // 2]
+            c = m.copy()
+            c[i, j] = complex(value, c[i, j].imag) if k % 2 else complex(c[i, j].real, value)
+            c[j, i] = c[i, j].conjugate()
+            with pytest.raises(SingularMatrix, match="non-finite"):
+                hm.inv3(c)
+
+
 def test_packed_inverse_singular_raises():
     with pytest.raises(SingularMatrix):
         hm.inv_packed(hm.to_packed(np.ones((3, 3), dtype=complex)))
