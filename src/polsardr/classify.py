@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .errors import InvalidObservation
+from .errors import InvalidObservation, SingularMatrix
 from .fields import ClassMap, CovarianceField, row_blocks
 from .wishart import log_gamma3
 
@@ -84,52 +84,52 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     or for "ML" the negative Wishart log-density.  The pixel features are
     computed once per call, whatever the number of classes: KL needs
     tr(S^-1 P_m) and tr(S P_m^-1), HD and BD need log|S| and the determinant
-    of (S^-1 + P_m^-1) / 2, ML needs log|S| and tr(P_m^-1 S).  Pixels are
-    flattened first and scored in blocks of ``hermitian.BLOCK_PIXELS``; every
-    operation is elementwise, so a pixel's scores do not depend on the shape
-    of the array it arrives in or on the block it lands in.  No threads are
-    started here: ``evolve``'s bands already call this from theirs.
+    of (S^-1 + P_m^-1) / 2, ML needs log|S| and tr(P_m^-1 S).  Every
+    operation is elementwise over the pixels given, so a pixel's scores do not
+    depend on the shape of the array it arrives in; callers split whole fields
+    with ``fields.row_blocks``, and no threads are started here.  Any kind
+    raises SingularMatrix for a non-finite pixel entry.
     With ``weighted`` each column is scaled by the class weight, which is the
     quantity the weighted argmin rule and the reaction term minimize.
     """
     if kind not in STACK_KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
-    x = np.asarray(x, dtype=np.float64)
-    shape = x.shape[:-1]
-    x = x.reshape(-1, 9)
+    shape = np.shape(x)[:-1]
+    x = hm.component_major(x)
     protos_packed = hm.to_packed(protos.sigmas)
     p_inv, p_det = hm.inv_packed(protos_packed)
+    if kind in ("KL", "HD", "BD"):
+        x_inv, x_det = hm.inv_packed(x)  # tests the entries itself
+    elif not np.all(np.isfinite(x)):
+        raise SingularMatrix("non-finite matrix entry")
+    if kind == "ML":
+        x_det = hm.det_packed(x)
+    if kind in ("HD", "BD", "ML"):
+        log_det = np.log(x_det)
     out = np.empty((x.shape[0], protos.n_classes))
-    for rows, block in hm.pixel_blocks(x):
-        if kind in ("KL", "HD", "BD"):
-            x_inv, x_det = hm.inv_packed(block)
+    for m in range(protos.n_classes):
+        looks = protos.looks_for(m, use_class_looks)
+        if kind == "KL":
+            t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
+                       + hm.trace_product_packed(x, p_inv[m])) - 3.0
+            col = np.maximum(looks * t, 0.0)
+        elif kind == "ED":
+            sq = np.zeros(x.shape[0])
+            for k in range(9):
+                diff = x[:, k] - protos_packed[m, k]
+                sq += hm.TRACE_WEIGHTS[k] * diff * diff
+            col = np.sqrt(sq)
         elif kind == "ML":
-            x_det = hm.det_packed(block)
-        if kind in ("HD", "BD", "ML"):
-            log_det = np.log(x_det)
-        for m in range(protos.n_classes):
-            looks = protos.looks_for(m, use_class_looks)
-            if kind == "KL":
-                t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
-                           + hm.trace_product_packed(block, p_inv[m])) - 3.0
-                col = np.maximum(looks * t, 0.0)
-            elif kind == "ED":
-                sq = np.zeros(block.shape[0])
-                for k in range(9):
-                    diff = block[:, k] - protos_packed[m, k]
-                    sq += hm.TRACE_WEIGHTS[k] * diff * diff
-                col = np.sqrt(sq)
-            elif kind == "ML":
-                log_norm = (3.0 * looks * np.log(looks) - looks * np.log(p_det[m])
-                            - log_gamma3(looks))
-                col = (looks * hm.trace_product_packed(block, p_inv[m])
-                       - (looks - 3.0) * log_det - log_norm)
-            else:
-                inv_mean = 0.5 * (x_inv + p_inv[m])
-                r = np.minimum(-np.log(hm.det_packed(inv_mean))
-                               - 0.5 * (log_det + np.log(p_det[m])), 0.0)
-                col = -np.expm1(looks * r) if kind == "HD" else -looks * r
-            out[rows, m] = protos.weights[m] * col if weighted else col
+            log_norm = (3.0 * looks * np.log(looks) - looks * np.log(p_det[m])
+                        - log_gamma3(looks))
+            col = (looks * hm.trace_product_packed(x, p_inv[m])
+                   - (looks - 3.0) * log_det - log_norm)
+        else:
+            inv_mean = 0.5 * (x_inv + p_inv[m])
+            r = np.minimum(-np.log(hm.det_packed(inv_mean))
+                           - 0.5 * (log_det + np.log(p_det[m])), 0.0)
+            col = -np.expm1(looks * r) if kind == "HD" else -looks * r
+        out[:, m] = protos.weights[m] * col if weighted else col
     return out.reshape(shape + (protos.n_classes,))
 
 
@@ -137,7 +137,7 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL
                    use_class_looks: bool = False) -> ClassMap:
     """Classify every pixel independently; non-PD pixels get the 0 sentinel.
 
-    The rows are scored in blocks of about ``hermitian.BLOCK_PIXELS`` pixels
+    The rows are scored in blocks of about ``fields.BLOCK_PIXELS`` pixels
     on every usable CPU (``fields.row_blocks``); each block gathers its valid
     pixels, scores them and writes their labels.
     """

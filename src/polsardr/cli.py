@@ -16,14 +16,12 @@ import numpy as np
 from . import dataio
 from . import hermitian as hm
 from .classify import KINDS, RULES, PrototypeSet, classify_image
-from .errors import MissingBaseline, NoRoot, PolsarError
-from .estimation import LOOKS_BRACKET, SampleStats, estimate_looks_corrected
+from .errors import MissingBaseline, PolsarError
+from .estimation import SampleStats, estimate_looks_corrected
 from .evolution import EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, Split
 from .phantom import PhantomSpec, generate_phantom, inscribed_rois, read_phantom_config
 from .weights import TrainingSet, WeightResult, optimize_weights
-
-logger = logging.getLogger(__name__)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -221,20 +219,11 @@ def read_split(roi_path, seed: int, field: CovarianceField | None = None) -> Spl
 def train_prototypes(field: CovarianceField, split: Split, looks=None) -> PrototypeSet:
     """Per-class covariance and bias-corrected looks from the train pixels; the
     shared looks are ``looks`` if given, else the field's (its header's), else 4."""
-    sigmas = []
-    class_looks = []
-    for cls in split.classes:
-        stats = SampleStats.from_sample(hm.from_packed(_gather(field, split.train[cls])))
-        sigmas.append(stats.mean)
-        try:
-            class_looks.append(estimate_looks_corrected(stats))
-        except NoRoot as exc:
-            clamp = LOOKS_BRACKET[1] if exc.side == "high" else 3.0
-            logger.warning("class %d looks estimation: %s; using %.1f", cls, exc, clamp)
-            class_looks.append(clamp)
+    stats = [SampleStats.from_sample(hm.from_packed(_gather(field, split.train[cls])))
+             for cls in split.classes]
     shared = float(looks) if looks is not None else (field.looks or 4.0)
-    return PrototypeSet(sigmas=np.stack(sigmas), shared_looks=shared,
-                        class_looks=np.array(class_looks))
+    return PrototypeSet(sigmas=np.stack([s.mean for s in stats]), shared_looks=shared,
+                        class_looks=np.array([estimate_looks_corrected(s) for s in stats]))
 
 
 def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,

@@ -31,21 +31,26 @@ def _write_header(path, width, height, dtype, looks=None):
         f.write("\n".join(lines) + "\n")
 
 
+def _content_lines(path):
+    """Yield (lineno, line) for each line of a text file, '#' comment stripped, not blank."""
+    with open(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+
+
 def key_value_lines(path, error=MalformedHeader):
     """Yield (lineno, key, value) for each `key: value` line of a text file.
 
     '#' starts a comment and blank lines are skipped; the line splits on its
     first ':', and a line without one raises ``error`` naming path:lineno.
     """
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise error(f"{path}:{lineno}: expected 'key: value'")
-            key, value = (s.strip() for s in line.split(":", 1))
-            yield lineno, key, value
+    for lineno, line in _content_lines(path):
+        if ":" not in line:
+            raise error(f"{path}:{lineno}: expected 'key: value'")
+        key, value = (s.strip() for s in line.split(":", 1))
+        yield lineno, key, value
 
 
 def _read_header(path):
@@ -110,23 +115,19 @@ def read_classmap(header_path, data_path) -> ClassMap:
 def read_roi(path, width: int | None = None, height: int | None = None) -> RoiSet:
     """Parse `class x0 y0 x1 y1` lines; bounds are checked when dims are given."""
     rois = RoiSet()
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise MalformedRoi(f"{path}:{lineno}: expected 'class x0 y0 x1 y1'")
-            try:
-                cls, x0, y0, x1, y1 = (int(p) for p in parts)
-            except ValueError as exc:
-                raise MalformedRoi(f"{path}:{lineno}: {exc}") from exc
-            if cls < 1 or x1 < x0 or y1 < y0 or x0 < 0 or y0 < 0:
-                raise MalformedRoi(f"{path}:{lineno}: inconsistent rectangle")
-            if width is not None and x1 >= width or height is not None and y1 >= height:
-                raise OutOfBounds(f"{path}:{lineno}: rectangle exceeds {width}x{height}")
-            rois.rects.setdefault(cls, []).append((x0, y0, x1, y1))
+    for lineno, line in _content_lines(path):
+        parts = line.split()
+        if len(parts) != 5:
+            raise MalformedRoi(f"{path}:{lineno}: expected 'class x0 y0 x1 y1'")
+        try:
+            cls, x0, y0, x1, y1 = (int(p) for p in parts)
+        except ValueError as exc:
+            raise MalformedRoi(f"{path}:{lineno}: {exc}") from exc
+        if cls < 1 or x1 < x0 or y1 < y0 or x0 < 0 or y0 < 0:
+            raise MalformedRoi(f"{path}:{lineno}: inconsistent rectangle")
+        if width is not None and x1 >= width or height is not None and y1 >= height:
+            raise OutOfBounds(f"{path}:{lineno}: rectangle exceeds {width}x{height}")
+        rois.rects.setdefault(cls, []).append((x0, y0, x1, y1))
     if not rois.rects:
         raise MalformedRoi(f"{path}: no rectangles found")
     return rois

@@ -79,17 +79,11 @@ def estimate_looks_ml(stats: SampleStats, tol: float = 1e-10) -> float:
     f_lo = looks_score(lo, stats)
     f_hi = looks_score(hi, stats)
     if f_hi > 0:
-        raise NoRoot(
-            "looks score positive on the whole bracket "
-            "(near-dispersion-free sample); clamp to the bracket top",
-            side="high",
-        )
+        raise NoRoot("looks score positive on the whole bracket "
+                     "(near-dispersion-free sample)", side="high")
     if f_lo <= 0:
-        raise NoRoot(
-            "looks score negative at the bracket bottom "
-            "(sample more dispersed than looks = 3 allows); clamp to 3",
-            side="low",
-        )
+        raise NoRoot("looks score negative at the bracket bottom "
+                     "(sample more dispersed than looks = 3 allows)", side="low")
     root = brentq(looks_score, lo, hi, args=(stats,), xtol=tol, rtol=8.9e-16)
     # One Newton step for the last digits; the slope 3/l - polygamma3(1, l)
     # is strictly negative so the step is well defined.
@@ -112,8 +106,14 @@ def box_snell_bias(looks: float, n: int) -> float:
 
 
 def estimate_looks_corrected(stats: SampleStats) -> float:
-    """Bias-corrected looks estimate, clamped below at 3."""
-    ml = estimate_looks_ml(stats)
+    """Bias-corrected looks estimate, clamped below at 3, with a warning.  Without a
+    root on LOOKS_BRACKET it is clamped to the bracket top (NoRoot side "high") or to 3."""
+    try:
+        ml = estimate_looks_ml(stats)
+    except NoRoot as exc:
+        clamp = LOOKS_BRACKET[1] if exc.side == "high" else 3.0
+        logger.warning("looks estimation: %s; using %.1f", exc, clamp)
+        return clamp
     corrected = ml - box_snell_bias(ml, stats.n)
     if corrected < 3.0:
         logger.warning("corrected looks %.4f fell below 3; clamped", corrected)

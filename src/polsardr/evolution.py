@@ -186,7 +186,7 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     the field at the end of iteration n (row 0: initial field, fraction 0).
 
     The field evolves as packed (9, H, W) planes in contiguous row bands of
-    about ``hermitian.BLOCK_PIXELS`` pixels, at least one per usable CPU
+    about ``fields.BLOCK_PIXELS`` pixels, at least one per usable CPU
     (``fields.row_blocks``).  Each iteration diffuses, reacts and assigns
     every band, a band reading one row of the previous state above and below
     it, and waits for all bands before the next.  The bands run the helpers of

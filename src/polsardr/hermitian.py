@@ -3,8 +3,9 @@
 Covariance images are packed ``(..., 9)`` float64 arrays (see TRACE_WEIGHTS)
 and the ``*_packed`` kernels and ``is_positive_definite`` work on them.  The
 complex ``(..., 3, 3)`` kernels serve prototypes, training samples, ``wishart``
-and the pairwise ``distances``.  All functions broadcast and are pure.
-Whole-field work runs in blocks of BLOCK_PIXELS pixels (``pixel_blocks``).
+and the pairwise ``distances``.  All functions broadcast and are pure; the
+packed kernels score exactly the pixels they are given (callers split whole
+fields with ``fields.row_blocks``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from .errors import NotPositiveDefinite, SingularMatrix
 # when it drops below PIVOT_RTOL times the largest diagonal entry.
 DET_TOL = 1e-300
 PIVOT_RTOL = 1e-12
-# Pixels per block of whole-field work: a block's temporaries (0.36 MB per
-# float64 entry array) stay in cache, and per-call overhead stays small.
-BLOCK_PIXELS = 45_000
 
 
 def assemble(d1, d2, d3, o12, o13, o23) -> np.ndarray:
@@ -163,17 +161,14 @@ def _checked_det(m, det) -> np.ndarray:
     return d
 
 
-def pixel_blocks(x):
-    """Yield (slice, block) over packed (N, 9) pixels, BLOCK_PIXELS pixels at a time.
-
-    Each block is component-major (each entry contiguous), the layout the
-    packed kernels read fastest; a block that is not is copied on its own.
-    """
-    for start in range(0, x.shape[0], BLOCK_PIXELS):
-        block = x[start:start + BLOCK_PIXELS]
-        if block.strides[0] != block.itemsize:
-            block = np.ascontiguousarray(block.T).T
-        yield slice(start, start + block.shape[0]), block
+def component_major(p) -> np.ndarray:
+    """Packed (..., 9) pixels as (N, 9) with each entry contiguous, the layout the
+    packed kernels read fastest; copied only when not already in that layout."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape[-1] != 9:  # before the reshape, which would take a (..., 3, 3) array
+        raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
+    x = p.reshape(-1, 9)
+    return x if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T).T
 
 
 def _packed_entries(p):
@@ -185,14 +180,10 @@ def _packed_entries(p):
 
 def is_positive_definite(p) -> np.ndarray:
     """True where the three leading minors of packed p are > 0 (so NaN counts as False)."""
-    p = np.asarray(p, dtype=np.float64)
-    _packed_entries(p)  # checks the trailing axis
-    out = np.empty(p.shape[:-1], dtype=bool)
-    flat = out.reshape(-1)
-    for rows, block in pixel_blocks(p.reshape(-1, 9)):
-        a, d, _, br, bi = _packed_entries(block)[:5]
-        flat[rows] = (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(block) > 0)
-    return out
+    x = component_major(p)
+    a, d, _, br, bi = _packed_entries(x)[:5]
+    pd = (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(x) > 0)
+    return pd.reshape(np.shape(p)[:-1])
 
 
 def det_packed(p) -> np.ndarray:

@@ -209,16 +209,16 @@ def test_distance_stack_rejects_singular_pixel(rng, kind):
         distance_stack(hm.to_packed(data), _protos(rng), kind)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("kind", ["KL", "HD", "BD"])
+@pytest.mark.parametrize("kind", STACK_KINDS)
 @pytest.mark.parametrize("entry, value", [(0, np.nan), (4, np.nan), (0, np.inf), (1, np.inf),
                                           (2, -np.inf), (3, np.inf), (3, -np.inf),
                                           (6, np.inf), (6, -np.inf), (8, np.inf),
                                           (8, -np.inf)])
 def test_distance_stack_rejects_non_finite_pixel(rng, kind, entry, value):
-    # a non-finite entry must raise instead of returning NaN scores, also an
-    # infinite off-diagonal entry, whose determinant is NaN for some pixels
-    # only: each case is tried on ten random pixels
+    # a non-finite entry must raise instead of returning NaN scores, for every
+    # kind and without a RuntimeWarning first, also an infinite off-diagonal
+    # entry, whose determinant is NaN for some pixels only: each case is tried
+    # on ten random pixels
     protos = _protos(rng)
     for _ in range(10):
         x = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng)]))
@@ -269,10 +269,10 @@ def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, 
     data = sample(WishartModel(protos.sigmas[1], 4), rng, size=(13, 11))
     data[7, 5] = np.diag([1.0, -1.0, 1.0])  # not positive definite
     field = CovarianceField(hm.to_packed(data))
-    monkeypatch.setattr(hm, "BLOCK_PIXELS", 10**9)
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 10**9)
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
     expected = _split_results(field, protos, tmp_path)
-    monkeypatch.setattr(hm, "BLOCK_PIXELS", block)
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", block)
     monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # a thread switch every microsecond
@@ -296,7 +296,7 @@ def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
     data[5, 4] = hm.to_packed(1e-101 * ID)
     field = CovarianceField(data)
     assert field.pd_mask[5, 4]
-    monkeypatch.setattr(hm, "BLOCK_PIXELS", 5)  # one row per block
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 5)  # one row per block
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
     failed_in = []
     inv_packed = hm.inv_packed

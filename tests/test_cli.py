@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -299,18 +300,20 @@ def test_classify_computes_the_pd_mask_once(tmp_path, monkeypatch):
     base, model = str(tmp_path / "img"), str(tmp_path / "model.txt")
     assert main(["simulate", "--width", "96", "--height", "96", "--out", base]) == 0
     assert main(["train", "--image", base, "--roi", f"{base}_roi.txt", "--out", model]) == 0
-    shapes = []
+    tested = Counter()
     original = hm.is_positive_definite
 
     def counting(x):
-        shapes.append(np.shape(x))
+        if np.ndim(x) == 3 and np.shape(x)[1:] == (96, 9):  # image rows, not prototypes
+            tested.update(row.tobytes() for row in np.asarray(x))
         return original(x)
 
     monkeypatch.setattr(hm, "is_positive_definite", counting)
     assert main(["classify", "--image", base, "--model", model,
                  "--out", str(tmp_path / "map")]) == 0
-    # the model's prototypes are checked too, as an (M, 9) block
-    assert [s for s in shapes if s == (96, 96, 9)] == [(96, 96, 9)]
+    # the mask is tested in row blocks: together they test each of the 96
+    # (distinct) rows, hence each of the 96 x 96 pixels, exactly once
+    assert len(tested) == 96 and set(tested.values()) == {1}
 
 
 def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from polsardr.errors import DomainError, EmptySample, NoRoot
-from polsardr.estimation import (SampleStats, box_snell_bias, estimate_looks_corrected,
-                                 estimate_looks_ml, looks_score, polygamma3)
+from polsardr.estimation import (LOOKS_BRACKET, SampleStats, box_snell_bias,
+                                 estimate_looks_corrected, estimate_looks_ml, looks_score,
+                                 polygamma3)
 from polsardr.wishart import WishartModel, log_density, log_gamma3, sample
 
 from conftest import make_hpd
@@ -176,6 +177,19 @@ def test_corrected_estimate_subtracts_bias():
 def test_corrected_estimate_clamped_at_three(caplog):
     stats = _stats_for_root(3.05, n=1)
     assert estimate_looks_corrected(stats) == 3.0
+
+
+def test_corrected_estimate_clamps_when_the_score_has_no_root(rng, caplog):
+    # no root on the bracket: the bracket top for a dispersion-free sample,
+    # 3 for an over-dispersed one, each with a warning
+    free = SampleStats.from_sample(np.stack([make_hpd(rng)] * 10))
+    dispersed = SampleStats(n=10, mean=ID, mean_log_det=-5.0)
+    with caplog.at_level("WARNING", logger="polsardr.estimation"):
+        assert estimate_looks_corrected(free) == LOOKS_BRACKET[1]
+        assert estimate_looks_corrected(dispersed) == 3.0
+    assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
+    assert "near-dispersion-free" in caplog.records[0].getMessage()
+    assert "more dispersed" in caplog.records[1].getMessage()
 
 
 def test_bias_correction_reduces_bias_monte_carlo():

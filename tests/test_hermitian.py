@@ -155,6 +155,22 @@ def test_packed_pd_test_rejects_non_finite_entries(seed, entry, value):
     np.testing.assert_array_equal(hm.is_positive_definite(p), [True, False])
 
 
+def test_component_major_copies_only_other_layouts(rng):
+    p = hm.to_packed(np.stack([make_hpd(rng) for _ in range(6)])).reshape(2, 3, 9)
+    x = hm.component_major(p)
+    assert x.shape == (6, 9) and x.strides[0] == x.itemsize
+    assert not np.shares_memory(x, p)
+    np.testing.assert_array_equal(x, p.reshape(6, 9))
+    assert np.shares_memory(hm.component_major(x), x)  # no second copy
+    np.testing.assert_array_equal(hm.is_positive_definite(p), np.ones((2, 3), dtype=bool))
+    # the trailing axis is checked before any reshape, which would take both
+    for bad in (np.ones((2, 3, 3)), np.ones((4, 3, 3))):
+        with pytest.raises(ValueError, match="trailing axis"):
+            hm.component_major(bad)
+        with pytest.raises(ValueError, match="trailing axis"):
+            hm.is_positive_definite(bad)
+
+
 def test_assemble_is_hermitian_by_construction(rng):
     m = hm.assemble(1.0, 2.0, 3.0, 0.1 + 0.2j, -0.3j, 0.4 - 0.1j)
     np.testing.assert_array_equal(m, m.conj().T)
