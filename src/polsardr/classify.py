@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .errors import InvalidObservation, SingularMatrix
+from .distances import _features, _score
+from .errors import InvalidObservation
 from .fields import ClassMap, CovarianceField, row_blocks
-from .wishart import log_gamma3
 
 logger = logging.getLogger(__name__)
 
@@ -81,54 +81,27 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     """Lower-is-better score of packed (..., 9) pixels against every prototype.
 
     One column per class on a trailing axis: the KL, HD, BD or ED distance,
-    or for "ML" the negative Wishart log-density.  The pixel features are
-    computed once per call, whatever the number of classes: KL needs
-    tr(S^-1 P_m) and tr(S P_m^-1), HD and BD need log|S| and the determinant
-    of (S^-1 + P_m^-1) / 2, ML needs log|S| and tr(P_m^-1 S).  Every
-    operation is elementwise over the pixels given, so a pixel's scores do not
-    depend on the shape of the array it arrives in; callers split whole fields
-    with ``fields.row_blocks``, and no threads are started here.  Any kind
-    raises SingularMatrix for a non-finite pixel entry.
-    With ``weighted`` each column is scaled by the class weight, which is the
-    quantity the weighted argmin rule and the reaction term minimize.
+    or for "ML" the negative Wishart log-density, from the one formula of each
+    kind in ``distances``.  The pixel features are computed once per call,
+    whatever the number of classes.  Every operation is elementwise over the
+    pixels given, so a pixel's scores do not depend on the shape of the array
+    it arrives in; callers split whole fields with ``fields.row_blocks``, and
+    no threads are started here.  Any kind raises SingularMatrix for a
+    non-finite pixel entry.  With ``weighted`` each column is scaled by the
+    class weight, which is the quantity the weighted argmin rule and the
+    reaction term minimize.
     """
     if kind not in STACK_KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
     shape = np.shape(x)[:-1]
     x = hm.component_major(x)
+    pixels = _features(x, kind)
     protos_packed = hm.to_packed(protos.sigmas)
     p_inv, p_det = hm.inv_packed(protos_packed)
-    if kind in ("KL", "HD", "BD"):
-        x_inv, x_det = hm.inv_packed(x)  # tests the entries itself
-    elif not np.all(np.isfinite(x)):
-        raise SingularMatrix("non-finite matrix entry")
-    if kind == "ML":
-        x_det = hm.det_packed(x)
-    if kind in ("HD", "BD", "ML"):
-        log_det = np.log(x_det)
     out = np.empty((x.shape[0], protos.n_classes))
     for m in range(protos.n_classes):
-        looks = protos.looks_for(m, use_class_looks)
-        if kind == "KL":
-            t = 0.5 * (hm.trace_product_packed(x_inv, protos_packed[m])
-                       + hm.trace_product_packed(x, p_inv[m])) - 3.0
-            col = np.maximum(looks * t, 0.0)
-        elif kind == "ED":
-            sq = np.zeros(x.shape[0])
-            for k in range(9):
-                diff = x[:, k] - protos_packed[m, k]
-                sq += hm.TRACE_WEIGHTS[k] * diff * diff
-            col = np.sqrt(sq)
-        elif kind == "ML":
-            log_norm = (3.0 * looks * np.log(looks) - looks * np.log(p_det[m])
-                        - log_gamma3(looks))
-            col = (looks * hm.trace_product_packed(x, p_inv[m])
-                   - (looks - 3.0) * log_det - log_norm)
-        else:
-            inv_mean = 0.5 * (x_inv + p_inv[m])
-            r = np.minimum(-np.log(hm.det_packed(inv_mean))
-                           - 0.5 * (log_det + np.log(p_det[m])), 0.0)
-            col = -np.expm1(looks * r) if kind == "HD" else -looks * r
+        proto = (protos_packed[m], p_inv[m], np.log(p_det[m]))
+        col = _score(kind, pixels, proto, protos.looks_for(m, use_class_looks))
         out[:, m] = protos.weights[m] * col if weighted else col
     return out.reshape(shape + (protos.n_classes,))
 

@@ -1,7 +1,8 @@
-"""Closed-form stochastic distances between Wishart laws sharing a looks value.
+"""Closed-form stochastic distances between scaled complex Wishart laws.
 
-The pairwise references of ``classify.distance_stack``, which does all the
-scoring.  They broadcast over leading axes of either argument and are
+``_score`` holds each kind's formula once, on packed ``(..., 9)`` arrays:
+``classify.distance_stack`` calls it per class column, ``wishart.log_density``
+negates its ML score, and the pairwise functions wrap it.  The distances are
 symmetric, nonnegative, and zero iff the covariances coincide (they are not
 metrics: no triangle inequality is claimed).
 """
@@ -9,49 +10,97 @@ metrics: no triangle inequality is claimed).
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import hermitian as hm
+from .errors import InvalidLooks, InvalidObservation, SingularMatrix
 
 
-def kl_distance(s1, s2, looks: float) -> np.ndarray | float:
-    """Symmetrized Kullback-Leibler distance.
-
-    looks * [ (tr(s1^-1 s2) + tr(s2^-1 s1)) / 2 - 3 ], clamped at 0 to kill
-    round-off on coincident arguments.
-    """
-    t = 0.5 * (hm.trace_product(hm.inv3(s1), s2) + hm.trace_product(hm.inv3(s2), s1)) - 3.0
-    out = np.maximum(looks * np.asarray(t), 0.0)
+def log_gamma3(looks) -> np.ndarray | float:
+    """log Gamma_3(looks) = 3 log pi + sum_{i=0}^{2} log Gamma(looks - i)."""
+    looks = np.asarray(looks, dtype=np.float64)
+    if np.any(looks < 3):
+        raise InvalidLooks("log_gamma3 requires looks >= 3")
+    out = 3.0 * np.log(np.pi) + gammaln(looks) + gammaln(looks - 1.0) + gammaln(looks - 2.0)
     return out if out.ndim else float(out)
 
 
-def _log_mean_ratio(s1, s2) -> np.ndarray:
-    """log of |harmonic mean of (s1, s2)| / sqrt(|s1| |s2|), clipped at 0.
+def _features(x, kind: str, check_pd: bool = False) -> tuple:
+    """(x, inverse, log|x|) of packed pixels x, each part None unless kind's
+    score reads it.  Raises SingularMatrix for a non-finite entry (or a
+    singular x, where the inverse is read), and with check_pd InvalidObservation
+    for a KL, HD or BD argument that is not positive definite."""
+    inv = det = log_det = None
+    if kind in ("KL", "HD", "BD"):
+        inv, det = hm.inv_packed(x)  # tests the entries itself
+        # the leading minors: x11, det * inv33 (the 2x2 one) and det
+        if check_pd and not np.all((x[..., 0] > 0) & (det > 0) & (inv[..., 2] > 0)):
+            raise InvalidObservation("matrix is not positive definite")
+    elif not np.all(np.isfinite(x)):
+        raise SingularMatrix("non-finite matrix entry")
+    elif kind == "ML":
+        det = hm.det_packed(x)
+    if kind in ("HD", "BD", "ML"):
+        log_det = np.log(det)
+    return x, inv, log_det
 
-    The determinant of the harmonic mean never exceeds the geometric mean of
-    the determinants, so the true value is <= 0; the clip removes round-off.
+
+def _score(kind: str, x: tuple, p: tuple, looks: float) -> np.ndarray:
+    """Lower-is-better score of pixels x against prototype p, each given as
+    (packed, inverse, log-det) features; the two broadcast.  With L looks:
+
+    KL: L [(tr(X^-1 P) + tr(P^-1 X)) / 2 - 3], clamped at 0 against round-off.
+    HD: 1 - r^L and BD: -L log r, r = |((X^-1 + P^-1)/2)^-1| / sqrt(|X| |P|)
+    <= 1, with log r clipped at 0.  ED: the Frobenius norm of X - P.  ML: the
+    negative Wishart log-density of X under P,
+    -[3 L log L + (L - 3) log|X| - L log|P| - log Gamma_3(L) - L tr(P^-1 X)].
     """
-    inv_mean = 0.5 * (hm.inv3(s1) + hm.inv3(s2))
-    r = (-np.log(np.asarray(hm.det3(inv_mean)))
-         - 0.5 * (np.log(np.asarray(hm.det3(s1))) + np.log(np.asarray(hm.det3(s2)))))
-    return np.minimum(r, 0.0)
+    x, x_inv, x_log_det = x
+    p, p_inv, p_log_det = p
+    if kind == "KL":
+        t = 0.5 * (hm.trace_product_packed(x_inv, p) + hm.trace_product_packed(x, p_inv)) - 3.0
+        return np.maximum(looks * t, 0.0)
+    if kind == "ED":
+        diff = x[..., 0] - p[..., 0]
+        sq = diff * diff
+        for k in range(1, 9):
+            diff = x[..., k] - p[..., k]
+            sq += hm.TRACE_WEIGHTS[k] * diff * diff
+        return np.sqrt(sq)
+    if kind == "ML":
+        log_norm = 3.0 * looks * np.log(looks) - looks * p_log_det - log_gamma3(looks)
+        return looks * hm.trace_product_packed(x, p_inv) - (looks - 3.0) * x_log_det - log_norm
+    r = np.minimum(-np.log(hm.det_packed(0.5 * (x_inv + p_inv)))
+                   - 0.5 * (x_log_det + p_log_det), 0.0)
+    return -np.expm1(looks * r) if kind == "HD" else -looks * r
+
+
+def _pairwise(kind: str, s1, s2, looks: float) -> np.ndarray | float:
+    """kind's distance between complex (..., 3, 3) matrices that broadcast."""
+    if not (looks > 0 and np.isfinite(looks)):  # NaN fails the first test
+        raise InvalidLooks(f"looks must be finite and > 0, got {looks}")
+    # both arguments in one array, so their features take one kernel call
+    both = _features(hm.to_packed(np.stack(np.broadcast_arrays(s1, s2))), kind, check_pd=True)
+    x, p = ([None if f is None else f[i] for f in both] for i in (0, 1))
+    out = _score(kind, x, p, looks)
+    return out if np.ndim(out) else float(out)
+
+
+def kl_distance(s1, s2, looks: float) -> np.ndarray | float:
+    """Symmetrized Kullback-Leibler distance."""
+    return _pairwise("KL", s1, s2, looks)
 
 
 def hellinger_distance(s1, s2, looks: float) -> np.ndarray | float:
-    """Hellinger distance in [0, 1).
-
-    1 - [ |((s1^-1 + s2^-1)/2)^-1| / sqrt(|s1| |s2|) ]^looks.
-    """
-    out = -np.expm1(looks * _log_mean_ratio(s1, s2))
-    return out if np.ndim(out) else float(out)
+    """Hellinger distance in [0, 1)."""
+    return _pairwise("HD", s1, s2, looks)
 
 
 def bhattacharyya_distance(s1, s2, looks: float) -> np.ndarray | float:
     """-log(1 - hellinger); computed from log-determinants so large looks are safe."""
-    out = -looks * _log_mean_ratio(s1, s2)
-    return out if out.ndim else float(out)
+    return _pairwise("BD", s1, s2, looks)
 
 
 def euclidean_distance(s1, s2) -> np.ndarray | float:
     """Frobenius norm of the difference (the non-stochastic baseline)."""
-    return hm.frobenius_distance(s1, s2)
-
+    return _pairwise("ED", s1, s2, 1.0)

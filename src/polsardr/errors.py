@@ -18,7 +18,7 @@ class InvalidObservation(PolsarError):
 
 
 class InvalidLooks(PolsarError):
-    """Number of looks outside the valid domain (>= 3, integer where sampling requires it)."""
+    """Number of looks outside its domain: > 0 (distances), >= 3 (models), integer (sampling)."""
 
 
 class EmptySample(PolsarError):

@@ -1,11 +1,11 @@
 """Closed-form linear algebra for 3x3 Hermitian matrices.
 
-Covariance images are packed ``(..., 9)`` float64 arrays (see TRACE_WEIGHTS)
-and the ``*_packed`` kernels and ``is_positive_definite`` work on them.  The
-complex ``(..., 3, 3)`` kernels serve prototypes, training samples, ``wishart``
-and the pairwise ``distances``.  All functions broadcast and are pure; the
-packed kernels score exactly the pixels they are given (callers split whole
-fields with ``fields.row_blocks``).
+Covariance images are packed ``(..., 9)`` float64 arrays (see TRACE_WEIGHTS);
+the ``*_packed`` kernels and ``is_positive_definite`` work on them, and the
+formulas of ``distances`` are written on those kernels.  The complex
+``(..., 3, 3)`` helpers serve prototype estimates (``det3``), the Wishart
+sampler (``cholesky3``) and packing.  All functions broadcast and are pure;
+the packed kernels score exactly the pixels they are given.
 """
 
 from __future__ import annotations
@@ -67,29 +67,6 @@ def det3(m) -> np.ndarray | float:
     return det if det.ndim else float(det)
 
 
-def inv3(m) -> np.ndarray:
-    """Cofactor inverse; Hermitian in, Hermitian out.
-
-    Raises SingularMatrix unless every entry is finite and every |det| >= DET_TOL.
-    """
-    a, d, f, b, c, e = _entries(m)
-    det = _checked_det(m, det3)
-    return assemble(
-        (d * f - np.abs(e) ** 2) / det,
-        (a * f - np.abs(c) ** 2) / det,
-        (a * d - np.abs(b) ** 2) / det,
-        (c * np.conj(e) - b * f) / det,
-        (b * e - c * d) / det,
-        (c * np.conj(b) - a * e) / det,
-    )
-
-
-def trace_product(a, b) -> np.ndarray | float:
-    """tr(a @ b) for Hermitian a, b (real-valued): sum_ij a_ij * conj(b_ij)."""
-    t = np.einsum("...ij,...ij->...", np.asarray(a), np.conj(np.asarray(b))).real
-    return t if t.ndim else float(t)
-
-
 def cholesky3(m) -> np.ndarray:
     """Lower-triangular factor A with A @ A^H = m.
 
@@ -125,11 +102,6 @@ def cholesky3(m) -> np.ndarray:
     return out
 
 
-def frobenius_distance(a, b) -> np.ndarray | float:
-    d = np.sqrt(np.sum(np.abs(np.asarray(a) - np.asarray(b)) ** 2, axis=(-2, -1)))
-    return d if d.ndim else float(d)
-
-
 # Packed layout shared with the binary image format:
 # [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
 # tr(a @ b) of Hermitian a, b is the dot product of their packed forms under
@@ -138,27 +110,14 @@ TRACE_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 
 
 def to_packed(m) -> np.ndarray:
-    a, d, f, b, c, e = _entries(m)
-    return np.stack([a, d, f, b.real, b.imag, c.real, c.imag, e.real, e.imag], axis=-1)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    floats = m.view(np.float64).reshape(m.shape[:-2] + (18,))  # the 18 floats of each matrix
+    return np.take(floats, [0, 8, 16, 2, 3, 4, 5, 10, 11], axis=-1)
 
 
 def from_packed(p) -> np.ndarray:
     a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
     return assemble(a, d, f, br + 1j * bi, cr + 1j * ci, er + 1j * ei)
-
-
-def _checked_det(m, det) -> np.ndarray:
-    """det(m), raising SingularMatrix unless every entry of m is finite and every |det| >= DET_TOL.
-
-    The entries are tested first, not only det: an infinite off-diagonal
-    entry can leave det finite or infinite and the inverse NaN.
-    """
-    if not np.all(np.isfinite(m)):
-        raise SingularMatrix("non-finite matrix entry")
-    d = np.asarray(det(m))
-    if not np.all(np.abs(d) >= DET_TOL):  # also False for a NaN det
-        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(d).min():.3e})")
-    return d
 
 
 def component_major(p) -> np.ndarray:
@@ -199,36 +158,40 @@ def det_packed(p) -> np.ndarray:
 def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
     """Packed cofactor inverse and determinant of packed Hermitian matrices.
 
-    Raises SingularMatrix under the same tests as inv3.  The packed kernels
-    read and write one entry at a time, so they run fastest on
-    component-major data (each entry contiguous); the inverse is returned in
-    that layout.
+    Raises SingularMatrix for a non-finite entry (tested first: an infinite
+    off-diagonal entry can leave det finite and the inverse NaN) and unless
+    every |det| >= DET_TOL.  The inverse is returned component-major (each
+    entry contiguous), the layout the packed kernels read fastest.
     """
     a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
-    det = _checked_det(p, det_packed)
-    inv = np.moveaxis(np.empty((9,) + np.shape(det)), 0, -1)
-    inv[..., 0] = d * f - (er * er + ei * ei)
-    inv[..., 1] = a * f - (cr * cr + ci * ci)
-    inv[..., 2] = a * d - (br * br + bi * bi)
-    inv[..., 3] = cr * er + ci * ei - br * f
-    inv[..., 4] = ci * er - cr * ei - bi * f
-    inv[..., 5] = br * er - bi * ei - cr * d
-    inv[..., 6] = br * ei + bi * er - ci * d
-    inv[..., 7] = cr * br + ci * bi - a * er
-    inv[..., 8] = ci * br - cr * bi - a * ei
-    inv /= det[..., None]
-    return inv, det
+    if not np.isfinite(p).all():
+        raise SingularMatrix("non-finite matrix entry")
+    det = np.asarray(det_packed(p))
+    if not (np.abs(det) >= DET_TOL).all():  # also False for a NaN det
+        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
+    inv = np.empty((9,) + det.shape)
+    inv[0] = d * f - (er * er + ei * ei)
+    inv[1] = a * f - (cr * cr + ci * ci)
+    inv[2] = a * d - (br * br + bi * bi)
+    inv[3] = cr * er + ci * ei - br * f
+    inv[4] = ci * er - cr * ei - bi * f
+    inv[5] = br * er - bi * ei - cr * d
+    inv[6] = br * ei + bi * er - ci * d
+    inv[7] = cr * br + ci * bi - a * er
+    inv[8] = ci * br - cr * bi - a * ei
+    inv /= det
+    return inv.transpose(*range(1, inv.ndim), 0), det
 
 
 def trace_product_packed(a, b) -> np.ndarray:
-    """tr(a @ b) for packed Hermitian a (..., 9) and one packed b (9,).
+    """tr(a @ b) for packed Hermitian a and b (..., 9), which broadcast.
 
     The terms are summed one entry at a time, so a pixel's value does not
     depend on the shape of the array it arrives in.
     """
     a = np.asarray(a, dtype=np.float64)
     wb = TRACE_WEIGHTS * np.asarray(b, dtype=np.float64)
-    t = a[..., 0] * wb[0]
+    t = a[..., 0] * wb[..., 0]
     for k in range(1, 9):
-        t += a[..., k] * wb[k]
+        t += a[..., k] * wb[..., k]
     return t

@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import hermitian as hm
+from .distances import _features, _score, log_gamma3  # noqa: F401 (log_gamma3 is public here too)
 from .errors import InvalidLooks, InvalidObservation
-
-LOG_PI = float(np.log(np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,27 +40,14 @@ class WishartModel:
         object.__setattr__(self, "looks", float(self.looks))
 
 
-def log_gamma3(looks) -> np.ndarray | float:
-    """log Gamma_3(looks) = 3 log pi + sum_{i=0}^{2} log Gamma(looks - i)."""
-    looks = np.asarray(looks, dtype=np.float64)
-    if np.any(looks < 3):
-        raise InvalidLooks("log_gamma3 requires looks >= 3")
-    out = 3.0 * LOG_PI + gammaln(looks) + gammaln(looks - 1.0) + gammaln(looks - 2.0)
-    return out if out.ndim else float(out)
-
-
 def log_density(model: WishartModel, z, validate: bool = True) -> np.ndarray | float:
-    """Log density of the scaled complex Wishart law at z (broadcasts over z)."""
-    z = np.asarray(z, dtype=np.complex128)
-    if validate and not np.all(hm.is_positive_definite(hm.to_packed(z))):
+    """Log density of the scaled complex Wishart law at z (broadcasts over z):
+    the negated ML score of ``distances``."""
+    x = hm.to_packed(z)
+    if validate and not np.all(hm.is_positive_definite(x)):
         raise InvalidObservation("observation matrix is not positive definite")
-    looks = model.looks
-    det_z = np.asarray(hm.det3(z))
-    out = (3.0 * looks * np.log(looks)
-           + (looks - 3.0) * np.log(det_z)
-           - looks * np.log(hm.det3(model.sigma))
-           - log_gamma3(looks)
-           - looks * hm.trace_product(hm.inv3(model.sigma), z))
+    p_inv, p_det = hm.inv_packed(hm.to_packed(model.sigma))  # ML reads no packed P
+    out = -_score("ML", _features(x, "ML"), (None, p_inv, np.log(p_det)), model.looks)
     return out if np.ndim(out) else float(out)
 
 

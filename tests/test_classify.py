@@ -19,6 +19,7 @@ from polsardr.errors import InvalidObservation, SingularMatrix
 from polsardr.fields import CovarianceField
 from polsardr.wishart import WishartModel, log_density, sample
 
+import oracle
 from conftest import make_hpd
 
 ID = np.eye(3, dtype=complex)
@@ -133,8 +134,7 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
 def test_ml_rule_matches_density_argmax(rng):
     protos = _protos(rng)
     pts = sample(WishartModel(protos.sigmas[2], 4), rng, size=30)
-    dens = np.stack([log_density(WishartModel(protos.sigmas[m], 4.0), pts,
-                                 validate=False) for m in range(3)], axis=-1)
+    dens = np.stack([oracle.log_density(pts, protos.sigmas[m], 4.0) for m in range(3)], axis=-1)
     got = classify_image(CovarianceField(hm.to_packed(pts)[None]), protos, "ML").labels[0] - 1
     np.testing.assert_array_equal(got, np.argmax(dens, axis=-1))
 
@@ -158,23 +158,13 @@ def test_unknown_rule_rejected(rng):
         distance_stack(hm.to_packed(make_hpd(rng)), _protos(rng), "XX")
 
 
-def _pairwise(kind, data, sigma, looks):
-    """The public pairwise reference of one distance_stack column."""
-    if kind == "ML":
-        return -log_density(WishartModel(sigma, looks), data, validate=False)
-    if kind == "ED":
-        return euclidean_distance(data, sigma)
-    pairwise = {"KL": kl_distance, "HD": hellinger_distance, "BD": bhattacharyya_distance}
-    return pairwise[kind](data, sigma, looks)
-
-
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
        use_class_looks=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_looks):
-    # the shared-feature kernel on packed pixels against the pairwise closed
-    # forms and the Wishart log-density, column by column, with pixels spread
-    # over [1e-3, 1e3] around the prototypes' scale
+    # the shared-feature kernel on packed pixels against the numpy.linalg
+    # oracle of each distance and of the Wishart log-density, column by
+    # column, with pixels spread over [1e-3, 1e3] around the prototypes' scale
     rng = np.random.default_rng(seed)
     m = 4
     sigmas = np.stack([make_hpd(rng, scale=10.0 ** log_scale) for _ in range(m)])
@@ -186,8 +176,8 @@ def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_lo
     for kind in STACK_KINDS:
         stack = distance_stack(x, protos, kind, use_class_looks)
         assert stack.shape == (3, 4, m)
-        pairwise = np.stack([_pairwise(kind, data, sigmas[k],
-                                       protos.looks_for(k, use_class_looks))
+        pairwise = np.stack([oracle.score(kind, data, sigmas[k],
+                                          protos.looks_for(k, use_class_looks))
                              for k in range(m)], axis=-1)
         if kind == "ML":
             # log-density terms of either sign cancel, so compare at the
@@ -200,6 +190,28 @@ def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_lo
         # a pixel's scores do not depend on the shape it arrives in
         flat = distance_stack(x.reshape(-1, 9), protos, kind, use_class_looks)
         np.testing.assert_array_equal(flat, stack.reshape(-1, m))
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0))
+@settings(max_examples=20, deadline=None)
+def test_pairwise_functions_equal_distance_stack_columns(seed, log_scale):
+    # the pairwise functions, log_density and distance_stack share each kind's
+    # formula, so at shared looks a column is the pairwise value bit for bit
+    rng = np.random.default_rng(seed)
+    protos = _protos(rng, m=3, shared_looks=rng.uniform(3.0, 20.0))
+    data = np.stack([make_hpd(rng, scale=10.0 ** (log_scale + rng.uniform(-1.0, 1.0)))
+                     for _ in range(12)]).reshape(3, 4, 3, 3)
+    looks = protos.shared_looks
+    pairwise = {"KL": lambda s: kl_distance(data, s, looks),
+                "HD": lambda s: hellinger_distance(data, s, looks),
+                "BD": lambda s: bhattacharyya_distance(data, s, looks),
+                "ED": lambda s: euclidean_distance(data, s),
+                "ML": lambda s: -log_density(WishartModel(s, looks), data)}
+    for kind in STACK_KINDS:
+        stack = distance_stack(hm.to_packed(data), protos, kind)
+        for m in range(protos.n_classes):
+            np.testing.assert_array_equal(stack[..., m], pairwise[kind](protos.sigmas[m]),
+                                          err_msg=kind)
 
 
 @pytest.mark.parametrize("kind", ["KL", "HD", "BD"])

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
+from polsardr.errors import InvalidLooks, InvalidObservation, SingularMatrix
 from polsardr.estimation import SampleStats
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
+import oracle
 from conftest import make_hpd
 
 ID = np.eye(3, dtype=complex)
 ALL = (kl_distance, hellinger_distance, bhattacharyya_distance)
+ORACLE = {kl_distance: oracle.kl, hellinger_distance: oracle.hd, bhattacharyya_distance: oracle.bd}
 
 
 def test_kl_simple_cases(rng):
@@ -68,9 +71,66 @@ def test_bhattacharyya_is_log_transform_of_hellinger(rng):
     assert bhattacharyya_distance(a, b, 4.0) == pytest.approx(-np.log1p(-dh), rel=1e-12)
 
 
+def test_euclidean_simple_cases():
+    assert euclidean_distance(ID, ID) == 0.0
+    assert euclidean_distance(ID, 2 * ID) == pytest.approx(np.sqrt(3.0), rel=1e-15)
+
+
 def test_euclidean_delegates_to_frobenius(rng):
+    # ED is the Frobenius norm of the difference (indefinite pairs: test_hermitian)
     a, b = make_hpd(rng), make_hpd(rng)
-    assert euclidean_distance(a, b) == hm.frobenius_distance(a, b)
+    assert euclidean_distance(a, b) == pytest.approx(oracle.ed(a, b), rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), looks=st.sampled_from([1.0, 2.5, 4.0, 13.0]),
+       log_scale=st.floats(-3.0, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_pairwise_distances_match_oracle(seed, looks, log_scale):
+    # any looks > 0 (criterion 1 evaluates Hellinger at one look)
+    rng = np.random.default_rng(seed)
+    a = make_hpd(rng, scale=10.0 ** log_scale)
+    b = make_hpd(rng, scale=10.0 ** (log_scale + rng.uniform(-1.0, 1.0)))
+    for d in ALL:
+        assert d(a, b, looks) == pytest.approx(ORACLE[d](a, b, looks), rel=1e-10)
+
+
+@pytest.mark.parametrize("looks", [-4.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_pairwise_rejects_invalid_looks(looks):
+    for d in ALL:
+        with pytest.raises(InvalidLooks):
+            d(ID, 2 * ID, looks)
+    assert hellinger_distance(ID, 2 * ID, 1.0) > 0  # one look is valid
+
+
+@pytest.mark.parametrize("bad", [(1, -1, 1), (-1, -1, 1), (1, -1, -1), (-1, -1, -1), (1, 1, -2)])
+def test_pairwise_rejects_non_positive_definite_arguments(bad):
+    m = np.diag(np.asarray(bad, dtype=complex))
+    for d in ALL:
+        for args in ((m, ID), (ID, m), (m, m)):
+            with pytest.raises(InvalidObservation, match="positive definite"):
+                d(*args, 4.0)
+    assert euclidean_distance(m, ID) == pytest.approx(oracle.ed(m, ID), rel=1e-15)
+
+
+def test_pairwise_rejects_an_indefinite_matrix_in_a_stack(rng):
+    stack = np.stack([make_hpd(rng) for _ in range(5)])
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    stack[3] = (q * np.array([2.0, -1e-3, 1.0])) @ q.conj().T  # det < 0, diagonal may be > 0
+    assert not oracle.is_positive_definite(stack[3])
+    for d in ALL:
+        with pytest.raises(InvalidObservation):
+            d(stack, ID, 4.0)
+    np.testing.assert_allclose(euclidean_distance(stack, ID), oracle.ed(stack, ID), rtol=1e-12)
+
+
+def test_pairwise_rejects_non_finite_arguments():
+    m = ID.copy()
+    m[0, 0] = np.nan
+    for d in ALL:
+        with pytest.raises(SingularMatrix, match="non-finite"):
+            d(m, ID, 4.0)
+    with pytest.raises(SingularMatrix, match="non-finite"):
+        euclidean_distance(ID, m)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -121,7 +181,8 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
 def test_broadcasting(rng):
     field = np.stack([make_hpd(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
     ref = make_hpd(rng)
-    for d in ALL:
+    for d in ALL + (lambda a, b, _: euclidean_distance(a, b),):
         stack = d(field, ref, 4.0)
         assert stack.shape == (2, 3)
         assert stack[1, 2] == pytest.approx(d(field[1, 2], ref, 4.0), rel=1e-12)
+        assert d(ref, field, 4.0).shape == (2, 3)

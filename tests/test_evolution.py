@@ -18,6 +18,7 @@ from polsardr.fields import CovarianceField
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
+import oracle
 from conftest import make_hpd
 
 ID = np.eye(3, dtype=complex)
@@ -158,8 +159,7 @@ def test_reaction_single_pixel_monotone_approach(rng):
         field = reaction_step(field, protos, dt=0.01)
         cur = int(np.argmin(distance_stack(field.data, protos, "KL", weighted=True)[0, 0]))
         assert cur == label
-        dists.append(float(hm.frobenius_distance(hm.from_packed(field.data[0, 0]),
-                                                 protos.sigmas[label])))
+        dists.append(float(oracle.ed(hm.from_packed(field.data[0, 0]), protos.sigmas[label])))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 

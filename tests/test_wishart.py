@@ -9,6 +9,7 @@ from polsardr import hermitian as hm
 from polsardr.errors import InvalidLooks, InvalidObservation
 from polsardr.wishart import WishartModel, log_density, log_gamma3, sample
 
+import oracle
 from conftest import make_hermitian, make_hpd
 
 ID = np.eye(3, dtype=complex)
@@ -60,6 +61,16 @@ def test_log_density_mode(rng):
         assert log_density(WishartModel(sigma, looks), z) < peak
 
 
+def test_log_density_matches_oracle(rng):
+    for looks in (3.0, 4.0, 7.5, 40.0):
+        sigma = make_hpd(rng, scale=rng.uniform(0.1, 10.0))
+        z = sample(WishartModel(sigma, 4), rng, size=(2, 5))
+        np.testing.assert_allclose(log_density(WishartModel(sigma, looks), z),
+                                   oracle.log_density(z, sigma, looks), rtol=1e-10)
+        assert log_density(WishartModel(sigma, looks), z[0, 0]) == pytest.approx(
+            oracle.log_density(z[0, 0], sigma, looks), rel=1e-10)
+
+
 def test_log_density_rejects_non_pd():
     with pytest.raises(InvalidObservation):
         log_density(WishartModel(ID, 4), np.diag([1.0, 1.0, -1.0]).astype(complex))
@@ -100,7 +111,7 @@ def test_sample_whitened_trace():
     rng = np.random.default_rng(7)
     sigma = make_hpd(rng)
     z = sample(WishartModel(sigma, 4), rng, size=8000)
-    t = hm.trace_product(hm.inv3(sigma), z)
+    t = oracle.trace_product(oracle.inv(sigma), z)
     assert t.mean() == pytest.approx(3.0, abs=5 * t.std() / np.sqrt(t.size))
 
 
