@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hermitian as hm
 from .distances import _features, _score
-from .errors import InvalidObservation
+from .errors import InvalidLooks, InvalidObservation
 from .fields import ClassMap, CovarianceField, row_blocks
 
 logger = logging.getLogger(__name__)
@@ -31,8 +31,13 @@ MAX_CLASSES = 255  # labels are uint8 and 0 is the no-data sentinel
 class PrototypeSet:
     """Class prototypes, simplex weights, and the shared looks value.
 
-    ``class_looks`` optionally carries per-class (bias-corrected) looks
-    estimates; rules use the shared value unless asked otherwise.
+    ``sigmas`` are the class covariances, packed (M, 9) float64 like
+    ``CovarianceField.data``.  They are checked and inverted once, when the
+    set is built, and not modified after construction (a read-only copy that
+    cannot be reassigned), so every ``distance_stack`` reuses their inverse
+    and log-det.  ``class_looks`` optionally carries per-class bias-corrected
+    looks; rules use the shared value unless asked otherwise.  Every looks
+    value must be finite and >= 3.
     """
 
     sigmas: np.ndarray
@@ -41,30 +46,40 @@ class PrototypeSet:
     class_looks: np.ndarray | None = None
 
     def __post_init__(self):
-        self.sigmas = hm.hermitian_part(np.asarray(self.sigmas, dtype=np.complex128))
-        if self.sigmas.ndim != 3 or self.sigmas.shape[1:] != (3, 3):
-            raise ValueError(f"expected (M, 3, 3) prototypes, got {self.sigmas.shape}")
-        m = self.sigmas.shape[0]
+        sigmas = np.asarray(self.sigmas)
+        if np.iscomplexobj(sigmas) or sigmas.ndim != 2 or sigmas.shape[1] != 9:
+            raise ValueError(f"expected packed (M, 9) prototypes, got {sigmas.shape}")
+        m = sigmas.shape[0]
         if m < 2:
             raise ValueError(f"need at least 2 classes, got {m}")
         if m > MAX_CLASSES:
             raise ValueError(f"at most {MAX_CLASSES} classes fit the uint8 labels "
                              f"(0 marks no-data), got {m}")
-        if not np.all(hm.is_positive_definite(hm.to_packed(self.sigmas))):
+        self.sigmas = np.array(sigmas, dtype=np.float64)
+        self.sigmas.flags.writeable = False
+        if not np.all(hm.is_positive_definite(self.sigmas)):
             raise InvalidObservation("every prototype must be positive definite")
-        if self.shared_looks < 3:
-            raise ValueError(f"shared looks must be >= 3, got {self.shared_looks}")
+        inverse, det = hm.inv_packed(self.sigmas)  # raises SingularMatrix
+        self._inverse, self._log_det = inverse, np.log(det)
         if self.weights is None:
             self.weights = np.full(m, 1.0 / m)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != (m,):
             raise ValueError(f"weights shape {self.weights.shape} != ({m},)")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > SIMPLEX_TOL:
+        if not (np.all(self.weights >= 0) and abs(self.weights.sum() - 1.0) <= SIMPLEX_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.class_looks is not None:
             self.class_looks = np.asarray(self.class_looks, dtype=np.float64)
             if self.class_looks.shape != (m,):
                 raise ValueError("class_looks must have one entry per class")
+        looks = np.append(self.shared_looks, [] if self.class_looks is None else self.class_looks)
+        if not np.all(np.isfinite(looks) & (looks >= 3)):  # NaN fails both
+            raise InvalidLooks(f"looks must be finite and >= 3, got {looks}")
+
+    def __setattr__(self, name, value):
+        if name == "sigmas" and hasattr(self, "_inverse"):  # the inverse is theirs
+            raise AttributeError("the sigmas of a PrototypeSet are fixed when it is built")
+        super().__setattr__(name, value)
 
     @property
     def n_classes(self) -> int:
@@ -83,24 +98,25 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     One column per class on a trailing axis: the KL, HD, BD or ED distance,
     or for "ML" the negative Wishart log-density, from the one formula of each
     kind in ``distances``.  The pixel features are computed once per call,
-    whatever the number of classes.  Every operation is elementwise over the
-    pixels given, so a pixel's scores do not depend on the shape of the array
-    it arrives in; callers split whole fields with ``fields.row_blocks``, and
-    no threads are started here.  Any kind raises SingularMatrix for a
-    non-finite pixel entry.  With ``weighted`` each column is scaled by the
-    class weight, which is the quantity the weighted argmin rule and the
-    reaction term minimize.
+    whatever the number of classes; the prototypes' were computed when the set
+    was built.  Every operation is elementwise over the pixels given, so a
+    pixel's scores do not depend on the shape of the array it arrives in;
+    callers split whole fields with ``fields.row_blocks``, and no threads are
+    started here.  Any kind raises SingularMatrix for a non-finite pixel
+    entry, and every kind but ED InvalidObservation for a pixel that is not
+    positive definite (ED scores it, so ``render_rgb`` colours no-data
+    pixels).  With ``weighted`` each column is scaled by the class weight,
+    which is the quantity the weighted argmin rule and the reaction term
+    minimize.
     """
     if kind not in STACK_KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
     shape = np.shape(x)[:-1]
     x = hm.component_major(x)
     pixels = _features(x, kind)
-    protos_packed = hm.to_packed(protos.sigmas)
-    p_inv, p_det = hm.inv_packed(protos_packed)
     out = np.empty((x.shape[0], protos.n_classes))
     for m in range(protos.n_classes):
-        proto = (protos_packed[m], p_inv[m], np.log(p_det[m]))
+        proto = (protos.sigmas[m], protos._inverse[m], protos._log_det[m])
         col = _score(kind, pixels, proto, protos.looks_for(m, use_class_looks))
         out[:, m] = protos.weights[m] * col if weighted else col
     return out.reshape(shape + (protos.n_classes,))

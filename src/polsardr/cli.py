@@ -187,26 +187,9 @@ class ExperimentConfig:
 
 # --- shared helpers -----------------------------------------------------------
 
-def _paths(base) -> tuple[str, str]:
-    return f"{base}.hdr", f"{base}.dat"
-
-
-def _load_image(base) -> CovarianceField:
-    return dataio.read_covariance_image(*_paths(base))
-
-
-def _save_image(field, base) -> None:
-    dataio.write_covariance_image(field, *_paths(base))
-
-
-def _gather(field: CovarianceField, coords: np.ndarray) -> np.ndarray:
-    """Packed (n, 9) pixels at the (y, x) coords."""
-    return field.data[coords[:, 0], coords[:, 1]]
-
-
 def _save_classmap(cmap: ClassMap, base, n_classes: int | None = None) -> None:
     """Write <base>.hdr/.dat and render <base>.ppm."""
-    dataio.write_classmap(cmap, *_paths(base))
+    dataio.write_classmap(cmap, base)
     dataio.render_classmap(cmap, f"{base}.ppm", n_classes=n_classes)
 
 
@@ -219,17 +202,18 @@ def read_split(roi_path, seed: int, field: CovarianceField | None = None) -> Spl
 def train_prototypes(field: CovarianceField, split: Split, looks=None) -> PrototypeSet:
     """Per-class covariance and bias-corrected looks from the train pixels; the
     shared looks are ``looks`` if given, else the field's (its header's), else 4."""
-    stats = [SampleStats.from_sample(hm.from_packed(_gather(field, split.train[cls])))
+    stats = [SampleStats.from_sample(hm.from_packed(field.data[tuple(split.train[cls].T)]))
              for cls in split.classes]
     shared = float(looks) if looks is not None else (field.looks or 4.0)
-    return PrototypeSet(sigmas=np.stack([s.mean for s in stats]), shared_looks=shared,
+    return PrototypeSet(sigmas=hm.to_packed(np.stack([s.mean for s in stats])),
+                        shared_looks=shared,
                         class_looks=np.array([estimate_looks_corrected(s) for s in stats]))
 
 
 def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,
                 kind: str = "KL", lam: float = 1.0) -> WeightResult:
     """Optimize the class weights on the train pixels and store them in ``protos``."""
-    train = TrainingSet(protos, [_gather(field, split.train[cls]) for cls in split.classes])
+    train = TrainingSet(protos, [field.data[tuple(split.train[cls].T)] for cls in split.classes])
     result = optimize_weights(train, kind=kind, lam=lam)
     protos.weights = result.weights
     return result
@@ -244,9 +228,9 @@ def cmd_simulate(args) -> int:
         spec = PhantomSpec(width=args.width, height=args.height,
                            looks=args.looks, seed=args.seed)
     field, truth = generate_phantom(spec)
-    _save_image(field, args.out)
+    dataio.write_covariance_image(field, args.out)
     truth_base = args.truth or f"{args.out}_truth"
-    dataio.write_classmap(truth, *_paths(truth_base))
+    dataio.write_classmap(truth, truth_base)
     roi_path = args.roi or f"{args.out}_roi.txt"
     dataio.write_roi(inscribed_rois(truth), roi_path)
     print(f"simulated {spec.width}x{spec.height} phantom with {spec.n_classes} classes "
@@ -255,7 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    field = _load_image(args.image)
+    field = dataio.read_covariance_image(args.image)
     protos = train_prototypes(field, read_split(args.roi, args.seed, field), args.looks)
     dataio.write_model(protos, args.out)
     looks_str = " ".join(f"{v:.3f}" for v in protos.class_looks)
@@ -265,7 +249,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    field = _load_image(args.image)
+    field = dataio.read_covariance_image(args.image)
     protos = dataio.read_model(args.model)
     result = fit_weights(field, read_split(args.roi, args.seed, field), protos,
                          kind=args.distance, lam=args.lam)
@@ -279,20 +263,20 @@ def cmd_weights(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    field = _load_image(args.image)
+    field = dataio.read_covariance_image(args.image)
     protos = dataio.read_model(args.model)
     cmap = classify_image(field, protos, args.rule, use_class_looks=args.use_class_looks)
-    dataio.write_classmap(cmap, *_paths(args.out))
+    dataio.write_classmap(cmap, args.out)
     print(f"classified with rule {args.rule} -> {args.out}.hdr/.dat")
     return 0
 
 
 def cmd_evolve(args) -> int:
-    field = _load_image(args.image)
+    field = dataio.read_covariance_image(args.image)
     protos = dataio.read_model(args.model)
     params = EvolutionParams(alpha=args.alpha, dt=args.dt, iterations=args.iters)
     out_field, metrics = evolve(field, protos, params, kind=args.distance)
-    _save_image(out_field, args.out)
+    dataio.write_covariance_image(out_field, args.out)
     if args.metrics:
         metrics.write_csv(args.metrics)
     print(f"evolved {args.iters} iterations (alpha={args.alpha}, dt={args.dt}) "
@@ -306,7 +290,7 @@ def cmd_evaluate(args) -> int:
         if "=" not in item:
             raise ValueError(f"--pred wants NAME=BASE, got {item!r}")
         name, base = item.split("=", 1)
-        preds.append((name, dataio.read_classmap(*_paths(base))))
+        preds.append((name, dataio.read_classmap(base)))
     split = read_split(args.roi, args.seed)
     reports = [accuracy_report(name, cmap, split) for name, cmap in preds]
     if args.improvements:
@@ -334,10 +318,10 @@ def cmd_render(args) -> int:
     if args.image and not args.model:
         raise ValueError("--image needs --model")
     if args.classmap:
-        cmap = dataio.read_classmap(*_paths(args.classmap))
+        cmap = dataio.read_classmap(args.classmap)
         dataio.render_classmap(cmap, args.out, n_classes=args.classes)
     else:
-        field = _load_image(args.image)
+        field = dataio.read_covariance_image(args.image)
         protos = dataio.read_model(args.model)
         dataio.render_rgb(field, protos, args.out)
     print(f"rendered -> {args.out}")
@@ -374,7 +358,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     seconds: dict[str, float] = {}
     with _stage("simulate", seconds):
         if config.image:
-            field = _load_image(config.image)
+            field = dataio.read_covariance_image(config.image)
             if config.roi is None:
                 raise ValueError("a roi file is required when classifying a loaded image")
             roi_path = config.roi
@@ -386,7 +370,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                                    looks=4 if config.looks is None else config.looks,
                                    seed=config.phantom_seed)
             field, truth = generate_phantom(spec)
-            _save_image(field, outdir / "image")
+            dataio.write_covariance_image(field, outdir / "image")
             _save_classmap(truth, outdir / "truth")
             roi_path = config.roi or outdir / "roi.txt"
             if config.roi is None:
@@ -419,7 +403,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
         cmap = classify_image(evolved, protos, f"{config.distance}+OW",
                               use_class_looks=config.use_class_looks)
     with _stage("write DR", seconds):
-        _save_image(evolved, outdir / "evolved")
+        dataio.write_covariance_image(evolved, outdir / "evolved")
         metrics.write_csv(outdir / "metrics.csv")
         _save_classmap(cmap, outdir / "classmap_DR", protos.n_classes)
         dataio.render_rgb(evolved, protos, outdir / "evolved.ppm")

@@ -3,7 +3,8 @@
 Covariance image = a plain-text header plus a raw little-endian binary file,
 row-major, nine values per pixel in the order
 [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23].
-Class maps reuse the header convention with single-byte labels.
+Class maps reuse the header convention with single-byte labels.  Both are
+read and written from a base path, as ``<base>.hdr`` and ``<base>.dat``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import warnings
 
 import numpy as np
 
-from . import hermitian as hm
 from .classify import PrototypeSet, distance_stack
 from .errors import (MalformedHeader, MalformedRoi, NonPositiveDefinitePixelWarning,
                      OutOfBounds, SizeMismatch)
@@ -71,16 +71,16 @@ def _read_header(path):
     return width, height, dtype, looks
 
 
-def write_covariance_image(field: CovarianceField, header_path, data_path,
-                           dtype: str = "f64") -> None:
+def write_covariance_image(field: CovarianceField, base, dtype: str = "f64") -> None:
     if dtype not in ("f32", "f64"):
         raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")
-    _write_header(header_path, field.width, field.height, dtype, looks=field.looks)
-    field.data.astype(_DTYPES[dtype], copy=False).tofile(data_path)
+    _write_header(f"{base}.hdr", field.width, field.height, dtype, looks=field.looks)
+    field.data.astype(_DTYPES[dtype], copy=False).tofile(f"{base}.dat")
 
 
-def read_covariance_image(header_path, data_path) -> CovarianceField:
-    """Load an image; non-PD pixels trigger a warning carrying their coordinates."""
+def read_covariance_image(base) -> CovarianceField:
+    """Load an image; non-PD pixels trigger a warning with their count."""
+    header_path, data_path = f"{base}.hdr", f"{base}.dat"
     width, height, dtype, looks = _read_header(header_path)
     if dtype == "u8":
         raise MalformedHeader(f"{header_path}: covariance images need f32 or f64 data")
@@ -92,17 +92,17 @@ def read_covariance_image(header_path, data_path) -> CovarianceField:
                             looks=looks)
     bad = np.argwhere(~field.pd_mask)
     if bad.size:
-        warnings.warn(NonPositiveDefinitePixelWarning(
-            [(int(y), int(x)) for y, x in bad], (height, width)))
+        warnings.warn(NonPositiveDefinitePixelWarning(bad.shape[0], bad[:5], (height, width)))
     return field
 
 
-def write_classmap(cmap: ClassMap, header_path, data_path) -> None:
-    _write_header(header_path, cmap.width, cmap.height, "u8")
-    cmap.labels.astype("|u1").tofile(data_path)
+def write_classmap(cmap: ClassMap, base) -> None:
+    _write_header(f"{base}.hdr", cmap.width, cmap.height, "u8")
+    cmap.labels.astype("|u1").tofile(f"{base}.dat")
 
 
-def read_classmap(header_path, data_path) -> ClassMap:
+def read_classmap(base) -> ClassMap:
+    header_path, data_path = f"{base}.hdr", f"{base}.dat"
     width, height, dtype, _ = _read_header(header_path)
     if dtype != "u8":
         raise MalformedHeader(f"{header_path}: class maps need u8 data, got {dtype}")
@@ -166,12 +166,11 @@ def write_model(protos: PrototypeSet, path) -> None:
     """Plain-text model file: shared looks, optional weights, per-class blocks."""
     lines = [f"classes: {protos.n_classes}", f"shared_looks: {float(protos.shared_looks)!r}"]
     lines.append("weights: " + " ".join(repr(float(w)) for w in protos.weights))
-    packed = hm.to_packed(protos.sigmas)
     for m in range(protos.n_classes):
         lines.append(f"class: {m + 1}")
         looks_m = protos.class_looks[m] if protos.class_looks is not None else protos.shared_looks
         lines.append(f"looks: {float(looks_m)!r}")
-        lines.append("cov: " + " ".join(repr(float(v)) for v in packed[m]))
+        lines.append("cov: " + " ".join(repr(float(v)) for v in protos.sigmas[m]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -203,9 +202,9 @@ def read_model(path) -> PrototypeSet:
             raise MalformedHeader(f"{path}:{lineno}: {exc}") from exc
     if n_classes is None or shared is None or set(covs) != set(range(1, n_classes + 1)):
         raise MalformedHeader(f"{path}: incomplete model file")
-    sigmas = hm.from_packed(np.stack([covs[m] for m in range(1, n_classes + 1)]))
     class_looks = np.array([looks.get(m, shared) for m in range(1, n_classes + 1)])
-    return PrototypeSet(sigmas=sigmas, shared_looks=shared, weights=weights,
+    return PrototypeSet(sigmas=np.stack([covs[m] for m in range(1, n_classes + 1)]),
+                        shared_looks=shared, weights=weights,
                         class_looks=class_looks)
 
 

@@ -25,23 +25,25 @@ def log_gamma3(looks) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _features(x, kind: str, check_pd: bool = False) -> tuple:
+def _features(x, kind: str) -> tuple:
     """(x, inverse, log|x|) of packed pixels x, each part None unless kind's
     score reads it.  Raises SingularMatrix for a non-finite entry (or a
-    singular x, where the inverse is read), and with check_pd InvalidObservation
-    for a KL, HD or BD argument that is not positive definite."""
-    inv = det = log_det = None
+    singular x, where the inverse is read), and InvalidObservation for a KL,
+    HD, BD or ML argument that ``hermitian.is_positive_definite`` rejects; ED
+    scores any finite x."""
+    inv = log_det = None
     if kind in ("KL", "HD", "BD"):
         inv, det = hm.inv_packed(x)  # tests the entries itself
-        # the leading minors: x11, det * inv33 (the 2x2 one) and det
-        if check_pd and not np.all((x[..., 0] > 0) & (det > 0) & (inv[..., 2] > 0)):
-            raise InvalidObservation("matrix is not positive definite")
     elif not np.all(np.isfinite(x)):
         raise SingularMatrix("non-finite matrix entry")
     elif kind == "ML":
         det = hm.det_packed(x)
-    if kind in ("HD", "BD", "ML"):
-        log_det = np.log(det)
+    if kind != "ED":  # inv33 is the 2x2 leading minor over det, NaN after an overflow
+        fast = inv is not None and np.all((x[..., 0] > 0) & (det > 0) & (inv[..., 2] > 0))
+        if not (fast or np.all(hm.is_positive_definite(x))):  # the PD test decides
+            raise InvalidObservation("matrix is not positive definite")
+        if kind != "KL":
+            log_det = np.log(det)
     return x, inv, log_det
 
 
@@ -80,7 +82,7 @@ def _pairwise(kind: str, s1, s2, looks: float) -> np.ndarray | float:
     if not (looks > 0 and np.isfinite(looks)):  # NaN fails the first test
         raise InvalidLooks(f"looks must be finite and > 0, got {looks}")
     # both arguments in one array, so their features take one kernel call
-    both = _features(hm.to_packed(np.stack(np.broadcast_arrays(s1, s2))), kind, check_pd=True)
+    both = _features(hm.to_packed(np.stack(np.broadcast_arrays(s1, s2))), kind)
     x, p = ([None if f is None else f[i] for f in both] for i in (0, 1))
     out = _score(kind, x, p, looks)
     return out if np.ndim(out) else float(out)

@@ -77,14 +77,14 @@ class MissingBaseline(PolsarError):
 class NonPositiveDefinitePixelWarning(UserWarning):
     """Some pixels of a loaded covariance image are not positive definite.
 
-    Carries the offending pixel coordinates so callers can inspect or mask
-    them; loading itself succeeds.
+    Carries their ``count`` and the (y, x) coordinates of the ``first`` few in
+    row-major order; ``CovarianceField.pd_mask`` marks them all.  Loading
+    itself succeeds.
     """
 
-    def __init__(self, pixels, shape):
-        self.pixels = pixels
+    def __init__(self, count, first, shape):
+        self.count = count
+        self.first = [(int(y), int(x)) for y, x in first]
         self.shape = shape
-        super().__init__(
-            f"{len(pixels)} of {shape[0] * shape[1]} pixels are not positive definite "
-            f"(first offenders: {pixels[:5]})"
-        )
+        super().__init__(f"{count} of {shape[0] * shape[1]} pixels are not positive definite "
+                         f"(first offenders: {self.first})")

@@ -19,7 +19,6 @@ from functools import partial
 
 import numpy as np
 
-from . import hermitian as hm
 from .classify import KINDS, PrototypeSet, distance_stack
 from .errors import InvalidObservation, StabilityViolation
 from .fields import CovarianceField, row_blocks
@@ -130,9 +129,8 @@ def _react(pixels: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> 
     """Contract packed (N, 9) pixels in place toward the prototypes their assignment names."""
     labels, d1, d2 = assignments
     factor = np.exp(dt * (d1 - d2))
-    anchors = hm.to_packed(protos.sigmas)
     for k in range(9):
-        anchor = anchors[labels, k]
+        anchor = protos.sigmas[labels, k]
         entry = pixels[:, k]
         entry -= anchor
         entry *= factor

@@ -1,11 +1,12 @@
 """Closed-form linear algebra for 3x3 Hermitian matrices.
 
-Covariance images are packed ``(..., 9)`` float64 arrays (see TRACE_WEIGHTS);
-the ``*_packed`` kernels and ``is_positive_definite`` work on them, and the
-formulas of ``distances`` are written on those kernels.  The complex
-``(..., 3, 3)`` helpers serve prototype estimates (``det3``), the Wishart
-sampler (``cholesky3``) and packing.  All functions broadcast and are pure;
-the packed kernels score exactly the pixels they are given.
+Covariance images and class prototypes are packed ``(..., 9)`` float64 arrays
+(see TRACE_WEIGHTS); the ``*_packed`` kernels and ``is_positive_definite``
+work on them, and the formulas of ``distances`` are written on those kernels.
+The complex ``(..., 3, 3)`` helpers serve the prototype estimate's sample
+statistics (``det3``), the Wishart sampler (``cholesky3``) and packing.  All
+functions broadcast and are pure; the packed kernels score exactly the pixels
+they are given.
 """
 
 from __future__ import annotations

@@ -36,11 +36,11 @@ def _default_sigmas() -> np.ndarray:
     # 4 looks, with the strong expansion on the high-power first direction so
     # class 3 sits far from class 1 in Frobenius distance as well.
     scale_3 = scale_2 * 0.9265972909343432 * np.array([3.0, 0.6, 1.0])
-    return np.stack([
+    return hm.to_packed(np.stack([
         base,
         hm.hermitian_part(w @ np.diag(scale_2) @ w.conj().T),
         hm.hermitian_part(w @ np.diag(scale_3) @ w.conj().T),
-    ])
+    ]))
 
 
 DEFAULT_SIGMAS = _default_sigmas()
@@ -50,7 +50,7 @@ DEFAULT_REGIONS = ("background", "band 0.50 0.02 0.13", "disk 0.70 0.72 0.15")
 
 @dataclass(eq=False)
 class PhantomSpec:
-    """Geometry, class models, looks and seed of a simulated image."""
+    """Geometry, packed (M, 9) class covariances, looks and seed of a simulated image."""
 
     width: int = 300
     height: int = 300
@@ -67,10 +67,11 @@ class PhantomSpec:
         self.looks = int(self.looks)
         if self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
-        self.sigmas = np.asarray(self.sigmas, dtype=np.complex128)
-        if self.sigmas.ndim != 3 or self.sigmas.shape[1:] != (3, 3):
-            raise InvalidSpec(f"sigmas must be (M, 3, 3), got {self.sigmas.shape}")
-        if not np.all(hm.is_positive_definite(hm.to_packed(self.sigmas))):
+        self.sigmas = np.asarray(self.sigmas)
+        if np.iscomplexobj(self.sigmas) or self.sigmas.ndim != 2 or self.sigmas.shape[1] != 9:
+            raise InvalidSpec(f"sigmas must be packed (M, 9), got {self.sigmas.shape}")
+        self.sigmas = self.sigmas.astype(np.float64, copy=False)
+        if not np.all(hm.is_positive_definite(self.sigmas)):
             raise InvalidSpec("every class covariance must be positive definite")
         if len(self.regions) != self.sigmas.shape[0]:
             raise InvalidSpec("one region per class required")
@@ -83,7 +84,7 @@ class PhantomSpec:
         return self.sigmas.shape[0]
 
     def models(self) -> list[WishartModel]:
-        return [WishartModel(s, float(self.looks)) for s in self.sigmas]
+        return [WishartModel(hm.from_packed(s), float(self.looks)) for s in self.sigmas]
 
 
 def _region_mask(region: str, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
@@ -179,24 +180,25 @@ def read_phantom_config(path) -> PhantomSpec:
     covs: dict[int, np.ndarray] = {}
     regions: dict[int, str] = {}
     for lineno, key, value in key_value_lines(path, InvalidSpec):
-        if key in _SPEC_KEYS:
-            scalars[key] = int(value)
-        elif key.startswith("class") and key.endswith(".cov"):
-            cls = int(key[len("class"):-len(".cov")])
-            vals = np.array([float(v) for v in value.split()])
-            if vals.size != 9:
-                raise InvalidSpec(f"{path}:{lineno}: class cov needs 9 values")
-            covs[cls] = vals
-        elif key.startswith("class") and key.endswith(".region"):
-            cls = int(key[len("class"):-len(".region")])
-            regions[cls] = value
-        else:
-            raise InvalidSpec(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in _SPEC_KEYS:
+                scalars[key] = int(value)
+            elif key.startswith("class") and key.endswith(".cov"):
+                vals = np.array([float(v) for v in value.split()])
+                if vals.size != 9:
+                    raise InvalidSpec(f"{path}:{lineno}: class cov needs 9 values")
+                covs[int(key[len("class"):-len(".cov")])] = vals
+            elif key.startswith("class") and key.endswith(".region"):
+                regions[int(key[len("class"):-len(".region")])] = value
+            else:
+                raise InvalidSpec(f"{path}:{lineno}: unknown key {key!r}")
+        except ValueError as exc:
+            raise InvalidSpec(f"{path}:{lineno}: {key}: {exc}") from None
     kwargs: dict = dict(scalars)
     if covs or regions:
         n = max(list(covs) + list(regions))
         if set(covs) != set(range(1, n + 1)) or set(regions) != set(range(1, n + 1)):
             raise InvalidSpec("class blocks must define cov and region for classes 1..M")
-        kwargs["sigmas"] = hm.from_packed(np.stack([covs[m] for m in range(1, n + 1)]))
+        kwargs["sigmas"] = np.stack([covs[m] for m in range(1, n + 1)])
         kwargs["regions"] = tuple(regions[m] for m in range(1, n + 1))
     return PhantomSpec(**kwargs)

@@ -40,12 +40,10 @@ class WishartModel:
         object.__setattr__(self, "looks", float(self.looks))
 
 
-def log_density(model: WishartModel, z, validate: bool = True) -> np.ndarray | float:
+def log_density(model: WishartModel, z) -> np.ndarray | float:
     """Log density of the scaled complex Wishart law at z (broadcasts over z):
-    the negated ML score of ``distances``."""
+    the negated ML score of ``distances``, which rejects a z that is not PD."""
     x = hm.to_packed(z)
-    if validate and not np.all(hm.is_positive_definite(x)):
-        raise InvalidObservation("observation matrix is not positive definite")
     p_inv, p_det = hm.inv_packed(hm.to_packed(model.sigma))  # ML reads no packed P
     out = -_score("ML", _features(x, "ML"), (None, p_inv, np.log(p_det)), model.looks)
     return out if np.ndim(out) else float(out)

@@ -89,7 +89,7 @@ def test_criterion_1_distance_unit_values():
 
 def test_criterion_2_estimator_consistency():
     t0 = time.perf_counter()
-    model = WishartModel(DEFAULT_SIGMAS[1], 4.0)
+    model = WishartModel(hm.from_packed(DEFAULT_SIGMAS[1]), 4.0)
     ml = []
     corrected = []
     for rep in range(20):
@@ -234,7 +234,7 @@ def test_criterion_8_weight_optimizer_properties(phantom_run):
     own = [np.mean(kl_distance(samples[m], sigmas[m], 4.0)) for m in range(3)]
     assert own[2] > 3.5 * max(own[0], own[1])
     spread_result = optimize_weights(
-        TrainingSet(PrototypeSet(sigmas=np.stack(sigmas), shared_looks=4.0),
+        TrainingSet(PrototypeSet(sigmas=hm.to_packed(np.stack(sigmas)), shared_looks=4.0),
                     [hm.to_packed(z) for z in samples]))
     assert int(np.argmin(spread_result.weights)) == 2
     assert time.perf_counter() - t0 < 60.0

@@ -143,7 +143,7 @@ def test_every_rule_is_accepted_by_classify_and_rules(tmp_path):
         out = tmp_path / f"map_{rule.replace('+', '_')}"
         assert main(["classify", "--image", str(base), "--model", str(model),
                      "--rule", rule, "--out", str(out)]) == 0, rule
-        assert dataio.read_classmap(f"{out}.hdr", f"{out}.dat").labels.min() >= 1
+        assert dataio.read_classmap(out).labels.min() >= 1
 
 
 def test_subcommands_end_to_end(tmp_path, capsys):
@@ -205,7 +205,7 @@ def test_render_argument_checks(tmp_path, capsys, args, code, message):
     # render takes exactly one of --image and --classmap; --image needs --model
     base = str(tmp_path / "img")
     field = CovarianceField(np.tile(hm.to_packed(np.eye(3, dtype=complex)), (2, 2, 1)))
-    dataio.write_covariance_image(field, f"{base}.hdr", f"{base}.dat")
+    dataio.write_covariance_image(field, base)
     out = str(tmp_path / "x.ppm")
     argv = ["render"] + [base if a == "IMG" else a for a in args] + ["--out", out]
     if code == 2:  # argparse usage errors exit

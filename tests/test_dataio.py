@@ -22,23 +22,22 @@ def _random_field(rng, h=6, w=5, looks=4.0):
 
 def test_covariance_roundtrip_f64(tmp_path, rng):
     field = _random_field(rng)
-    dataio.write_covariance_image(field, tmp_path / "a.hdr", tmp_path / "a.dat")
-    back = dataio.read_covariance_image(tmp_path / "a.hdr", tmp_path / "a.dat")
+    dataio.write_covariance_image(field, tmp_path / "a")
+    back = dataio.read_covariance_image(tmp_path / "a")
     np.testing.assert_array_equal(back.data, field.data)
     assert back.looks == 4.0
 
 
 def test_covariance_roundtrip_f32(tmp_path, rng):
     field = _random_field(rng)
-    dataio.write_covariance_image(field, tmp_path / "a.hdr", tmp_path / "a.dat",
-                                  dtype="f32")
-    back = dataio.read_covariance_image(tmp_path / "a.hdr", tmp_path / "a.dat")
+    dataio.write_covariance_image(field, tmp_path / "a", dtype="f32")
+    back = dataio.read_covariance_image(tmp_path / "a")
     np.testing.assert_allclose(back.data, field.data, rtol=1e-6, atol=1e-6)
 
 
 def test_single_pixel_layout(tmp_path):
     field = CovarianceField(hm.to_packed(np.eye(3, dtype=complex))[None, None])
-    dataio.write_covariance_image(field, tmp_path / "i.hdr", tmp_path / "i.dat")
+    dataio.write_covariance_image(field, tmp_path / "i")
     raw = np.fromfile(tmp_path / "i.dat", dtype="<f8")
     np.testing.assert_array_equal(raw, [1, 1, 1, 0, 0, 0, 0, 0, 0])
     header = (tmp_path / "i.hdr").read_text()
@@ -47,11 +46,11 @@ def test_single_pixel_layout(tmp_path):
 
 def test_truncated_data_raises(tmp_path, rng):
     field = _random_field(rng)
-    dataio.write_covariance_image(field, tmp_path / "a.hdr", tmp_path / "a.dat")
+    dataio.write_covariance_image(field, tmp_path / "a")
     raw = (tmp_path / "a.dat").read_bytes()
     (tmp_path / "a.dat").write_bytes(raw[:-16])
     with pytest.raises(SizeMismatch):
-        dataio.read_covariance_image(tmp_path / "a.hdr", tmp_path / "a.dat")
+        dataio.read_covariance_image(tmp_path / "a")
 
 
 @pytest.mark.parametrize("header", [
@@ -64,34 +63,48 @@ def test_malformed_headers(tmp_path, header):
     (tmp_path / "bad.hdr").write_text(header)
     (tmp_path / "bad.dat").write_bytes(b"")
     with pytest.raises(MalformedHeader):
-        dataio.read_covariance_image(tmp_path / "bad.hdr", tmp_path / "bad.dat")
+        dataio.read_covariance_image(tmp_path / "bad")
 
 
 def test_non_pd_pixels_warn_with_coordinates(tmp_path, rng):
     field = _random_field(rng, 3, 3)
     field.data[1, 2] = hm.to_packed(np.diag([1.0, -2.0, 1.0]))
-    dataio.write_covariance_image(field, tmp_path / "a.hdr", tmp_path / "a.dat")
+    dataio.write_covariance_image(field, tmp_path / "a")
     with pytest.warns(NonPositiveDefinitePixelWarning) as rec:
-        back = dataio.read_covariance_image(tmp_path / "a.hdr", tmp_path / "a.dat")
-    assert rec[0].message.pixels == [(1, 2)]
+        back = dataio.read_covariance_image(tmp_path / "a")
+    assert rec[0].message.count == 1
+    assert rec[0].message.first == [(1, 2)]
     assert back.data.shape == (3, 3, 9)
+
+
+def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rng):
+    field = _random_field(rng, 4, 6)
+    bad = [(0, 5), (1, 0), (1, 3), (2, 2), (3, 0), (3, 1), (3, 5)]
+    for y, x in bad:
+        field.data[y, x] = hm.to_packed(np.diag([-1.0, 1.0, 1.0]))
+    dataio.write_covariance_image(field, tmp_path / "a")
+    with pytest.warns(NonPositiveDefinitePixelWarning, match="7 of 24 pixels") as rec:
+        back = dataio.read_covariance_image(tmp_path / "a")
+    assert rec[0].message.count == 7
+    assert rec[0].message.first == bad[:5]
+    assert int((~back.pd_mask).sum()) == 7
 
 
 def test_classmap_roundtrip(tmp_path, rng):
     labels = rng.integers(0, 4, size=(7, 9)).astype(np.uint8)
     labels[0, 0] = 0  # the unclassified sentinel survives
     cmap = ClassMap(labels)
-    dataio.write_classmap(cmap, tmp_path / "m.hdr", tmp_path / "m.dat")
-    back = dataio.read_classmap(tmp_path / "m.hdr", tmp_path / "m.dat")
+    dataio.write_classmap(cmap, tmp_path / "m")
+    back = dataio.read_classmap(tmp_path / "m")
     np.testing.assert_array_equal(back.labels, labels)
 
 
 def test_classmap_size_mismatch(tmp_path, rng):
     cmap = ClassMap(rng.integers(0, 3, size=(4, 4)).astype(np.uint8))
-    dataio.write_classmap(cmap, tmp_path / "m.hdr", tmp_path / "m.dat")
+    dataio.write_classmap(cmap, tmp_path / "m")
     (tmp_path / "m.hdr").write_text("width: 5\nheight: 4\ndtype: u8\nbyte_order: little\n")
     with pytest.raises(SizeMismatch):
-        dataio.read_classmap(tmp_path / "m.hdr", tmp_path / "m.dat")
+        dataio.read_classmap(tmp_path / "m")
 
 
 def test_roi_parse_and_bounds(tmp_path):
@@ -150,7 +163,7 @@ def test_split_invariant_under_rectangle_decomposition():
 
 def test_model_file_roundtrip(tmp_path, rng):
     protos = PrototypeSet(
-        sigmas=np.stack([make_hpd(rng), make_hpd(rng), make_hpd(rng)]),
+        sigmas=hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng), make_hpd(rng)])),
         shared_looks=4.0,
         weights=np.array([0.2, 0.5, 0.3]),
         class_looks=np.array([3.9, 4.1, 4.25]),
@@ -178,9 +191,9 @@ def test_ppm_roundtrip(tmp_path, rng):
 
 
 def test_render_pixel_at_prototype_gets_its_color(tmp_path, rng):
-    protos = PrototypeSet(sigmas=np.stack([make_hpd(rng), make_hpd(rng, scale=3)]),
+    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng, scale=3)])),
                           shared_looks=4.0)
-    data = hm.to_packed(np.stack([protos.sigmas[0], protos.sigmas[1]]))[None]
+    data = protos.sigmas[None]
     palette = dataio.default_palette(2)
     rgb = dataio.render_rgb(CovarianceField(data), protos, tmp_path / "r.ppm")
     np.testing.assert_array_equal(rgb[0, 0], palette[0])
@@ -190,7 +203,7 @@ def test_render_pixel_at_prototype_gets_its_color(tmp_path, rng):
 def test_render_equidistant_pixel_gets_mean_color(tmp_path):
     s1 = np.diag([1.0, 1.0, 2.0]).astype(complex)
     s2 = np.diag([2.0, 1.0, 1.0]).astype(complex)
-    protos = PrototypeSet(sigmas=np.stack([s1, s2]), shared_looks=4.0)
+    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([s1, s2])), shared_looks=4.0)
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)  # equidistant by symmetry
     palette = dataio.default_palette(2)
     rgb = dataio.render_rgb(CovarianceField(hm.to_packed(x)[None, None]), protos,

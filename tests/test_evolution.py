@@ -32,7 +32,7 @@ def _random_field(rng, h, w, jitter=0.2):
 
 def _protos(rng, m=3):
     sigmas = np.stack([make_hpd(rng, scale=s) for s in np.linspace(0.5, 3.0, m)])
-    return PrototypeSet(sigmas=sigmas, shared_looks=4.0)
+    return PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=4.0)
 
 
 def scalar_five_point(field, coeff):
@@ -108,7 +108,7 @@ def test_diffusion_matches_scalar_stencil_oracle(rng):
 def test_reaction_fixed_points(rng):
     protos = _protos(rng)
     # a pixel equal to its nearest prototype does not move
-    data = np.broadcast_to(hm.to_packed(protos.sigmas[1]), (3, 4, 9))
+    data = np.broadcast_to(protos.sigmas[1], (3, 4, 9))
     out = reaction_step(CovarianceField(data), protos, dt=0.01)
     np.testing.assert_array_equal(out.data, data)
 
@@ -117,7 +117,7 @@ def test_reaction_exact_tie_is_fixed_point():
     # x is equidistant from both prototypes by symmetry: exponent 0, factor 1
     s1 = np.diag([1.0, 1.0, 2.0]).astype(complex)
     s2 = np.diag([2.0, 1.0, 1.0]).astype(complex)
-    protos = PrototypeSet(sigmas=np.stack([s1, s2]), shared_looks=4.0)
+    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([s1, s2])), shared_looks=4.0)
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)
     stack = distance_stack(hm.to_packed(x), protos, "KL", weighted=True)
     assert stack[0] == pytest.approx(stack[1], rel=1e-14)
@@ -133,15 +133,16 @@ def test_reaction_contraction_factor(rng):
     dt = 0.01
     out = hm.from_packed(reaction_step(field, protos, dt).data)
     data = hm.from_packed(field.data)
+    sigmas = hm.from_packed(protos.sigmas)
     from polsardr.distances import kl_distance
     for y in range(4):
         for x in range(5):
             d = np.array([protos.weights[m] * kl_distance(data[y, x],
-                                                          protos.sigmas[m], 4.0)
+                                                          sigmas[m], 4.0)
                           for m in range(3)])
             order = np.sort(d)
             factor = np.exp(dt * (order[0] - order[1]))
-            anchor = protos.sigmas[int(np.argmin(d))]
+            anchor = sigmas[int(np.argmin(d))]
             expected = anchor + factor * (data[y, x] - anchor)
             np.testing.assert_allclose(out[y, x], expected, rtol=1e-10, atol=1e-12)
     assert np.exp(0.01 * (2.0 - 5.0)) == pytest.approx(0.97045, abs=5e-6)
@@ -151,7 +152,7 @@ def test_reaction_single_pixel_monotone_approach(rng):
     # alpha = 0: repeated reactions move the pixel toward its anchor in
     # Frobenius distance while the assignment stays put
     protos = _protos(rng)
-    x = sample(WishartModel(protos.sigmas[2], 4), rng)
+    x = sample(WishartModel(hm.from_packed(protos.sigmas[2]), 4), rng)
     field = CovarianceField(hm.to_packed(x)[None, None])
     label = int(np.argmin(distance_stack(hm.to_packed(x), protos, "KL", weighted=True)))
     dists = []
@@ -159,7 +160,8 @@ def test_reaction_single_pixel_monotone_approach(rng):
         field = reaction_step(field, protos, dt=0.01)
         cur = int(np.argmin(distance_stack(field.data, protos, "KL", weighted=True)[0, 0]))
         assert cur == label
-        dists.append(float(oracle.ed(hm.from_packed(field.data[0, 0]), protos.sigmas[label])))
+        dists.append(float(oracle.ed(hm.from_packed(field.data[0, 0]),
+                                     hm.from_packed(protos.sigmas[label]))))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
@@ -178,7 +180,7 @@ def test_steps_and_evolve_leave_their_input_unchanged(rng):
 
 def test_evolve_fixed_point_field(rng):
     protos = _protos(rng)
-    data = np.broadcast_to(hm.to_packed(protos.sigmas[0]), (4, 4, 9))
+    data = np.broadcast_to(protos.sigmas[0], (4, 4, 9))
     out, metrics = evolve(CovarianceField(data), protos,
                           EvolutionParams(iterations=5))
     np.testing.assert_array_equal(out.data, data)

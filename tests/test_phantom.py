@@ -1,5 +1,7 @@
 """Phantom generation: geometry, determinism, statistics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,11 @@ def test_spec_validation():
 
 def test_default_separations():
     # configuration regression: weak pair ~3, class 1 very strongly separated
-    s = DEFAULT_SIGMAS
+    s = hm.from_packed(DEFAULT_SIGMAS)
     assert kl_distance(s[1], s[2], 4.0) == pytest.approx(3.0, abs=0.1)
     assert kl_distance(s[0], s[1], 4.0) > 30
     assert kl_distance(s[0], s[2], 4.0) > 30
-    assert np.all(hm.is_positive_definite(hm.to_packed(s)))
+    assert np.all(hm.is_positive_definite(DEFAULT_SIGMAS))
 
 
 def test_region_map_partitions():
@@ -70,7 +72,7 @@ def test_single_class_spec():
     data = hm.from_packed(field.data).reshape(-1, 3, 3)
     mean = data.mean(axis=0)
     se = data.std(axis=0) / 100.0
-    assert np.all(np.abs(mean - sigma[0]) <= 5 * se + 1e-12)
+    assert np.all(np.abs(mean - hm.from_packed(sigma[0])) <= 5 * se + 1e-12)
 
 
 def test_every_pixel_positive_definite():
@@ -85,7 +87,7 @@ def test_per_region_means_converge():
         pts = hm.from_packed(field.data[truth.labels == cls])
         mean = pts.mean(axis=0)
         se = pts.std(axis=0) / np.sqrt(pts.shape[0])
-        assert np.all(np.abs(mean - spec.sigmas[cls - 1]) <= 5 * se + 1e-12)
+        assert np.all(np.abs(mean - hm.from_packed(spec.sigmas[cls - 1])) <= 5 * se + 1e-12)
 
 
 def test_inscribed_rois_sit_inside_regions():
@@ -111,11 +113,10 @@ def test_inscribed_rois_reject_thin_regions():
 
 
 def test_phantom_config_roundtrip(tmp_path):
-    packed = hm.to_packed(DEFAULT_SIGMAS)
     cfg = tmp_path / "phantom.cfg"
     lines = ["width: 64", "height: 48", "looks: 5", "seed: 99"]
     for m in range(3):
-        lines.append(f"class{m + 1}.cov: " + " ".join(repr(float(v)) for v in packed[m]))
+        lines.append(f"class{m + 1}.cov: " + " ".join(repr(float(v)) for v in DEFAULT_SIGMAS[m]))
     lines += ["class1.region: background",
               "class2.region: band 0.4 0.1 0.12",
               "class3.region: disk 0.7 0.7 0.12",
@@ -132,6 +133,26 @@ def test_phantom_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("width: 10\nbogus: 3\n")
     with pytest.raises(InvalidSpec):
         read_phantom_config(cfg)
+
+
+@pytest.mark.parametrize("line", ["width: abc", "class1.cov: 1 1 1 0 0 0 0 0 x",
+                                  "classX.cov: 1 1 1 0 0 0 0 0 0", "classX.region: background"])
+def test_phantom_config_names_the_line_of_an_unparsable_value(tmp_path, line):
+    # every conversion error is an InvalidSpec that names path:lineno, as
+    # ExperimentConfig.from_file does
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"height: 10\n{line}\n")
+    with pytest.raises(InvalidSpec, match=re.escape(f"{cfg}:2: ")):
+        read_phantom_config(cfg)
+
+
+def test_phantom_spec_takes_packed_sigmas():
+    # the complex (M, 3, 3) layout is refused; the sampler gets each packed
+    # class covariance back as the complex matrix it was packed from
+    with pytest.raises(InvalidSpec, match="packed"):
+        PhantomSpec(sigmas=hm.from_packed(DEFAULT_SIGMAS))
+    for model, s in zip(PhantomSpec().models(), DEFAULT_SIGMAS):
+        np.testing.assert_array_equal(hm.to_packed(model.sigma), s)
 
 
 def test_phantom_config_requires_complete_classes(tmp_path):

@@ -69,7 +69,7 @@ def test_project_to_simplex(seed, n):
 
 def _training_set(sigmas, samples, looks=4.0):
     """TrainingSet of complex prototypes and complex (n, 3, 3) sample blocks."""
-    return TrainingSet(PrototypeSet(sigmas=np.stack(sigmas), shared_looks=looks),
+    return TrainingSet(PrototypeSet(sigmas=hm.to_packed(np.stack(sigmas)), shared_looks=looks),
                        [hm.to_packed(z) for z in samples])
 
 
