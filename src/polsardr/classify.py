@@ -35,9 +35,11 @@ class PrototypeSet:
     ``CovarianceField.data``.  They are checked and inverted once, when the
     set is built, and not modified after construction (a read-only copy that
     cannot be reassigned), so every ``distance_stack`` reuses their inverse
-    and log-det.  ``class_looks`` optionally carries per-class bias-corrected
-    looks; rules use the shared value unless asked otherwise.  Every looks
-    value must be finite and >= 3.
+    and log-det.  ``weights`` must lie on the simplex; every assignment,
+    the constructor's included, checks them and stores a read-only copy.
+    ``class_looks`` optionally carries per-class bias-corrected looks; rules
+    use the shared value unless asked otherwise.  Every looks value must be
+    finite and >= 3.
     """
 
     sigmas: np.ndarray
@@ -61,13 +63,7 @@ class PrototypeSet:
             raise InvalidObservation("every prototype must be positive definite")
         inverse, det = hm.inv_packed(self.sigmas)  # raises SingularMatrix
         self._inverse, self._log_det = inverse, np.log(det)
-        if self.weights is None:
-            self.weights = np.full(m, 1.0 / m)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (m,):
-            raise ValueError(f"weights shape {self.weights.shape} != ({m},)")
-        if not (np.all(self.weights >= 0) and abs(self.weights.sum() - 1.0) <= SIMPLEX_TOL):
-            raise ValueError("weights must be nonnegative and sum to 1")
+        self.weights = np.full(m, 1.0 / m) if self.weights is None else self.weights
         if self.class_looks is not None:
             self.class_looks = np.asarray(self.class_looks, dtype=np.float64)
             if self.class_looks.shape != (m,):
@@ -79,6 +75,8 @@ class PrototypeSet:
     def __setattr__(self, name, value):
         if name == "sigmas" and hasattr(self, "_inverse"):  # the inverse is theirs
             raise AttributeError("the sigmas of a PrototypeSet are fixed when it is built")
+        if name == "weights" and hasattr(self, "_inverse"):  # from __post_init__ on
+            value = _simplex_weights(value, self.n_classes)
         super().__setattr__(name, value)
 
     @property
@@ -89,6 +87,19 @@ class PrototypeSet:
         if use_class_looks and self.class_looks is not None:
             return float(self.class_looks[cls])
         return float(self.shared_looks)
+
+
+def _simplex_weights(weights, m: int) -> np.ndarray:
+    """A read-only float64 copy of ``weights``, checked to be m finite
+    nonnegative values that sum to 1."""
+    weights = np.array(weights, dtype=np.float64)
+    if weights.shape != (m,):
+        raise ValueError(f"weights shape {weights.shape} != ({m},)")
+    # a NaN fails both tests, and an inf makes the sum inf or NaN
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= SIMPLEX_TOL):
+        raise ValueError("weights must be nonnegative and sum to 1")
+    weights.flags.writeable = False
+    return weights
 
 
 def distance_stack(x, protos: PrototypeSet, kind: str = "KL",

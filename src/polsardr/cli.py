@@ -527,7 +527,3 @@ def main(argv=None) -> int:
     except (PolsarError, ValueError, OSError) as exc:
         print(f"polsardr {args.command}: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,6 @@ metrics: no triangle inequality is claimed).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import hermitian as hm
 from .errors import InvalidLooks, InvalidObservation, SingularMatrix
@@ -18,6 +17,8 @@ from .errors import InvalidLooks, InvalidObservation, SingularMatrix
 
 def log_gamma3(looks) -> np.ndarray | float:
     """log Gamma_3(looks) = 3 log pi + sum_{i=0}^{2} log Gamma(looks - i)."""
+    from scipy.special import gammaln  # deferred: `import polsardr` loads numpy only
+
     looks = np.asarray(looks, dtype=np.float64)
     if np.any(looks < 3):
         raise InvalidLooks("log_gamma3 requires looks >= 3")

@@ -15,8 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import polygamma
 
 from . import hermitian as hm
 from .errors import DomainError, EmptySample, InvalidObservation, NoRoot
@@ -58,6 +56,8 @@ def polygamma3(order: int, looks) -> np.ndarray | float:
 
     Requires looks > 2 so that every shifted argument is positive.
     """
+    from scipy.special import polygamma  # deferred: `import polsardr` loads numpy only
+
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     looks = np.asarray(looks, dtype=np.float64)
@@ -75,6 +75,8 @@ def looks_score(looks: float, stats: SampleStats) -> float:
 
 
 def estimate_looks_ml(stats: SampleStats, tol: float = 1e-10) -> float:
+    from scipy.optimize import brentq  # deferred: `import polsardr` loads numpy only
+
     lo, hi = LOOKS_BRACKET
     f_lo = looks_score(lo, stats)
     f_hi = looks_score(hi, stats)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import hermitian as hm
 from .dataio import key_value_lines
@@ -145,6 +144,8 @@ def inscribed_rois(truth: ClassMap, margin: int = 3, max_side: int = 49,
     region boundary; the square inscribed there is shrunk by ``margin`` and
     capped at ``max_side``.
     """
+    from scipy import ndimage  # deferred: `import polsardr` loads numpy only
+
     rois = RoiSet()
     labels = truth.labels
     for cls in range(1, int(labels.max()) + 1):

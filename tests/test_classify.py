@@ -69,6 +69,34 @@ def test_prototype_set_rejects_weights_off_the_simplex(rng, weights):
         _protos(rng, weights=np.array(weights))
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
+                                     [-0.1, 0.6, 0.5], [0.2, 0.2, 0.2],
+                                     [0.5, 0.5], [[0.2, 0.3, 0.5]], None])
+def test_assigned_weights_are_checked_like_constructed_ones(rng, weights):
+    # an assignment used to skip the checks: NaN weights labelled every pixel
+    # class 1 under +OW
+    protos = _protos(rng)
+    field = CovarianceField(hm.to_packed(np.stack([make_hpd(rng) for _ in range(12)]))[None])
+    before = classify_image(field, protos, "KL+OW").labels
+    with pytest.raises(ValueError):
+        protos.weights = weights
+    np.testing.assert_array_equal(protos.weights, 1 / 3)  # the old weights stay
+    np.testing.assert_array_equal(classify_image(field, protos, "KL+OW").labels, before)
+
+
+def test_optimized_weights_are_stored(rng):
+    # the optimizer's weights pass the simplex check that an assignment runs
+    from polsardr.weights import TrainingSet, optimize_weights
+    protos = _protos(rng)
+    samples = [hm.to_packed(sample(WishartModel(hm.from_packed(s), 4), rng, size=30))
+               for s in protos.sigmas]
+    result = optimize_weights(TrainingSet(protos, samples))
+    protos.weights = result.weights
+    np.testing.assert_array_equal(protos.weights, result.weights)
+    with pytest.raises(ValueError):
+        protos.weights[0] = np.nan  # stored read-only: no check can be bypassed
+
+
 def test_prototype_set_is_packed_checked_and_inverted_once(rng, monkeypatch):
     sigmas = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng, scale=2.0)]))
     with pytest.raises(ValueError, match="packed"):

@@ -14,14 +14,21 @@ import pytest
 
 from polsardr import dataio
 from polsardr import hermitian as hm
-from polsardr.classify import RULES
+from polsardr.classify import RULES, PrototypeSet
 from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
                           accuracy_report, main, run_pipeline)
 from polsardr.errors import MissingBaseline, PolsarError, StabilityViolation
 from polsardr.fields import ClassMap, CovarianceField, RoiSet
+from polsardr.phantom import PhantomSpec, generate_phantom
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "goldens.json"
+
+
+def _src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
 def _report(method, accs):
@@ -326,13 +333,11 @@ def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):
     def split(step):
         return re.compile(rf"{step}: 80x96 pixels in [1-9]\d* row blocks on [1-9]\d* workers")
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     classify = ["classify", "--image", base, "--model", model, "--out", str(tmp_path / "map")]
     for level in ("DEBUG", None):
-        proc = subprocess.run([sys.executable, "-m", "polsardr.cli",
+        proc = subprocess.run([sys.executable, "-m", "polsardr",
                                *(["--log-level", level] if level else []), *classify],
-                              capture_output=True, text=True, env=env, timeout=300)
+                              capture_output=True, text=True, env=_src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert bool(split("DEBUG polsardr.fields: classify_image").search(proc.stderr)) \
             == (level == "DEBUG")
@@ -379,12 +384,10 @@ def test_default_pipeline_timing_and_dominance(tmp_path):
 
 def test_run_phantom_experiment_script(tmp_path):
     # the script runs in its own interpreter, as a user starts it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_phantom_experiment.py"),
          "--size", "100", "--iters", "3", "--outdir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["method", "class", "1", "class", "2", "class", "3",
@@ -392,3 +395,55 @@ def test_run_phantom_experiment_script(tmp_path):
     assert [ln.split()[0] for ln in lines[1:7]] == ["ML", "ED", "HD", "KL", "KL+OW",
                                                     "DR+KL+OW+3"]
     assert f"artifacts in {tmp_path}" in proc.stdout
+
+
+def _cold_run(*args, cwd=None):
+    """Run ``python -m polsardr *args`` in a fresh interpreter; return the
+    scipy modules loaded when it exits and the rest of its output."""
+    report = ("import atexit, json, runpy, sys\n"
+              "atexit.register(lambda: print('scipy modules:', json.dumps(sorted(\n"
+              "    m for m in sys.modules if m.split('.')[0] == 'scipy'))))\n"
+              "sys.argv = ['polsardr', *sys.argv[1:]]\n"
+              "runpy.run_module('polsardr', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", report, *map(str, args)], cwd=cwd,
+                          capture_output=True, text=True, env=_src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *output, line = proc.stdout.splitlines()
+    assert line.startswith("scipy modules: ")
+    return set(json.loads(line.removeprefix("scipy modules: "))), output
+
+
+def test_import_and_scipy_free_subcommands_load_no_scipy(tmp_path):
+    # only simulate, train, pipeline and the ML rule call scipy, so they alone
+    # pay its import; every polsardr module imports only numpy at top level
+    loaded, output = _cold_run("--help")  # imports polsardr.cli and stops
+    assert loaded == set()
+    assert output[0].startswith("usage: polsardr")
+    spec = PhantomSpec(width=12, height=10)
+    field, truth = generate_phantom(spec)
+    dataio.write_covariance_image(field, tmp_path / "img")
+    dataio.write_model(PrototypeSet(spec.sigmas, shared_looks=spec.looks), tmp_path / "model.txt")
+    dataio.write_classmap(truth, tmp_path / "truth")
+    loaded, _ = _cold_run("classify", "--image", "img", "--model", "model.txt",
+                          "--rule", "KL", "--out", "map", cwd=tmp_path)
+    assert loaded == set()
+    assert (dataio.read_classmap(tmp_path / "map").labels == truth.labels).mean() > 0.5
+    loaded, _ = _cold_run("render", "--classmap", "truth", "--classes", "3",
+                          "--out", "truth.ppm", cwd=tmp_path)
+    assert loaded == set()
+    assert (tmp_path / "truth.ppm").read_bytes().startswith(b"P6")
+
+
+def test_subcommands_that_call_scipy_import_it_cold(tmp_path):
+    # each deferred import runs on its function's first call in a fresh process
+    loaded, _ = _cold_run("simulate", "--width", "96", "--height", "96", "--out", "img",
+                          cwd=tmp_path)
+    assert "scipy.ndimage" in loaded  # inscribed_rois
+    loaded, _ = _cold_run("train", "--image", "img", "--roi", "img_roi.txt",
+                          "--out", "model.txt", cwd=tmp_path)
+    assert {"scipy.special", "scipy.optimize"} <= loaded  # polygamma3, estimate_looks_ml
+    loaded, _ = _cold_run("classify", "--image", "img", "--model", "model.txt",
+                          "--rule", "ML", "--out", "map_ml", cwd=tmp_path)
+    assert "scipy.special" in loaded and "scipy.ndimage" not in loaded  # log_gamma3
+    truth = dataio.read_classmap(tmp_path / "img_truth").labels
+    assert (dataio.read_classmap(tmp_path / "map_ml").labels == truth).mean() > 0.5
