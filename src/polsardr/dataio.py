@@ -71,11 +71,10 @@ def _read_header(path):
     return width, height, dtype, looks
 
 
-def write_covariance_image(field: CovarianceField, base, dtype: str = "f64") -> None:
-    if dtype not in ("f32", "f64"):
-        raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")
-    _write_header(f"{base}.hdr", field.width, field.height, dtype, looks=field.looks)
-    field.data.astype(_DTYPES[dtype], copy=False).tofile(f"{base}.dat")
+def write_covariance_image(field: CovarianceField, base) -> None:
+    """Write f64 pixels (``read_covariance_image`` reads f32 too)."""
+    _write_header(f"{base}.hdr", field.width, field.height, "f64", looks=field.looks)
+    field.data.astype(_DTYPES["f64"], copy=False).tofile(f"{base}.dat")
 
 
 def read_covariance_image(base) -> CovarianceField:
@@ -146,17 +145,20 @@ def split_roi(rois: RoiSet, seed: int) -> Split:
 
     Deterministic in (pixel set, seed): pixels are canonicalized to row-major
     order before the seeded shuffle, so the rectangle decomposition of the
-    same pixel set cannot change the split.
+    same pixel set cannot change the split.  A class needs at least 2 pixels,
+    so that neither half is empty.
     """
+    pixels = {cls: rois.pixels(cls) for cls in rois.classes}
+    short = [cls for cls, p in pixels.items() if p.shape[0] < 2]
+    if short:
+        raise MalformedRoi(f"classes {short} have fewer than 2 ROI pixels "
+                           "(each needs a train and a test pixel)")
     train: dict[int, np.ndarray] = {}
     test: dict[int, np.ndarray] = {}
-    for cls in rois.classes:
-        pixels = rois.pixels(cls)
-        rng = np.random.default_rng([seed, cls])
-        perm = rng.permutation(pixels.shape[0])
-        n_train = (pixels.shape[0] + 1) // 2
-        train[cls] = pixels[perm[:n_train]]
-        test[cls] = pixels[perm[n_train:]]
+    for cls, p in pixels.items():
+        perm = np.random.default_rng([seed, cls]).permutation(p.shape[0])
+        n_train = (p.shape[0] + 1) // 2
+        train[cls], test[cls] = p[perm[:n_train]], p[perm[n_train:]]
     return Split(train=train, test=test)
 
 
@@ -226,24 +228,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         f.write(rgb.tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P6":
-            raise MalformedHeader(f"{path}: not a binary PPM")
-        dims = f.readline().split()
-        maxval = f.readline().strip()
-        if len(dims) != 2 or maxval != b"255":
-            raise MalformedHeader(f"{path}: unsupported PPM header")
-        w, h = int(dims[0]), int(dims[1])
-        raw = np.frombuffer(f.read(), dtype=np.uint8)
-    if raw.size != w * h * 3:
-        raise SizeMismatch(f"{path}: expected {w * h * 3} bytes, found {raw.size}")
-    return raw.reshape(h, w, 3)
-
-
-def render_rgb(field: CovarianceField, protos: PrototypeSet, path,
-               palette: np.ndarray | None = None) -> np.ndarray:
+def render_rgb(field: CovarianceField, protos: PrototypeSet, path) -> np.ndarray:
     """Color a covariance image by inverse Euclidean distance to the prototypes.
 
     Pixel color = sum_m c_m * color_m with c_m proportional to
@@ -251,9 +236,7 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path,
     prototype gets that class color and an equidistant pixel the palette mean.
     The rows are colored in blocks on every usable CPU (``fields.row_blocks``).
     """
-    if palette is None:
-        palette = default_palette(protos.n_classes)
-    colors = palette.astype(np.float64)
+    colors = default_palette(protos.n_classes).astype(np.float64)
     rgb = np.empty((field.height, field.width, 3), dtype=np.uint8)
 
     def color_rows(r0, r1):
@@ -267,13 +250,14 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path,
     return rgb
 
 
-def render_classmap(cmap: ClassMap, path, n_classes: int | None = None,
-                    palette: np.ndarray | None = None) -> np.ndarray:
-    """Flat class colors; label 0 (unclassified) renders black."""
-    n = n_classes if n_classes is not None else max(int(cmap.labels.max()), 1)
-    if palette is None:
-        palette = default_palette(n)
-    table = np.vstack([np.zeros(3, dtype=np.uint8), palette])
+def render_classmap(cmap: ClassMap, path, n_classes: int | None = None) -> np.ndarray:
+    """Flat class colors from a palette of ``n_classes`` (default: the largest
+    label) colors; label 0 (unclassified) renders black."""
+    largest = int(cmap.labels.max())
+    n = max(largest, 1) if n_classes is None else n_classes
+    if n < max(largest, 1):
+        raise ValueError(f"n_classes = {n} must be >= 1 and >= the largest label {largest}")
+    table = np.vstack([np.zeros(3, dtype=np.uint8), default_palette(n)])
     rgb = table[cmap.labels]
     write_ppm(path, rgb)
     return rgb

@@ -47,7 +47,7 @@ class NonFiniteEnergy(PolsarError):
 
 
 class StabilityViolation(PolsarError):
-    """Explicit-scheme stability condition 1 - 4*alpha*dt/h^2 >= 0 violated."""
+    """Explicit-scheme stability condition 1 - 4*alpha*dt >= 0 violated (grid step h = 1 pixel)."""
 
 
 class InvalidSpec(PolsarError):

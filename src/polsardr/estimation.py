@@ -39,15 +39,13 @@ class SampleStats:
             sample = sample[None]
         if sample.shape[0] == 0:
             raise EmptySample("cannot build statistics from an empty sample")
-        dets = np.asarray(hm.det3(sample))
-        if np.any(dets <= 0):
-            raise InvalidObservation(
-                f"{int(np.sum(dets <= 0))} sample matrices are not positive definite"
-            )
+        n_bad = int(np.sum(~hm.is_positive_definite(hm.to_packed(sample))))
+        if n_bad:
+            raise InvalidObservation(f"{n_bad} sample matrices are not positive definite")
         return cls(
             n=sample.shape[0],
             mean=sample.mean(axis=0),
-            mean_log_det=float(np.mean(np.log(dets))),
+            mean_log_det=float(np.mean(np.log(hm.det3(sample)))),
         )
 
 
@@ -74,7 +72,7 @@ def looks_score(looks: float, stats: SampleStats) -> float:
             - np.log(hm.det3(stats.mean)) - polygamma3(0, looks))
 
 
-def estimate_looks_ml(stats: SampleStats, tol: float = 1e-10) -> float:
+def estimate_looks_ml(stats: SampleStats) -> float:
     from scipy.optimize import brentq  # deferred: `import polsardr` loads numpy only
 
     lo, hi = LOOKS_BRACKET
@@ -86,7 +84,7 @@ def estimate_looks_ml(stats: SampleStats, tol: float = 1e-10) -> float:
     if f_lo <= 0:
         raise NoRoot("looks score negative at the bracket bottom "
                      "(sample more dispersed than looks = 3 allows)", side="low")
-    root = brentq(looks_score, lo, hi, args=(stats,), xtol=tol, rtol=8.9e-16)
+    root = brentq(looks_score, lo, hi, args=(stats,), xtol=1e-10, rtol=8.9e-16)
     # One Newton step for the last digits; the slope 3/l - polygamma3(1, l)
     # is strictly negative so the step is well defined.
     slope = 3.0 / root - polygamma3(1, root)

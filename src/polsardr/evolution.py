@@ -4,11 +4,12 @@ Each iteration first applies a five-point-stencil diffusion step with
 replicated-edge (zero-flux) boundaries, then a reaction step that pulls every
 pixel toward the prototype minimizing its weighted stochastic distance:
 
-    step 1:  S' = S + alpha*dt/h^2 * (up + down + left + right - 4 S)
+    step 1:  S' = S + alpha*dt * (up + down + left + right - 4 S)
     step 2:  S_new = P_min + exp(dt * (d_min - d_runner_up)) * (S' - P_min)
 
-Under 1 - 4*alpha*dt/h^2 >= 0 both steps are convex combinations of
-positive definite matrices, so the field never leaves the cone.
+The grid step h is one pixel, so the paper's alpha*dt/h^2 is alpha*dt.
+Under 1 - 4*alpha*dt >= 0 both steps are convex combinations of positive
+definite matrices, so the field never leaves the cone.
 """
 
 from __future__ import annotations
@@ -26,25 +27,25 @@ from .fields import CovarianceField, row_blocks
 
 @dataclass(frozen=True, eq=False)
 class EvolutionParams:
-    """Scheme parameters; construction enforces the cone-membership condition.
+    """Scheme parameters on a grid of one-pixel steps; construction enforces the
+    cone-membership condition.
 
     The parameters are frozen, so a checked object cannot become unstable.
     """
 
     alpha: float = 0.5
     dt: float = 0.01
-    h: float = 1.0
     iterations: int = 50
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.dt <= 0 or self.h <= 0:
-            raise ValueError(f"dt and h must be > 0, got dt={self.dt}, h={self.h}")
-        margin = 1.0 - 4.0 * self.alpha * self.dt / self.h**2
+        if self.dt <= 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        margin = 1.0 - 4.0 * self.alpha * self.dt
         if margin < 0:
-            raise StabilityViolation(f"1 - 4*alpha*dt/h^2 = {margin:.4g} < 0 "
-                                     f"(alpha={self.alpha}, dt={self.dt}, h={self.h})")
+            raise StabilityViolation(f"1 - 4*alpha*dt = {margin:.4g} < 0 "
+                                     f"(alpha={self.alpha}, dt={self.dt})")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
@@ -101,7 +102,7 @@ def _diffuse(x: np.ndarray, r0: int, r1: int, params: EvolutionParams,
     out[:, :, :-1] += xb[:, :, 1:]
     out[:, :, -1] += xb[:, :, -1]
     out -= 4.0 * xb
-    out *= params.alpha * params.dt / params.h**2
+    out *= params.alpha * params.dt
     out += xb
 
 

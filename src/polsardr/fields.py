@@ -132,10 +132,6 @@ class ClassMap:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max())
-
 
 @dataclass(eq=False)
 class RoiSet:

@@ -21,30 +21,6 @@ DET_TOL = 1e-300
 PIVOT_RTOL = 1e-12
 
 
-def assemble(d1, d2, d3, o12, o13, o23) -> np.ndarray:
-    """Build Hermitian arrays from the six independent entries.
-
-    ``d1, d2, d3`` are the (real) diagonal, ``o12, o13, o23`` the upper
-    off-diagonal entries; the lower triangle is filled by conjugation, so the
-    result is Hermitian by construction.
-    """
-    d1, d2, d3, o12, o13, o23 = np.broadcast_arrays(
-        d1, d2, d3, np.asarray(o12, dtype=np.complex128),
-        np.asarray(o13, dtype=np.complex128), np.asarray(o23, dtype=np.complex128)
-    )
-    out = np.empty(np.shape(d1) + (3, 3), dtype=np.complex128)
-    out[..., 0, 0] = d1
-    out[..., 1, 1] = d2
-    out[..., 2, 2] = d3
-    out[..., 0, 1] = o12
-    out[..., 1, 0] = np.conj(o12)
-    out[..., 0, 2] = o13
-    out[..., 2, 0] = np.conj(o13)
-    out[..., 1, 2] = o23
-    out[..., 2, 1] = np.conj(o23)
-    return out
-
-
 def hermitian_part(m) -> np.ndarray:
     """Exactly symmetrize: 0.5 * (m + m^H)."""
     m = np.asarray(m, dtype=np.complex128)
@@ -108,33 +84,45 @@ def cholesky3(m) -> np.ndarray:
 # tr(a @ b) of Hermitian a, b is the dot product of their packed forms under
 # these weights: each off-diagonal pair contributes twice its real part.
 TRACE_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+# Where the packed entries sit among the 18 floats of a complex 3x3 matrix: the
+# diagonal, then the upper triangle; the lower triangle holds their conjugates.
+_PACKED_FLOATS = [0, 8, 16, 2, 3, 4, 5, 10, 11]
+
+
+def _packed(p) -> np.ndarray:
+    """p as a float64 array, checked to have a trailing axis of size 9."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape[-1] != 9:
+        raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
+    return p
 
 
 def to_packed(m) -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=np.complex128)
     floats = m.view(np.float64).reshape(m.shape[:-2] + (18,))  # the 18 floats of each matrix
-    return np.take(floats, [0, 8, 16, 2, 3, 4, 5, 10, 11], axis=-1)
+    return np.take(floats, _PACKED_FLOATS, axis=-1)
 
 
 def from_packed(p) -> np.ndarray:
-    a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
-    return assemble(a, d, f, br + 1j * bi, cr + 1j * ci, er + 1j * ei)
+    """Complex Hermitian (..., 3, 3) matrices of packed p, each entry copied into
+    place and the lower triangle conjugated, so to_packed returns p bit for bit."""
+    p = _packed(p)
+    floats = np.zeros(p.shape[:-1] + (18,))
+    floats[..., _PACKED_FLOATS] = p
+    floats[..., [6, 12, 14]] = p[..., [3, 5, 7]]  # Re C21, Re C31, Re C32
+    floats[..., [7, 13, 15]] = -p[..., [4, 6, 8]]  # Im C21, Im C31, Im C32
+    return floats.view(np.complex128).reshape(p.shape[:-1] + (3, 3))
 
 
 def component_major(p) -> np.ndarray:
     """Packed (..., 9) pixels as (N, 9) with each entry contiguous, the layout the
     packed kernels read fastest; copied only when not already in that layout."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] != 9:  # before the reshape, which would take a (..., 3, 3) array
-        raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
-    x = p.reshape(-1, 9)
+    x = _packed(p).reshape(-1, 9)  # checked first: the reshape would take a (..., 3, 3) array
     return x if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T).T
 
 
 def _packed_entries(p):
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] != 9:
-        raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
+    p = _packed(p)
     return tuple(p[..., k] for k in range(9))
 
 

@@ -45,6 +45,7 @@ def _default_sigmas() -> np.ndarray:
 DEFAULT_SIGMAS = _default_sigmas()
 
 DEFAULT_REGIONS = ("background", "band 0.50 0.02 0.13", "disk 0.70 0.72 0.15")
+ROI_MIN_SIDE = 8  # pixels a side of the smallest ROI that inscribed_rois places
 
 
 @dataclass(eq=False)
@@ -136,13 +137,12 @@ def generate_phantom(spec: PhantomSpec) -> tuple[CovarianceField, ClassMap]:
     return CovarianceField(data, looks=float(spec.looks)), ClassMap(labels)
 
 
-def inscribed_rois(truth: ClassMap, margin: int = 3, max_side: int = 49,
-                   min_side: int = 8) -> RoiSet:
+def inscribed_rois(truth: ClassMap, margin: int = 3, max_side: int = 49) -> RoiSet:
     """One square ROI per class, centered where the class region is deepest.
 
     The chessboard distance transform picks the pixel farthest from the
     region boundary; the square inscribed there is shrunk by ``margin`` and
-    capped at ``max_side``.
+    capped at ``max_side``, and must keep ROI_MIN_SIDE pixels a side.
     """
     from scipy import ndimage  # deferred: `import polsardr` loads numpy only
 
@@ -159,9 +159,9 @@ def inscribed_rois(truth: ClassMap, margin: int = 3, max_side: int = 49,
         depth = int(dist.max())
         y, x = np.unravel_index(int(np.argmax(dist)), dist.shape)
         half = min(depth - 1 - margin, (max_side - 1) // 2)
-        if 2 * half + 1 < min_side:
+        if 2 * half + 1 < ROI_MIN_SIDE:
             raise InvalidSpec(
-                f"class {cls} region too thin for a {min_side}px ROI at margin {margin}"
+                f"class {cls} region too thin for a {ROI_MIN_SIDE}px ROI at margin {margin}"
             )
         rois.rects[cls] = [(int(x - half), int(y - half), int(x + half), int(y + half))]
     return rois

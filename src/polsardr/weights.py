@@ -22,10 +22,11 @@ import numpy as np
 
 from . import hermitian as hm
 from .classify import KINDS, PrototypeSet, distance_stack
-from .classify import SIMPLEX_TOL  # re-exported: one tolerance for every simplex check
 from .errors import InvalidObservation, NonFiniteEnergy
 
 FD_STEP = 1e-6
+INITIAL_STEP = 0.1  # where every line search starts
+ENERGY_TOL = 1e-8  # the descent stops once an iteration gains less energy than this
 
 
 def saturate(s, lam: float = 1.0) -> np.ndarray | float:
@@ -118,8 +119,7 @@ class WeightResult:
 
 
 def optimize_weights(train: TrainingSet, kind: str = "KL", lam: float = 1.0,
-                     max_iters: int = 500, initial_step: float = 0.1,
-                     tol: float = 1e-8) -> WeightResult:
+                     max_iters: int = 500) -> WeightResult:
     """Projected gradient descent from the uniform weight vector.
 
     Accepted steps never increase the energy (backtracking enforces it) and
@@ -138,7 +138,7 @@ def optimize_weights(train: TrainingSet, kind: str = "KL", lam: float = 1.0,
         g = _fd_gradient(w, tables, lam)
         if not np.all(np.isfinite(g)):
             raise NonFiniteEnergy(f"non-finite gradient at iteration {it}: {g}")
-        step = initial_step
+        step = INITIAL_STEP
         w_new, e_new = w, cur
         while step > 1e-14:
             cand = project_to_simplex(w - step * g)
@@ -149,7 +149,7 @@ def optimize_weights(train: TrainingSet, kind: str = "KL", lam: float = 1.0,
                 w_new, e_new = cand, e_cand
                 break
             step *= 0.5
-        if e_new >= cur - tol:
+        if e_new >= cur - ENERGY_TOL:
             # No step improved, or the improvement is below tolerance.
             if e_new < cur:
                 w, cur = w_new, e_new

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .distances import _features, _score, log_gamma3  # noqa: F401 (log_gamma3 is public here too)
+from .distances import _features, _score
 from .errors import InvalidLooks, InvalidObservation
 
 

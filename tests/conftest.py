@@ -19,6 +19,15 @@ def make_hermitian(rng, scale=1.0):
     return scale * 0.5 * (a + a.conj().T)
 
 
+def read_ppm(path):
+    """Pixels of a binary PPM (P6, 8-bit) as an (H, W, 3) uint8 array."""
+    with open(path, "rb") as f:
+        assert f.readline() == b"P6\n"
+        width, height = (int(v) for v in f.readline().split())
+        assert f.readline() == b"255\n"
+        return np.frombuffer(f.read(), dtype=np.uint8).reshape(height, width, 3)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -245,7 +245,7 @@ def test_criterion_9_diffusion_scalar_oracle():
     from test_evolution import scalar_five_point
     t0 = time.perf_counter()
     params = EvolutionParams(alpha=0.5, dt=0.01)
-    coeff = params.alpha * params.dt / params.h**2
+    coeff = params.alpha * params.dt  # the grid step is one pixel
     for seed in range(10):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((64, 64, 3, 3)) + 1j * rng.standard_normal((64, 64, 3, 3))

@@ -207,14 +207,20 @@ def test_cli_error_paths(tmp_path, capsys):
     (["--image", "IMG", "--classmap", "IMG"], 2,
      "--classmap: not allowed with argument --image"),
     (["--image", "IMG"], 1, "polsardr render: error: --image needs --model"),
+    (["--classmap", "MAP", "--classes", "1"], 1,
+     "polsardr render: error: n_classes = 1 must be >= 1 and >= the largest label 2"),
+    (["--classmap", "MAP", "--classes", "0"], 1,
+     "polsardr render: error: n_classes = 0 must be >= 1 and >= the largest label 2"),
 ])
 def test_render_argument_checks(tmp_path, capsys, args, code, message):
-    # render takes exactly one of --image and --classmap; --image needs --model
-    base = str(tmp_path / "img")
+    # render takes exactly one of --image and --classmap; --image needs --model,
+    # and --classes a color for every label of the map
+    base, cmap = str(tmp_path / "img"), str(tmp_path / "map")
     field = CovarianceField(np.tile(hm.to_packed(np.eye(3, dtype=complex)), (2, 2, 1)))
     dataio.write_covariance_image(field, base)
+    dataio.write_classmap(ClassMap(np.array([[0, 1], [2, 1]], dtype=np.uint8)), cmap)
     out = str(tmp_path / "x.ppm")
-    argv = ["render"] + [base if a == "IMG" else a for a in args] + ["--out", out]
+    argv = ["render"] + [{"IMG": base, "MAP": cmap}.get(a, a) for a in args] + ["--out", out]
     if code == 2:  # argparse usage errors exit
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -223,6 +229,28 @@ def test_render_argument_checks(tmp_path, capsys, args, code, message):
         assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train", "weights", "evaluate", "pipeline"])
+def test_a_one_pixel_roi_class_is_an_error_for_every_command_that_splits(
+        tmp_path, capsys, command):
+    # one ROI pixel leaves the class no test pixel, so its accuracy is undefined
+    base, roi, model = tmp_path / "img", tmp_path / "roi.txt", tmp_path / "model.txt"
+    field, truth = generate_phantom(PhantomSpec(width=12, height=10))
+    dataio.write_covariance_image(field, base)
+    dataio.write_classmap(truth, tmp_path / "truth")
+    dataio.write_model(PrototypeSet(sigmas=PhantomSpec().sigmas[:2], shared_looks=4.0), model)
+    roi.write_text("1 0 0 3 3\n2 5 5 5 5\n")
+    (tmp_path / "exp.cfg").write_text(f"image: {base}\nroi: {roi}\nrules: KL\n"
+                                      f"iterations: 1\noutdir: {tmp_path / 'out'}\n")
+    argv = {"train": ["--image", base, "--roi", roi, "--out", tmp_path / "m2.txt"],
+            "weights": ["--image", base, "--roi", roi, "--model", model],
+            "evaluate": ["--roi", roi, "--pred", f"T={tmp_path / 'truth'}"],
+            "pipeline": ["--config", tmp_path / "exp.cfg"]}[command]
+    assert main([command] + [str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"polsardr {command}: error: " in err
+    assert "classes [2] have fewer than 2 ROI pixels" in err
 
 
 def test_pipeline_small(tmp_path):

@@ -12,7 +12,7 @@ from polsardr.errors import (MalformedHeader, MalformedRoi,
 from polsardr.fields import ClassMap, CovarianceField, RoiSet
 from polsardr.wishart import WishartModel, sample
 
-from conftest import make_hpd
+from conftest import make_hpd, read_ppm
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
@@ -29,8 +29,12 @@ def test_covariance_roundtrip_f64(tmp_path, rng):
 
 
 def test_covariance_roundtrip_f32(tmp_path, rng):
+    # the program writes f64 only; an f32 image made elsewhere reads as float64
     field = _random_field(rng)
-    dataio.write_covariance_image(field, tmp_path / "a", dtype="f32")
+    dataio.write_covariance_image(field, tmp_path / "a")
+    header = tmp_path / "a.hdr"
+    header.write_text(header.read_text().replace("dtype: f64", "dtype: f32"))
+    field.data.astype("<f4").tofile(tmp_path / "a.dat")
     back = dataio.read_covariance_image(tmp_path / "a")
     np.testing.assert_allclose(back.data, field.data, rtol=1e-6, atol=1e-6)
 
@@ -161,6 +165,15 @@ def test_split_invariant_under_rectangle_decomposition():
     np.testing.assert_array_equal(a.test[1], b.test[1])
 
 
+def test_split_refuses_a_class_with_fewer_than_two_pixels():
+    # one pixel leaves the class an empty test half; every class that short is named
+    rois = RoiSet({1: [(0, 0, 3, 3)], 2: [(5, 5, 5, 5)], 3: [(7, 1, 7, 1), (7, 1, 7, 1)]})
+    with pytest.raises(MalformedRoi, match=r"classes \[2, 3\] have fewer than 2 ROI pixels"):
+        dataio.split_roi(rois, seed=1)
+    split = dataio.split_roi(RoiSet({1: [(0, 0, 1, 0)]}), seed=1)  # two pixels split 1 + 1
+    assert len(split.train[1]) == 1 and len(split.test[1]) == 1
+
+
 def test_model_file_roundtrip(tmp_path, rng):
     protos = PrototypeSet(
         sigmas=hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng), make_hpd(rng)])),
@@ -185,7 +198,7 @@ def test_model_file_incomplete(tmp_path):
 def test_ppm_roundtrip(tmp_path, rng):
     rgb = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
     dataio.write_ppm(tmp_path / "x.ppm", rgb)
-    np.testing.assert_array_equal(dataio.read_ppm(tmp_path / "x.ppm"), rgb)
+    np.testing.assert_array_equal(read_ppm(tmp_path / "x.ppm"), rgb)
     header = (tmp_path / "x.ppm").read_bytes()[:11]
     assert header == b"P6\n4 5\n255\n"
 
@@ -218,3 +231,11 @@ def test_render_classmap_flat_colors(tmp_path):
     np.testing.assert_array_equal(rgb[0, 0], [0, 0, 0])  # sentinel is black
     np.testing.assert_array_equal(rgb[0, 1], palette[0])
     np.testing.assert_array_equal(rgb[1, 0], palette[1])
+
+
+@pytest.mark.parametrize("n_classes", [0, 1])
+def test_render_classmap_refuses_fewer_colors_than_labels(tmp_path, n_classes):
+    cmap = ClassMap(np.array([[0, 1], [2, 1]], dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"n_classes = {n_classes} .*largest label 2"):
+        dataio.render_classmap(cmap, tmp_path / "c.ppm", n_classes=n_classes)
+    assert not (tmp_path / "c.ppm").exists()

@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from polsardr.errors import DomainError, EmptySample, NoRoot
+from polsardr.errors import DomainError, EmptySample, InvalidObservation, NoRoot
 from polsardr.estimation import (LOOKS_BRACKET, SampleStats, box_snell_bias,
                                  estimate_looks_corrected, estimate_looks_ml, looks_score,
                                  polygamma3)
-from polsardr.wishart import WishartModel, log_density, log_gamma3, sample
+from polsardr.distances import log_gamma3
+from polsardr.wishart import WishartModel, log_density, sample
 
 from conftest import make_hpd
 
@@ -122,6 +123,19 @@ def test_no_root_for_dispersion_free_sample(rng):
     with pytest.raises(NoRoot) as exc:
         estimate_looks_ml(stats)
     assert exc.value.side == "high"
+
+
+def test_from_sample_refuses_non_pd_matrices_with_a_positive_determinant(rng):
+    # det(diag(-1, -1, 1)) = 1 > 0, so a determinant test lets it through
+    m = make_hpd(rng)
+    bad = [np.diag([-1.0, -1.0, 1.0]).astype(complex), np.diag([1.0, -2.0, -3.0]).astype(complex)]
+    with pytest.raises(InvalidObservation, match="^2 sample matrices are not positive definite"):
+        SampleStats.from_sample(np.stack([m, bad[0], m, bad[1]]))
+    with pytest.raises(InvalidObservation, match="^1 sample matrices"):
+        SampleStats.from_sample(bad[0])
+    stats = SampleStats.from_sample(np.stack([m, 2 * m]))  # PD samples keep their log-dets
+    dets = [np.linalg.det(m).real, np.linalg.det(2 * m).real]
+    assert stats.mean_log_det == pytest.approx(np.mean(np.log(dets)), rel=1e-12)
 
 
 def test_no_root_for_overdispersed_sample():

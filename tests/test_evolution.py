@@ -100,8 +100,7 @@ def test_diffusion_matches_scalar_stencil_oracle(rng):
     params = EvolutionParams(alpha=0.5, dt=0.01)
     field = _random_field(rng, 12, 10)
     out = diffusion_step(field, params)
-    expected = scalar_five_point(hm.from_packed(field.data),
-                                 params.alpha * params.dt / params.h**2)
+    expected = scalar_five_point(hm.from_packed(field.data), params.alpha * params.dt)
     assert np.abs(hm.from_packed(out.data) - expected).max() < 1e-12
 
 
@@ -334,9 +333,9 @@ def test_evolve_raises_a_worker_band_error_and_joins_the_pool(rng, monkeypatch):
        cpus=st.sampled_from([1, 2, 3]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
        kind=st.sampled_from(["KL", "HD"]))
 def test_evolve_preserves_cone_at_the_stability_boundary(seed, h, w, cpus, scale, kind):
-    # 1 - 4*alpha*dt/h^2 = 0: the diffusion replaces every pixel by the mean
+    # 1 - 4*alpha*dt = 0: the diffusion replaces every pixel by the mean
     # of its four neighbours, still a convex combination of PD matrices
-    params = EvolutionParams(alpha=0.25, dt=1.0, h=1.0, iterations=5)
+    params = EvolutionParams(alpha=0.25, dt=1.0, iterations=5)
     rng = np.random.default_rng(seed)
     field = _random_field(rng, h, w)
     field = CovarianceField(scale * field.data)

@@ -190,9 +190,27 @@ def test_component_major_copies_only_other_layouts(rng):
             hm.is_positive_definite(bad)
 
 
-def test_assemble_is_hermitian_by_construction(rng):
-    m = hm.assemble(1.0, 2.0, 3.0, 0.1 + 0.2j, -0.3j, 0.4 - 0.1j)
+def test_from_packed_is_hermitian_by_construction(rng):
+    m = hm.from_packed([1.0, 2.0, 3.0, 0.1, 0.2, 0.0, -0.3, 0.4, -0.1])
     np.testing.assert_array_equal(m, m.conj().T)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_IMAG = _FINITE | st.sampled_from([-0.0, np.inf, -np.inf])
+
+
+@given(p=st.tuples(_FINITE, _FINITE, _FINITE, _FINITE, _IMAG, _FINITE, _IMAG, _FINITE, _IMAG))
+@settings(max_examples=200, deadline=None)
+def test_from_packed_round_trips_bit_for_bit(p):
+    # every packed value comes back with its bits, -0.0 and an infinite
+    # imaginary part included, from exactly Hermitian matrices
+    p = np.array(p)
+    batch = np.stack([p, p[[2, 1, 0, 7, 8, 5, 6, 3, 4]]]).reshape(2, 1, 9)
+    for x in (p, batch):
+        m = hm.from_packed(x)
+        assert m.shape == x.shape[:-1] + (3, 3)
+        assert hm.to_packed(m).tobytes() == x.tobytes()
+        assert np.array_equal(m, np.conj(np.swapaxes(m, -1, -2)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -203,7 +221,9 @@ def test_packed_roundtrip(seed):
 
 
 def test_packed_layout():
-    m = hm.assemble(1.0, 2.0, 3.0, 4 + 5j, 6 + 7j, 8 + 9j)
+    m = hm.from_packed([1, 2, 3, 4, 5, 6, 7, 8, 9])
+    np.testing.assert_array_equal(m, [[1, 4 + 5j, 6 + 7j], [4 - 5j, 2, 8 + 9j],
+                                      [6 - 7j, 8 - 9j, 3]])
     np.testing.assert_array_equal(hm.to_packed(m), [1, 2, 3, 4, 5, 6, 7, 8, 9])
 
 

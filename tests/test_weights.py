@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from polsardr.classify import PrototypeSet
+from polsardr.classify import SIMPLEX_TOL, PrototypeSet
 from polsardr.errors import InvalidObservation, NonFiniteEnergy
-from polsardr.weights import (SIMPLEX_TOL, TrainingSet, distance_tables, energy,
-                              optimize_weights, project_to_simplex, saturate)
+from polsardr.weights import (TrainingSet, distance_tables, energy, optimize_weights,
+                              project_to_simplex, saturate)
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 from polsardr.distances import kl_distance

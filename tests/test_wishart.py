@@ -7,7 +7,8 @@ import pytest
 
 from polsardr import hermitian as hm
 from polsardr.errors import InvalidLooks, InvalidObservation
-from polsardr.wishart import WishartModel, log_density, log_gamma3, sample
+from polsardr.distances import log_gamma3
+from polsardr.wishart import WishartModel, log_density, sample
 
 import oracle
 from conftest import make_hermitian, make_hpd
