@@ -16,7 +16,7 @@ import numpy as np
 from . import dataio
 from . import hermitian as hm
 from .classify import KINDS, RULES, PrototypeSet, classify_image
-from .errors import MissingBaseline, PolsarError
+from .errors import PolsarError, SizeMismatch
 from .estimation import SampleStats, estimate_looks_corrected
 from .evolution import EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, Split
@@ -34,6 +34,10 @@ class AccuracyReport:
     per_class: dict[int, float]
     overall: float
     seconds: float | None = None
+
+
+def _repeated(names) -> list:
+    return sorted({n for n in names if names.count(n) > 1})
 
 
 def accuracy_report(method: str, predicted: ClassMap, split: Split,
@@ -58,7 +62,8 @@ class ComparisonTable:
 
     improvement = 100 * (acc - worst) / (100 - worst); the worst method is the
     baseline (None entry) and classes where the baseline is already 100 have
-    no defined improvement for anyone.
+    no defined improvement for anyone.  A single report is its own baseline.
+    Method names key the cells, so they must be distinct.
     """
 
     reports: list[AccuracyReport]
@@ -66,8 +71,9 @@ class ComparisonTable:
     improvements: dict[str, dict[int, float | None]] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.reports) < 2:
-            raise MissingBaseline("improvements need at least two runs to compare")
+        repeated = _repeated([rep.method for rep in self.reports])
+        if repeated:
+            raise ValueError(f"repeated method names {repeated}")
         classes = sorted(self.reports[0].per_class)
         for rep in self.reports:
             self.improvements[rep.method] = {}
@@ -124,7 +130,7 @@ _CONFIG_TYPES = {
     "width": int, "height": int, "looks": int, "phantom_seed": int, "split_seed": int,
     "alpha": float, "dt": float, "iterations": int, "lambda": float, "distance": str,
     "rules": str, "outdir": str, "image": str, "roi": str, "phantom_config": str,
-    "use_class_looks": bool, "roi_margin": int, "roi_max_side": int,
+    "use_class_looks": bool,
 }
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -134,14 +140,14 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 class ExperimentConfig:
     """Plain-text `key: value` experiment description with Table-style defaults."""
 
-    width: int = 300
-    height: int = 300
-    looks: int | None = None  # phantom: 4; image: the header's value
-    phantom_seed: int = 20240801
+    width: int = PhantomSpec.width
+    height: int = PhantomSpec.height
+    looks: int | None = None  # phantom: PhantomSpec.looks; image: the header's value
+    phantom_seed: int = PhantomSpec.seed
     split_seed: int = 42
-    alpha: float = 0.5
-    dt: float = 0.01
-    iterations: int = 50
+    alpha: float = EvolutionParams.alpha
+    dt: float = EvolutionParams.dt
+    iterations: int = EvolutionParams.iterations
     lam: float = 1.0
     distance: str = "KL"  # the weights' tables, the reaction and the DR map's rule
     rules: tuple[str, ...] = ("ML", "ED", "HD", "KL", "KL+OW")
@@ -150,8 +156,6 @@ class ExperimentConfig:
     roi: str | None = None
     phantom_config: str | None = None
     use_class_looks: bool = False
-    roi_margin: int = 3
-    roi_max_side: int = 49
 
     def __post_init__(self):
         # Raises StabilityViolation up front when alpha*dt is too large.
@@ -161,6 +165,9 @@ class ExperimentConfig:
         unknown = [r for r in self.rules if r not in RULES]
         if unknown:
             raise ValueError(f"unknown rules {unknown}; choose from {RULES}")
+        repeated = _repeated(self.rules)
+        if repeated:  # each rule names a row of the table and a class map file
+            raise ValueError(f"repeated rules {repeated}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -193,25 +200,27 @@ def _save_classmap(cmap: ClassMap, base, n_classes: int | None = None) -> None:
     dataio.render_classmap(cmap, f"{base}.ppm", n_classes=n_classes)
 
 
-def read_split(roi_path, seed: int, field: CovarianceField | None = None) -> Split:
-    """Train/test halves of the ROI file; with a field, its rectangles must fit it."""
-    size = {} if field is None else {"width": field.width, "height": field.height}
-    return dataio.split_roi(dataio.read_roi(roi_path, **size), seed)
+def read_split(roi_path, seed: int, image: CovarianceField | ClassMap) -> Split:
+    """Train/test halves of the ROI file, whose rectangles must fit ``image``."""
+    return dataio.split_roi(dataio.read_roi(roi_path, image.width, image.height), seed)
 
 
 def train_prototypes(field: CovarianceField, split: Split, looks=None) -> PrototypeSet:
     """Per-class covariance and bias-corrected looks from the train pixels; the
-    shared looks are ``looks`` if given, else the field's (its header's), else 4."""
+    shared looks are ``looks`` if given, else the field's (its header's), else
+    the phantom's."""
     stats = [SampleStats.from_sample(hm.from_packed(field.data[tuple(split.train[cls].T)]))
              for cls in split.classes]
-    shared = float(looks) if looks is not None else (field.looks or 4.0)
+    if looks is None:
+        looks = PhantomSpec.looks if field.looks is None else field.looks
     return PrototypeSet(sigmas=hm.to_packed(np.stack([s.mean for s in stats])),
-                        shared_looks=shared,
+                        shared_looks=float(looks),
                         class_looks=np.array([estimate_looks_corrected(s) for s in stats]))
 
 
 def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,
-                kind: str = "KL", lam: float = 1.0) -> WeightResult:
+                kind: str = ExperimentConfig.distance,
+                lam: float = ExperimentConfig.lam) -> WeightResult:
     """Optimize the class weights on the train pixels and store them in ``protos``."""
     train = TrainingSet(protos, [field.data[tuple(split.train[cls].T)] for cls in split.classes])
     result = optimize_weights(train, kind=kind, lam=lam)
@@ -290,27 +299,17 @@ def cmd_evaluate(args) -> int:
         if "=" not in item:
             raise ValueError(f"--pred wants NAME=BASE, got {item!r}")
         name, base = item.split("=", 1)
-        preds.append((name, dataio.read_classmap(base)))
-    split = read_split(args.roi, args.seed)
-    reports = [accuracy_report(name, cmap, split) for name, cmap in preds]
-    if args.improvements:
-        table = ComparisonTable(reports)
-        print(table.format())
-        if args.out:
-            table.write_csv(args.out)
-    else:
-        for rep in reports:
-            per = "  ".join(f"class {c}: {a:.1f}" for c, a in sorted(rep.per_class.items()))
-            print(f"{rep.method}: {per}  overall: {rep.overall:.2f}")
-        if args.out:
-            with open(args.out, "w", newline="") as f:
-                writer = csv.writer(f)
-                classes = sorted(reports[0].per_class)
-                writer.writerow(["method"] + [f"accuracy_{c}" for c in classes] + ["overall"])
-                for rep in reports:
-                    writer.writerow([rep.method]
-                                    + [f"{rep.per_class[c]:.6f}" for c in classes]
-                                    + [f"{rep.overall:.6f}"])
+        preds.append((name, base, dataio.read_classmap(base)))
+    _, first_base, first = preds[0]
+    for _, base, cmap in preds[1:]:
+        if cmap.labels.shape != first.labels.shape:
+            raise SizeMismatch(f"class map {base} is {cmap.width}x{cmap.height}, "
+                               f"but {first_base} is {first.width}x{first.height}")
+    split = read_split(args.roi, args.seed, first)
+    table = ComparisonTable([accuracy_report(name, cmap, split) for name, _, cmap in preds])
+    print(table.format())
+    if args.out:
+        table.write_csv(args.out)
     return 0
 
 
@@ -366,16 +365,15 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
             if config.phantom_config:
                 spec = read_phantom_config(config.phantom_config)
             else:
+                looks = PhantomSpec.looks if config.looks is None else config.looks
                 spec = PhantomSpec(width=config.width, height=config.height,
-                                   looks=4 if config.looks is None else config.looks,
-                                   seed=config.phantom_seed)
+                                   looks=looks, seed=config.phantom_seed)
             field, truth = generate_phantom(spec)
             dataio.write_covariance_image(field, outdir / "image")
             _save_classmap(truth, outdir / "truth")
             roi_path = config.roi or outdir / "roi.txt"
             if config.roi is None:
-                dataio.write_roi(inscribed_rois(truth, margin=config.roi_margin,
-                                                max_side=config.roi_max_side), roi_path)
+                dataio.write_roi(inscribed_rois(truth), roi_path)
     with _stage("split", seconds):
         split = read_split(roi_path, config.split_seed, field)
     with _stage("train", seconds):
@@ -446,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a Wishart phantom image")
     p.add_argument("--config", help="phantom spec file (key: value)")
-    p.add_argument("--width", type=int, default=300)
-    p.add_argument("--height", type=int, default=300)
-    p.add_argument("--looks", type=int, default=4)
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--width", type=int, default=PhantomSpec.width)
+    p.add_argument("--height", type=int, default=PhantomSpec.height)
+    p.add_argument("--looks", type=int, default=PhantomSpec.looks)
+    p.add_argument("--seed", type=int, default=PhantomSpec.seed)
     p.add_argument("--out", required=True, help="output image base path")
     p.add_argument("--truth", help="truth classmap base (default <out>_truth)")
     p.add_argument("--roi", help="auto-ROI output path (default <out>_roi.txt)")
@@ -458,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="estimate per-class models from ROI train halves")
     p.add_argument("--image", required=True)
     p.add_argument("--roi", required=True)
-    p.add_argument("--seed", type=int, default=42, help="split seed")
-    p.add_argument("--looks", type=float, help="shared looks (default: header value)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.split_seed, help="split seed")
+    p.add_argument("--looks", type=float,
+                   help=f"shared looks (default: the header's, else {PhantomSpec.looks})")
     p.add_argument("--out", required=True, help="model file")
     p.set_defaults(func=cmd_train)
 
@@ -467,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--roi", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--distance", default="KL", choices=KINDS)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.split_seed)
+    p.add_argument("--lambda", dest="lam", type=float, default=ExperimentConfig.lam)
+    p.add_argument("--distance", default=ExperimentConfig.distance, choices=KINDS)
     p.add_argument("--trace", help="write the optimizer trace CSV here")
     p.add_argument("--out", help="output model file (default: update --model in place)")
     p.set_defaults(func=cmd_weights)
@@ -485,20 +484,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="run the diffusion-reaction evolution")
     p.add_argument("--image", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--distance", default="KL", choices=KINDS)
+    p.add_argument("--alpha", type=float, default=EvolutionParams.alpha)
+    p.add_argument("--dt", type=float, default=EvolutionParams.dt)
+    p.add_argument("--iters", type=int, default=EvolutionParams.iterations)
+    p.add_argument("--distance", default=ExperimentConfig.distance, choices=KINDS)
     p.add_argument("--metrics", help="write per-iteration metrics CSV here")
     p.add_argument("--out", required=True, help="evolved image base path")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("evaluate", help="accuracy on ROI test halves")
     p.add_argument("--roi", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.split_seed)
     p.add_argument("--pred", action="append", required=True, metavar="NAME=BASE")
-    p.add_argument("--improvements", action="store_true",
-                   help="also report improvement over the worst technique")
     p.add_argument("--out", help="write the comparison CSV here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -59,7 +59,7 @@ class MalformedHeader(PolsarError):
 
 
 class SizeMismatch(PolsarError):
-    """Binary payload length disagrees with the header dimensions."""
+    """Sizes disagree: a binary payload and its header, or class maps scored together."""
 
 
 class MalformedRoi(PolsarError):
@@ -68,10 +68,6 @@ class MalformedRoi(PolsarError):
 
 class OutOfBounds(PolsarError):
     """ROI rectangle extends beyond the image bounds."""
-
-
-class MissingBaseline(PolsarError):
-    """Improvements were requested but fewer than two runs were supplied."""
 
 
 class NonPositiveDefinitePixelWarning(UserWarning):

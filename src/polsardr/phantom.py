@@ -45,7 +45,11 @@ def _default_sigmas() -> np.ndarray:
 DEFAULT_SIGMAS = _default_sigmas()
 
 DEFAULT_REGIONS = ("background", "band 0.50 0.02 0.13", "disk 0.70 0.72 0.15")
-ROI_MIN_SIDE = 8  # pixels a side of the smallest ROI that inscribed_rois places
+# inscribed_rois: pixels kept between a ROI and its region's boundary, and the
+# largest and smallest side it places.
+ROI_MARGIN = 3
+ROI_MAX_SIDE = 49
+ROI_MIN_SIDE = 8
 
 
 @dataclass(eq=False)
@@ -137,12 +141,12 @@ def generate_phantom(spec: PhantomSpec) -> tuple[CovarianceField, ClassMap]:
     return CovarianceField(data, looks=float(spec.looks)), ClassMap(labels)
 
 
-def inscribed_rois(truth: ClassMap, margin: int = 3, max_side: int = 49) -> RoiSet:
+def inscribed_rois(truth: ClassMap) -> RoiSet:
     """One square ROI per class, centered where the class region is deepest.
 
     The chessboard distance transform picks the pixel farthest from the
-    region boundary; the square inscribed there is shrunk by ``margin`` and
-    capped at ``max_side``, and must keep ROI_MIN_SIDE pixels a side.
+    region boundary; the square inscribed there is shrunk by ROI_MARGIN and
+    capped at ROI_MAX_SIDE, and must keep ROI_MIN_SIDE pixels a side.
     """
     from scipy import ndimage  # deferred: `import polsardr` loads numpy only
 
@@ -158,10 +162,10 @@ def inscribed_rois(truth: ClassMap, margin: int = 3, max_side: int = 49) -> RoiS
         dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
         depth = int(dist.max())
         y, x = np.unravel_index(int(np.argmax(dist)), dist.shape)
-        half = min(depth - 1 - margin, (max_side - 1) // 2)
+        half = min(depth - 1 - ROI_MARGIN, (ROI_MAX_SIDE - 1) // 2)
         if 2 * half + 1 < ROI_MIN_SIDE:
             raise InvalidSpec(
-                f"class {cls} region too thin for a {ROI_MIN_SIDE}px ROI at margin {margin}"
+                f"class {cls} region too thin for a {ROI_MIN_SIDE}px ROI at margin {ROI_MARGIN}"
             )
         rois.rects[cls] = [(int(x - half), int(y - half), int(x + half), int(y + half))]
     return rois

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -16,10 +17,10 @@ from polsardr import dataio
 from polsardr import hermitian as hm
 from polsardr.classify import RULES, PrototypeSet
 from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
-                          accuracy_report, main, run_pipeline)
-from polsardr.errors import MissingBaseline, PolsarError, StabilityViolation
+                          accuracy_report, build_parser, main, run_pipeline)
+from polsardr.errors import PolsarError, StabilityViolation
 from polsardr.fields import ClassMap, CovarianceField, RoiSet
-from polsardr.phantom import PhantomSpec, generate_phantom
+from polsardr.phantom import PhantomSpec, generate_phantom, inscribed_rois
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "goldens.json"
@@ -53,9 +54,28 @@ def test_improvement_undefined_when_baseline_is_perfect():
     assert table.improvements["B"][1] is None
 
 
-def test_improvements_need_two_runs():
-    with pytest.raises(MissingBaseline):
-        ComparisonTable([_report("A", [90.0])])
+def test_a_single_report_is_its_own_baseline(tmp_path):
+    # no other run to improve on: every improvement cell is empty, and a class
+    # below 100 % is tagged as the worst method's is
+    table = ComparisonTable([_report("A", [100.0, 90.0])])
+    assert table.improvements == {"A": {1: None, 2: None}}
+    assert table.format().splitlines()[1].split() == ["A", "100.0", "(-)", "90.0",
+                                                      "(baseline)", "95.00", "-"]
+    table.write_csv(tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_text().splitlines() == [
+        "method,accuracy_1,improvement_1,accuracy_2,improvement_2,overall,seconds",
+        "A,100.000000,,90.000000,,95.000000,"]
+
+
+def test_a_repeated_method_name_is_refused(tmp_path):
+    # improvements and baselines are keyed by method name, so a repeated name
+    # would take another row's cells
+    with pytest.raises(ValueError, match=r"repeated method names \['A'\]"):
+        ComparisonTable([_report("A", [90.0]), _report("B", [80.0]), _report("A", [70.0])])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("rules: KL, ML, KL\n")
+    with pytest.raises(ValueError, match=r"repeated rules \['KL'\]"):
+        ExperimentConfig.from_file(cfg)
 
 
 def test_accuracy_report_counts_sentinel_as_error():
@@ -174,7 +194,7 @@ def test_subcommands_end_to_end(tmp_path, capsys):
     assert main(["evaluate", "--roi", f"{base}_roi.txt", "--seed", "5",
                  "--pred", f"KL={tmp_path / 'map_kl'}",
                  "--pred", f"DR={tmp_path / 'map_dr'}",
-                 "--improvements", "--out", str(tmp_path / "cmp.csv")]) == 0
+                 "--out", str(tmp_path / "cmp.csv")]) == 0
     assert main(["render", "--image", base, "--model", model,
                  "--out", str(tmp_path / "img.ppm")]) == 0
     assert main(["render", "--classmap", str(tmp_path / "map_dr"), "--classes", "3",
@@ -191,6 +211,75 @@ def test_subcommands_end_to_end(tmp_path, capsys):
     # the evolved image classifies at least as well as the pointwise rule
     table = (tmp_path / "cmp.csv").read_text().splitlines()
     assert table[0].startswith("method,accuracy_1,improvement_1")
+
+
+def _evaluate_inputs(tmp_path):
+    """A 12x10 truth map (class 1 left, class 2 right), a map with one wrong
+    ROI pixel and their ROI file."""
+    labels = np.ones((10, 12), dtype=np.uint8)
+    labels[:, 6:] = 2
+    dataio.write_classmap(ClassMap(labels), tmp_path / "truth")
+    labels[0, 7] = 1
+    dataio.write_classmap(ClassMap(labels), tmp_path / "map")
+    (tmp_path / "roi.txt").write_text("1 0 0 3 3\n2 7 0 9 3\n")
+
+
+@pytest.mark.parametrize("preds", [["T=truth"], ["T=truth", "M=map"]])
+def test_evaluate_prints_and_writes_the_comparison_table(tmp_path, capsys, monkeypatch,
+                                                         preds):
+    # one report or several: the table on stdout, its CSV in --out
+    _evaluate_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["evaluate", "--roi", "roi.txt", "--out", "cmp.csv"]
+    for pred in preds:
+        argv += ["--pred", pred]
+    assert main(argv) == 0
+    methods = [pred.split("=")[0] for pred in preds]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["method", "class", "1", "class", "2", "overall", "seconds"]
+    assert [ln.split()[0] for ln in lines[1:]] == methods
+    csv_lines = (tmp_path / "cmp.csv").read_text().splitlines()
+    assert csv_lines[0] == ("method,accuracy_1,improvement_1,accuracy_2,improvement_2,"
+                            "overall,seconds")
+    assert [ln.split(",")[0] for ln in csv_lines[1:]] == methods
+
+
+@pytest.mark.parametrize("roi, preds, message", [
+    ("1 0 0 3 3\n2 7 0 20 3\n", ["T=truth"], "roi.txt:2: rectangle exceeds 12x10"),
+    ("1 0 0 3 3\n2 7 0 9 3\n", ["T=truth", "W=wide"],
+     "class map wide is 14x10, but truth is 12x10"),
+    ("1 0 0 3 3\n2 7 0 9 3\n", ["A=map", "A=truth"], "repeated method names ['A']"),
+])
+def test_evaluate_refuses_what_it_cannot_score(tmp_path, capsys, monkeypatch,
+                                               roi, preds, message):
+    # the ROI must fit the maps it scores, the maps must share one size, and
+    # the method names, which key the table's cells, must differ
+    _evaluate_inputs(tmp_path)
+    dataio.write_classmap(ClassMap(np.ones((10, 14), dtype=np.uint8)), tmp_path / "wide")
+    (tmp_path / "roi.txt").write_text(roi)
+    monkeypatch.chdir(tmp_path)
+    argv = ["evaluate", "--roi", "roi.txt"]
+    for pred in preds:
+        argv += ["--pred", pred]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polsardr evaluate: error: ") and message in err
+
+
+@pytest.mark.parametrize("looks, code, message", [
+    (None, 0, "trained 3 classes (shared looks 4.0,"),
+    (0.0, 1, "polsardr train: error: looks must be finite and >= 3"),
+])
+def test_train_takes_the_shared_looks_from_the_header(tmp_path, capsys, looks, code, message):
+    # a header without looks gives the phantom's 4; a header's 0 is refused,
+    # not replaced
+    field, truth = generate_phantom(PhantomSpec(width=96, height=96))
+    dataio.write_covariance_image(CovarianceField(field.data, looks=looks), tmp_path / "img")
+    dataio.write_roi(inscribed_rois(truth), tmp_path / "roi.txt")
+    assert main(["train", "--image", str(tmp_path / "img"), "--roi", str(tmp_path / "roi.txt"),
+                 "--out", str(tmp_path / "model.txt")]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -256,7 +345,7 @@ def test_a_one_pixel_roi_class_is_an_error_for_every_command_that_splits(
 def test_pipeline_small(tmp_path):
     config = ExperimentConfig(width=96, height=96, looks=4, phantom_seed=2,
                               split_seed=5, iterations=8,
-                              outdir=str(tmp_path / "run"), roi_max_side=21)
+                              outdir=str(tmp_path / "run"))
     result = run_pipeline(config)
     methods = [rep.method for rep in result.table.reports]
     assert methods == ["ML", "ED", "HD", "KL", "KL+OW", "DR+KL+OW+8"]
@@ -381,7 +470,7 @@ def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):
 def test_pipeline_command_via_main(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("width: 96\nheight: 96\nphantom_seed: 4\niterations: 5\n"
-                   f"outdir: {tmp_path / 'run'}\nroi_max_side: 19\n")
+                   f"outdir: {tmp_path / 'run'}\n")
     assert main(["pipeline", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "DR+KL+OW+5" in out and "artifacts in" in out
@@ -410,19 +499,25 @@ def test_default_pipeline_timing_and_dominance(tmp_path):
     assert table == golden["table"]
 
 
-def test_run_phantom_experiment_script(tmp_path):
-    # the script runs in its own interpreter, as a user starts it
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_phantom_experiment.py"),
-         "--size", "100", "--iters", "3", "--outdir", str(tmp_path)],
-        capture_output=True, text=True, env=_src_env(), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["method", "class", "1", "class", "2", "class", "3",
-                                "overall", "seconds"]
-    assert [ln.split()[0] for ln in lines[1:7]] == ["ML", "ED", "HD", "KL", "KL+OW",
-                                                    "DR+KL+OW+3"]
-    assert f"artifacts in {tmp_path}" in proc.stdout
+def _readme_blocks(section):
+    """The fenced code blocks of a README section, without their opening lines."""
+    text = (ROOT / "README.md").read_text().split(f"\n## {section}\n", 1)[1]
+    return [block.split("\n", 1)[1] for block in text.split("\n## ", 1)[0].split("```")[1::2]]
+
+
+def test_readme_matches_the_command_line(tmp_path):
+    # the configuration block loads as it stands, and every command of the
+    # quick start parses; together they use each subcommand
+    block, = _readme_blocks("Configuration")
+    (tmp_path / "exp.cfg").write_text(block)
+    ExperimentConfig.from_file(tmp_path / "exp.cfg")
+    parser = build_parser()
+    used = {parser.parse_args(shlex.split(line, comments=True)[1:]).command
+            for block in _readme_blocks("Quick start")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("polsardr ")}
+    assert used == {"simulate", "train", "weights", "classify", "evolve", "evaluate",
+                    "render", "pipeline"}
 
 
 def _cold_run(*args, cwd=None):

@@ -10,6 +10,7 @@ from polsardr.errors import InvalidSpec
 from polsardr.phantom import (DEFAULT_SIGMAS, PhantomSpec, generate_phantom,
                               inscribed_rois, read_phantom_config, region_map)
 from polsardr import hermitian as hm
+from polsardr import phantom
 
 
 def test_spec_validation():
@@ -93,8 +94,8 @@ def test_per_region_means_converge():
 def test_inscribed_rois_sit_inside_regions():
     spec = PhantomSpec(width=150, height=150, seed=7)
     _, truth = generate_phantom(spec)
-    margin = 3
-    rois = inscribed_rois(truth, margin=margin)
+    margin = phantom.ROI_MARGIN
+    rois = inscribed_rois(truth)
     assert set(rois.classes) == {1, 2, 3}
     for cls in rois.classes:
         (x0, y0, x1, y1), = rois.rects[cls]
