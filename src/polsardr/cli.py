@@ -140,10 +140,11 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 class ExperimentConfig:
     """Plain-text `key: value` experiment description with Table-style defaults."""
 
-    width: int = PhantomSpec.width
-    height: int = PhantomSpec.height
-    looks: int | None = None  # phantom: PhantomSpec.looks; image: the header's value
-    phantom_seed: int = PhantomSpec.seed
+    # None: the phantom's PhantomSpec default; with `image:`, the header's looks
+    width: int | None = None
+    height: int | None = None
+    looks: int | None = None
+    phantom_seed: int | None = None
     split_seed: int = 42
     alpha: float = EvolutionParams.alpha
     dt: float = EvolutionParams.dt
@@ -168,6 +169,10 @@ class ExperimentConfig:
         repeated = _repeated(self.rules)
         if repeated:  # each rule names a row of the table and a class map file
             raise ValueError(f"repeated rules {repeated}")
+        if self.phantom_config is not None:
+            keys = ("width", "height", "looks", "phantom_seed")
+            _refuse_beside(f"phantom_config {self.phantom_config}",
+                           {key: getattr(self, key) for key in keys})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -193,6 +198,18 @@ class ExperimentConfig:
 
 
 # --- shared helpers -----------------------------------------------------------
+
+def _refuse_beside(source: str, values: dict) -> None:
+    """Refuse phantom values given next to the phantom config ``source``, which sets them."""
+    given = [name for name, value in values.items() if value is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} and {source} both set the phantom; give one of them")
+
+
+def _phantom_spec(**values) -> PhantomSpec:
+    """PhantomSpec of the given values; a None value takes PhantomSpec's default."""
+    return PhantomSpec(**{k: v for k, v in values.items() if v is not None})
+
 
 def _save_classmap(cmap: ClassMap, base, n_classes: int | None = None) -> None:
     """Write <base>.hdr/.dat and render <base>.ppm."""
@@ -231,11 +248,12 @@ def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    flags = {"width": args.width, "height": args.height, "looks": args.looks, "seed": args.seed}
     if args.config:
+        _refuse_beside(f"--config {args.config}", {f"--{k}": v for k, v in flags.items()})
         spec = read_phantom_config(args.config)
     else:
-        spec = PhantomSpec(width=args.width, height=args.height,
-                           looks=args.looks, seed=args.seed)
+        spec = _phantom_spec(**flags)
     field, truth = generate_phantom(spec)
     dataio.write_covariance_image(field, args.out)
     truth_base = args.truth or f"{args.out}_truth"
@@ -365,9 +383,8 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
             if config.phantom_config:
                 spec = read_phantom_config(config.phantom_config)
             else:
-                looks = PhantomSpec.looks if config.looks is None else config.looks
-                spec = PhantomSpec(width=config.width, height=config.height,
-                                   looks=looks, seed=config.phantom_seed)
+                spec = _phantom_spec(width=config.width, height=config.height,
+                                     looks=config.looks, seed=config.phantom_seed)
             field, truth = generate_phantom(spec)
             dataio.write_covariance_image(field, outdir / "image")
             _save_classmap(truth, outdir / "truth")
@@ -443,11 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a Wishart phantom image")
-    p.add_argument("--config", help="phantom spec file (key: value)")
-    p.add_argument("--width", type=int, default=PhantomSpec.width)
-    p.add_argument("--height", type=int, default=PhantomSpec.height)
-    p.add_argument("--looks", type=int, default=PhantomSpec.looks)
-    p.add_argument("--seed", type=int, default=PhantomSpec.seed)
+    p.add_argument("--config", help="phantom spec file (key: value); sets the phantom "
+                   "on its own, so it is refused next to the four flags below")
+    p.add_argument("--width", type=int, help=f"image width (default {PhantomSpec.width})")
+    p.add_argument("--height", type=int, help=f"image height (default {PhantomSpec.height})")
+    p.add_argument("--looks", type=int, help=f"number of looks (default {PhantomSpec.looks})")
+    p.add_argument("--seed", type=int, help=f"noise seed (default {PhantomSpec.seed})")
     p.add_argument("--out", required=True, help="output image base path")
     p.add_argument("--truth", help="truth classmap base (default <out>_truth)")
     p.add_argument("--roi", help="auto-ROI output path (default <out>_roi.txt)")

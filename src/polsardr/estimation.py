@@ -12,7 +12,7 @@ unique root.  The first-order Box-Snell bias estimate is then subtracted.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ class SampleStats:
     n: int
     mean: np.ndarray
     mean_log_det: float
+    log_det_of_mean: float = field(init=False)  # a constant of the looks score
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_det_of_mean", np.log(hm.det3(self.mean)))
 
     @classmethod
     def from_sample(cls, sample) -> "SampleStats":
@@ -69,12 +73,53 @@ def polygamma3(order: int, looks) -> np.ndarray | float:
 def looks_score(looks: float, stats: SampleStats) -> float:
     """Score whose unique root is the ML looks estimate."""
     return (3.0 * np.log(looks) + stats.mean_log_det
-            - np.log(hm.det3(stats.mean)) - polygamma3(0, looks))
+            - stats.log_det_of_mean - polygamma3(0, looks))
+
+
+def _brent_root(f, xpre, xcur, fpre, fcur, xtol, rtol):
+    """Root of f between xpre and xcur, given fpre = f(xpre) > 0 >= fcur = f(xcur).
+
+    scipy's brentq.c step for step, so the root has the bits that
+    ``scipy.optimize.brentq`` returns: inverse quadratic or secant steps while
+    they shrink fast enough, bisection otherwise, until the bracket is within
+    2*delta = xtol + rtol*|x|, in at most brentq's default 100 iterations.  The
+    arithmetic runs on numpy floats, so a flat step divides by zero as C does
+    and falls back to bisection.
+    """
+    xpre, xcur, fpre, fcur = map(np.float64, (xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.float64(0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + rtol * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return xcur
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                    spre, scur = scur, stry
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = np.float64(f(xcur))
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def estimate_looks_ml(stats: SampleStats) -> float:
-    from scipy.optimize import brentq  # deferred: `import polsardr` loads numpy only
-
     lo, hi = LOOKS_BRACKET
     f_lo = looks_score(lo, stats)
     f_hi = looks_score(hi, stats)
@@ -84,7 +129,8 @@ def estimate_looks_ml(stats: SampleStats) -> float:
     if f_lo <= 0:
         raise NoRoot("looks score negative at the bracket bottom "
                      "(sample more dispersed than looks = 3 allows)", side="low")
-    root = brentq(looks_score, lo, hi, args=(stats,), xtol=1e-10, rtol=8.9e-16)
+    root = _brent_root(lambda x: looks_score(x, stats), lo, hi, f_lo, f_hi,
+                       xtol=1e-10, rtol=8.9e-16)
     # One Newton step for the last digits; the slope 3/l - polygamma3(1, l)
     # is strictly negative so the step is well defined.
     slope = 3.0 / root - polygamma3(1, root)

@@ -49,8 +49,44 @@ def log_density(model: WishartModel, z) -> np.ndarray | float:
     return out if np.ndim(out) else float(out)
 
 
+def _normals(rng: np.random.Generator, shape: tuple[int, ...], n_looks: int) -> np.ndarray:
+    """Circular complex Gaussian vectors u of shape (*shape, n_looks, 3): real and
+    imaginary parts each Normal(0, 1/2), all real parts drawn before the imaginary."""
+    return np.sqrt(0.5) * (rng.standard_normal(shape + (n_looks, 3))
+                           + 1j * rng.standard_normal(shape + (n_looks, 3)))
+
+
+def _packed_deviates(u: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Packed (..., 9) deviates (1/L) sum_l s_l s_l^H of s = u @ factor.T, for u of
+    shape (..., L, 3) and a Cholesky factor.
+
+    Bit for bit the packed Hermitian part of einsum("...li,...lj->...ij", s,
+    conj(s)) / L: each entry is summed over the looks in order from zero, the
+    terms written as einsum's complex products leave them, and the division is
+    numpy's complex one, a product with 1/L.
+    """
+    s = u @ factor.T
+    n_looks = s.shape[-2]
+    # (L, 2, 3, ...): per look, the contiguous real and imaginary planes of s
+    planes = np.ascontiguousarray(np.moveaxis(s.view(np.float64).reshape(s.shape + (2,)),
+                                              (-3, -1, -2), (0, 1, 2)))
+    out = np.zeros((9,) + s.shape[:-2])
+    for (r0, r1, r2), (i0, i1, i2) in planes:
+        out[0] += r0 * r0 + i0 * i0
+        out[1] += r1 * r1 + i1 * i1
+        out[2] += r2 * r2 + i2 * i2
+        out[3] += r0 * r1 + i0 * i1
+        out[4] += i0 * r1 - r0 * i1
+        out[5] += r0 * r2 + i0 * i2
+        out[6] += i0 * r2 - r0 * i2
+        out[7] += r1 * r2 + i1 * i2
+        out[8] += i1 * r2 - r1 * i2
+    out *= 1.0 / n_looks
+    return np.moveaxis(out, 0, -1)
+
+
 def sample(model: WishartModel, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Draw multilook covariance deviates.
+    """Draw packed multilook covariance deviates.
 
     Each deviate is the average of `looks` outer products s s^H of scattering
     vectors s = A u, where A is the Cholesky factor of the model covariance
@@ -58,12 +94,12 @@ def sample(model: WishartModel, rng: np.random.Generator, size=None) -> np.ndarr
     imaginary parts each Normal(0, 1/2)), so E[s s^H] equals the covariance
     exactly.  Requires an integer number of looks >= 3.
 
-    Returns shape (3, 3) when size is None, else (*size, 3, 3).
+    Returns packed pixels (see ``hermitian.TRACE_WEIGHTS``): shape (9,) when
+    size is None, else (*size, 9).
     """
     looks = model.looks
     if looks != int(looks):
         raise InvalidLooks(f"sampling requires an integer number of looks, got {looks}")
-    n_looks = int(looks)
 
     if size is None:
         shape: tuple[int, ...] = ()
@@ -71,9 +107,4 @@ def sample(model: WishartModel, rng: np.random.Generator, size=None) -> np.ndarr
         shape = (int(size),)
     else:
         shape = tuple(int(s) for s in size)
-
-    u = np.sqrt(0.5) * (rng.standard_normal(shape + (n_looks, 3))
-                        + 1j * rng.standard_normal(shape + (n_looks, 3)))
-    s = u @ hm.cholesky3(model.sigma).T
-    z = np.einsum("...li,...lj->...ij", s, np.conj(s)) / n_looks
-    return hm.hermitian_part(z)
+    return _packed_deviates(_normals(rng, shape, int(looks)), hm.cholesky3(model.sigma))

@@ -61,6 +61,19 @@ def log_density(z, sigma, looks):
             - looks * logdet(sigma) - log_gamma3 - looks * trace_product(inv(sigma), z))
 
 
+def wishart_deviates(u, factor):
+    """Packed Wishart deviates of circular normals u (..., L, 3) under a Cholesky
+    factor: the mean of s s^H over the L looks of s = u @ factor.T, made exactly
+    Hermitian, then packed as [C11, C22, C33, Re C12, Im C12, Re C13, Im C13,
+    Re C23, Im C23]."""
+    s = u @ factor.T
+    z = np.einsum("...li,...lj->...ij", s, np.conj(s)) / u.shape[-2]
+    z = 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
+    return np.stack([z[..., 0, 0].real, z[..., 1, 1].real, z[..., 2, 2].real,
+                     z[..., 0, 1].real, z[..., 0, 1].imag, z[..., 0, 2].real,
+                     z[..., 0, 2].imag, z[..., 1, 2].real, z[..., 1, 2].imag], axis=-1)
+
+
 def score(kind, z, sigma, looks):
     """The lower-is-better score of one ``distance_stack`` column."""
     if kind == "ML":

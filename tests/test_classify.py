@@ -88,8 +88,7 @@ def test_optimized_weights_are_stored(rng):
     # the optimizer's weights pass the simplex check that an assignment runs
     from polsardr.weights import TrainingSet, optimize_weights
     protos = _protos(rng)
-    samples = [hm.to_packed(sample(WishartModel(hm.from_packed(s), 4), rng, size=30))
-               for s in protos.sigmas]
+    samples = [sample(WishartModel(hm.from_packed(s), 4), rng, size=30) for s in protos.sigmas]
     result = optimize_weights(TrainingSet(protos, samples))
     protos.weights = result.weights
     np.testing.assert_array_equal(protos.weights, result.weights)
@@ -117,7 +116,7 @@ def test_prototype_set_is_packed_checked_and_inverted_once(rng, monkeypatch):
     with pytest.raises(AttributeError):
         protos.sigmas = 2.0 * sigmas
     # scoring inverts only the pixels: one call per KL, HD or BD stack
-    x = hm.to_packed(sample(WishartModel(hm.from_packed(sigmas[1]), 4), rng, size=(4, 5)))
+    x = sample(WishartModel(hm.from_packed(sigmas[1]), 4), rng, size=(4, 5))
     for kind in STACK_KINDS:
         distance_stack(x, protos, kind)
     classify_image(CovarianceField(x), protos, "HD+OW")  # in row blocks
@@ -166,8 +165,8 @@ def test_weighted_argmin_hand_example(rng):
 def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
     # with uniform weights "<kind>+OW" gives <kind>'s map, for every distance
     protos = _protos(rng)
-    field = CovarianceField(hm.to_packed(sample(WishartModel(hm.from_packed(protos.sigmas[1]), 4),
-                                                rng, size=(12, 9))))
+    field = CovarianceField(sample(WishartModel(hm.from_packed(protos.sigmas[1]), 4),
+                                   rng, size=(12, 9)))
     for kind in KINDS:
         plain = classify_image(field, protos, kind)
         weighted = classify_image(field, protos, f"{kind}+OW")
@@ -177,7 +176,7 @@ def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
 def test_argmin_invariance_under_common_scaling(rng):
     protos = _protos(rng)
     pts = sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=40)
-    scores = distance_stack(hm.to_packed(pts), protos, "KL", weighted=True)
+    scores = distance_stack(pts, protos, "KL", weighted=True)
     assert np.array_equal(np.argmin(scores, -1), np.argmin(7.3 * scores, -1))
 
 
@@ -200,8 +199,8 @@ def test_classify_image_uniform_field(rng):
 def test_classify_image_deterministic_and_marks_bad_pixels(rng):
     protos = _protos(rng)
     data = sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=(5, 7))
-    data[2, 3] = np.diag([1.0, -1.0, 1.0])  # not positive definite
-    field = CovarianceField(hm.to_packed(data))
+    data[2, 3] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))  # not positive definite
+    field = CovarianceField(data)
     a = classify_image(field, protos, "KL")
     b = classify_image(field, protos, "KL")
     np.testing.assert_array_equal(a.labels, b.labels)
@@ -211,7 +210,7 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
 
 def test_ml_rule_matches_density_argmax(rng):
     protos = _protos(rng)
-    pts = sample(WishartModel(hm.from_packed(protos.sigmas[2]), 4), rng, size=30)
+    pts = hm.from_packed(sample(WishartModel(hm.from_packed(protos.sigmas[2]), 4), rng, size=30))
     dens = np.stack([oracle.log_density(pts, hm.from_packed(protos.sigmas[m]), 4.0)
                      for m in range(3)], axis=-1)
     got = classify_image(CovarianceField(hm.to_packed(pts)[None]), protos, "ML").labels[0] - 1
@@ -223,8 +222,8 @@ def test_per_class_looks_selectable(rng):
     protos = PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=4.0,
                           class_looks=np.array([3.2, 9.0]))
     pts = sample(WishartModel(sigmas[0], 4), rng, size=10)
-    shared = distance_stack(hm.to_packed(pts), protos, "KL")
-    per_class = distance_stack(hm.to_packed(pts), protos, "KL", use_class_looks=True)
+    shared = distance_stack(pts, protos, "KL")
+    per_class = distance_stack(pts, protos, "KL", use_class_looks=True)
     np.testing.assert_allclose(per_class[:, 0], shared[:, 0] * 3.2 / 4.0, rtol=1e-12)
     np.testing.assert_allclose(per_class[:, 1], shared[:, 1] * 9.0 / 4.0, rtol=1e-12)
 
@@ -387,8 +386,8 @@ def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, 
     # paths; they must give the bits of one unblocked single-thread pass
     protos = _protos(rng, weights=np.array([0.5, 0.3, 0.2]))
     data = sample(WishartModel(hm.from_packed(protos.sigmas[1]), 4), rng, size=(13, 11))
-    data[7, 5] = np.diag([1.0, -1.0, 1.0])  # not positive definite
-    field = CovarianceField(hm.to_packed(data))
+    data[7, 5] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))  # not positive definite
+    field = CovarianceField(data)
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 10**9)
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
     expected = _split_results(field, protos, tmp_path)
@@ -412,7 +411,7 @@ def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
     # a PD pixel with |det| < DET_TOL in the last row, which a pool thread
     # scores: its exception keeps its type, and no pool thread outlives the call
     protos = _protos(rng)
-    data = hm.to_packed(sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=(6, 5)))
+    data = sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=(6, 5))
     data[5, 4] = hm.to_packed(1e-101 * ID)
     field = CovarianceField(data)
     assert field.pd_mask[5, 4]

@@ -146,6 +146,35 @@ def test_config_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_file(cfg)
 
 
+@pytest.mark.parametrize("key", ["width", "height", "looks", "phantom_seed"])
+def test_config_refuses_a_phantom_key_next_to_phantom_config(tmp_path, capsys, key):
+    # the phantom config sets the whole phantom; a key beside it used to be
+    # dropped without a word, so both sides are named before anything runs
+    phantom = tmp_path / "phantom.cfg"
+    phantom.write_text("width: 96\nheight: 96\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"phantom_config: {phantom}\n{key}: 120\noutdir: {tmp_path / 'run'}\n")
+    with pytest.raises(ValueError, match=rf"{key} and phantom_config {re.escape(str(phantom))}"):
+        ExperimentConfig.from_file(cfg)
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert f"{key} and phantom_config" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["--width", "--height", "--looks", "--seed"])
+def test_simulate_refuses_a_flag_next_to_config(tmp_path, capsys, flag):
+    phantom = tmp_path / "phantom.cfg"
+    phantom.write_text("width: 96\nheight: 96\n")
+    out = tmp_path / "img"
+    assert main(["simulate", "--config", str(phantom), flag, "120", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} and --config {phantom}" in err
+    assert not out.with_suffix(".hdr").exists()
+    # the config alone still sets the phantom (flags alone: the end-to-end tests)
+    assert main(["simulate", "--config", str(phantom), "--out", str(out)]) == 0
+    assert dataio.read_covariance_image(out).data.shape == (96, 96, 9)
+
+
 @pytest.mark.parametrize("value", ["ML", "XX"])
 def test_config_rejects_unknown_distance(tmp_path, value):
     # checked when the config loads, before the simulate stage writes anything
@@ -564,9 +593,14 @@ def test_subcommands_that_call_scipy_import_it_cold(tmp_path):
     assert "scipy.ndimage" in loaded  # inscribed_rois
     loaded, _ = _cold_run("train", "--image", "img", "--roi", "img_roi.txt",
                           "--out", "model.txt", cwd=tmp_path)
-    assert {"scipy.special", "scipy.optimize"} <= loaded  # polygamma3, estimate_looks_ml
+    # polygamma3; estimate_looks_ml finds its root without scipy.optimize
+    assert "scipy.special" in loaded and "scipy.optimize" not in loaded
     loaded, _ = _cold_run("classify", "--image", "img", "--model", "model.txt",
                           "--rule", "ML", "--out", "map_ml", cwd=tmp_path)
     assert "scipy.special" in loaded and "scipy.ndimage" not in loaded  # log_gamma3
     truth = dataio.read_classmap(tmp_path / "img_truth").labels
     assert (dataio.read_classmap(tmp_path / "map_ml").labels == truth).mean() > 0.5
+    (tmp_path / "exp.cfg").write_text("width: 96\nheight: 96\niterations: 2\nrules: ML\n"
+                                      "outdir: run\n")
+    loaded, _ = _cold_run("pipeline", "--config", "exp.cfg", cwd=tmp_path)
+    assert {"scipy.ndimage", "scipy.special"} <= loaded and "scipy.optimize" not in loaded

@@ -16,8 +16,7 @@ from conftest import make_hpd, read_ppm
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
-    data = sample(WishartModel(make_hpd(rng), 4), rng, size=(h, w))
-    return CovarianceField(hm.to_packed(data), looks=looks)
+    return CovarianceField(sample(WishartModel(make_hpd(rng), 4), rng, size=(h, w)), looks=looks)
 
 
 def test_covariance_roundtrip_f64(tmp_path, rng):

@@ -170,8 +170,8 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
     hits_kl = hits_hd = 0
     trials = 200
     for t in range(trials):
-        z_hat = SampleStats.from_sample(
-            sample(model, np.random.default_rng([91, t]), size=5)).mean
+        z_hat = SampleStats.from_sample(hm.from_packed(
+            sample(model, np.random.default_rng([91, t]), size=5))).mean
         hits_kl += kl_distance(z_hat, sig_a, 4.0) < kl_distance(z_hat, sig_b, 4.0)
         hits_hd += hellinger_distance(z_hat, sig_a, 4.0) < hellinger_distance(z_hat, sig_b, 4.0)
     assert hits_kl >= 0.95 * trials

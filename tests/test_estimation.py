@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from polsardr import hermitian as hm
 from polsardr.errors import DomainError, EmptySample, InvalidObservation, NoRoot
-from polsardr.estimation import (LOOKS_BRACKET, SampleStats, box_snell_bias,
+from polsardr.estimation import (LOOKS_BRACKET, SampleStats, _brent_root, box_snell_bias,
                                  estimate_looks_corrected, estimate_looks_ml, looks_score,
                                  polygamma3)
 from polsardr.distances import log_gamma3
@@ -60,7 +63,7 @@ def test_estimate_sigma_affine_and_permutation_invariant(rng):
 def test_estimate_sigma_consistency():
     rng = np.random.default_rng(42)
     sigma = make_hpd(rng, scale=1.4)
-    z = sample(WishartModel(sigma, 4), rng, size=10000)
+    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=10000))
     se = z.std(axis=0) / np.sqrt(z.shape[0])
     assert np.all(np.abs(_sigma_hat(z) - sigma) <= 5 * se + 1e-12)
 
@@ -112,9 +115,37 @@ def test_estimate_looks_ml_recovers_target():
 def test_estimate_looks_ml_consistency():
     rng = np.random.default_rng(3)
     sigma = make_hpd(rng)
-    z = sample(WishartModel(sigma, 4), rng, size=5000)
+    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=5000))
     est = estimate_looks_ml(SampleStats.from_sample(z))
     assert abs(est - 4.0) < 0.2
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 500), looks=st.integers(3, 40))
+@settings(max_examples=60, deadline=None)
+def test_looks_root_is_scipy_brentq_bit_for_bit(seed, n, looks):
+    # the ported Brent search keeps model.txt's class looks to the bit
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(seed)
+    model = WishartModel(make_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
+    stats = SampleStats.from_sample(hm.from_packed(sample(model, rng, size=n)))
+    lo, hi = LOOKS_BRACKET
+    f_lo, f_hi = looks_score(lo, stats), looks_score(hi, stats)
+    assume(f_lo > 0 >= f_hi)  # otherwise estimate_looks_ml raises NoRoot first
+    want = brentq(looks_score, lo, hi, args=(stats,), xtol=1e-10, rtol=8.9e-16)
+    got = _brent_root(lambda x: looks_score(x, stats), lo, hi, f_lo, f_hi,
+                      xtol=1e-10, rtol=8.9e-16)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_looks_score_reads_the_log_det_of_the_mean_once(rng, monkeypatch):
+    # log|mean| is a constant of the score: computed when the statistics are
+    # built, by the expression the score used to evaluate on every call
+    stats = SampleStats.from_sample(np.stack([make_hpd(rng) for _ in range(5)]))
+    want = (3.0 * np.log(5.5) + stats.mean_log_det - np.log(hm.det3(stats.mean))
+            - polygamma3(0, 5.5))
+    monkeypatch.setattr(hm, "det3", None)
+    assert looks_score(5.5, stats) == want
 
 
 def test_no_root_for_dispersion_free_sample(rng):
@@ -213,7 +244,7 @@ def test_bias_correction_reduces_bias_monte_carlo():
     ml = []
     corrected = []
     for rep in range(200):
-        z = sample(model, np.random.default_rng([77, rep]), size=50)
+        z = hm.from_packed(sample(model, np.random.default_rng([77, rep]), size=50))
         stats = SampleStats.from_sample(z)
         est = estimate_looks_ml(stats)
         ml.append(est - 4.0)
@@ -223,7 +254,7 @@ def test_bias_correction_reduces_bias_monte_carlo():
 
 def test_log_likelihood_peaks_at_the_estimates(rng):
     sigma = make_hpd(rng)
-    z = sample(WishartModel(sigma, 4), rng, size=400)
+    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=400))
     stats = SampleStats.from_sample(z)
     s_hat = _sigma_hat(z)
     l_hat = estimate_looks_ml(stats)

@@ -152,8 +152,8 @@ def test_reaction_single_pixel_monotone_approach(rng):
     # Frobenius distance while the assignment stays put
     protos = _protos(rng)
     x = sample(WishartModel(hm.from_packed(protos.sigmas[2]), 4), rng)
-    field = CovarianceField(hm.to_packed(x)[None, None])
-    label = int(np.argmin(distance_stack(hm.to_packed(x), protos, "KL", weighted=True)))
+    field = CovarianceField(x[None, None])
+    label = int(np.argmin(distance_stack(x, protos, "KL", weighted=True)))
     dists = []
     for _ in range(60):
         field = reaction_step(field, protos, dt=0.01)

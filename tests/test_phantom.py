@@ -1,5 +1,6 @@
 """Phantom generation: geometry, determinism, statistics."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -55,6 +56,36 @@ def test_generate_deterministic():
     f2, t2 = generate_phantom(PhantomSpec(width=24, height=16, seed=5))
     np.testing.assert_array_equal(f1.data, f2.data)
     np.testing.assert_array_equal(t1.labels, t2.labels)
+
+
+# Six classes on an odd width: batches of 4,096 px are 53 rows of 77, so the
+# batch edge at row 53 cuts through the runs of classes 1 and 4.
+SIX_CLASSES = dict(width=77, height=61, looks=5, seed=314,
+                   sigmas=np.vstack([DEFAULT_SIGMAS, 0.5 * DEFAULT_SIGMAS[::-1]]),
+                   regions=("background", "band 0.50 0.02 0.13", "disk 0.70 0.72 0.15",
+                            "band -0.80 0.90 0.08", "disk 0.25 0.30 0.12",
+                            "disk 0.50 0.50 0.05"))
+# SHA-256 of the field bytes as the per-row complex sampler wrote them.
+PHANTOM_DIGESTS = [
+    (dict(width=96, height=96),
+     "eb125b6a3fd65228948a5aec79042d798ae3b30983f9383bd0080d58fc78d4a7"),
+    (SIX_CLASSES, "b1523639ffd5483e541a7d4962570976d98d53bd800288e7da46bfd285796d3b"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", PHANTOM_DIGESTS, ids=["default", "six-classes"])
+def test_phantom_bytes_are_pinned(kwargs, digest):
+    field, _ = generate_phantom(PhantomSpec(**kwargs))
+    assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kwargs, digest", PHANTOM_DIGESTS, ids=["default", "six-classes"])
+def test_phantom_bytes_do_not_depend_on_the_batch(monkeypatch, kwargs, digest):
+    spec = PhantomSpec(**kwargs)
+    for batch in (spec.width, spec.width * spec.height):  # one row; the whole image
+        monkeypatch.setattr(phantom, "BATCH_PIXELS", batch)
+        field, _ = generate_phantom(spec)
+        assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
 
 
 def test_seed_changes_field_not_truth():

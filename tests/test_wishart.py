@@ -65,7 +65,7 @@ def test_log_density_mode(rng):
 def test_log_density_matches_oracle(rng):
     for looks in (3.0, 4.0, 7.5, 40.0):
         sigma = make_hpd(rng, scale=rng.uniform(0.1, 10.0))
-        z = sample(WishartModel(sigma, 4), rng, size=(2, 5))
+        z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=(2, 5)))
         np.testing.assert_allclose(log_density(WishartModel(sigma, looks), z),
                                    oracle.log_density(z, sigma, looks), rtol=1e-10)
         assert log_density(WishartModel(sigma, looks), z[0, 0]) == pytest.approx(
@@ -80,6 +80,22 @@ def test_log_density_rejects_non_pd():
 def test_sample_requires_integer_looks(rng):
     with pytest.raises(InvalidLooks):
         sample(WishartModel(ID, 3.5), rng)
+
+
+@pytest.mark.parametrize("looks", [3, 4, 7])
+@pytest.mark.parametrize("size", [None, 5, (2, 3), 2000])
+def test_sample_is_the_complex_formula_bit_for_bit(rng, looks, size):
+    # the packed outer product reproduces einsum's complex one, so the phantom's
+    # image.dat keeps its bytes
+    model = WishartModel(make_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
+    got = sample(model, np.random.default_rng(11), size=size)
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    draw = np.random.default_rng(11)
+    u = np.sqrt(0.5) * (draw.standard_normal(shape + (looks, 3))
+                        + 1j * draw.standard_normal(shape + (looks, 3)))
+    want = oracle.wishart_deviates(u, hm.cholesky3(model.sigma))
+    assert got.shape == want.shape == shape + (9,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sample_deterministic_given_seed(rng):
@@ -97,13 +113,13 @@ def test_sample_mean_matches_sigma(rng):
     z = sample(WishartModel(sigma, 4), np.random.default_rng(2024), size=10000)
     mean = z.mean(axis=0)
     se = z.std(axis=0) / np.sqrt(z.shape[0])
-    assert np.all(np.abs(mean - sigma) <= 5 * se + 1e-12)
+    assert np.all(np.abs(mean - hm.to_packed(sigma)) <= 5 * se + 1e-12)
 
 
 def test_sample_variance_of_first_diagonal():
     # Z11 of W(I, 4) is a mean of 4 unit exponentials: variance 1/4
     z = sample(WishartModel(ID, 4), np.random.default_rng(5), size=10000)
-    v = z[:, 0, 0].real.var()
+    v = z[:, 0].var()
     assert v == pytest.approx(0.25, abs=5 * 0.25 * np.sqrt(2.0 / 10000) + 0.002)
 
 
@@ -111,7 +127,7 @@ def test_sample_whitened_trace():
     # E tr(sigma^-1 Z) = 3
     rng = np.random.default_rng(7)
     sigma = make_hpd(rng)
-    z = sample(WishartModel(sigma, 4), rng, size=8000)
+    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=8000))
     t = oracle.trace_product(oracle.inv(sigma), z)
     assert t.mean() == pytest.approx(3.0, abs=5 * t.std() / np.sqrt(t.size))
 
@@ -119,5 +135,5 @@ def test_sample_whitened_trace():
 def test_samples_positive_definite(rng):
     model = WishartModel(make_hpd(rng), 3)
     z = sample(model, rng, size=2000)
-    assert np.all(hm.is_positive_definite(hm.to_packed(z)))
-    assert np.all(np.abs(z - np.conj(np.swapaxes(z, -1, -2))) == 0)
+    assert z.shape == (2000, 9)  # packed, so Hermitian by construction
+    assert np.all(hm.is_positive_definite(z))
