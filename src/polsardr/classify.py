@@ -138,24 +138,27 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL
     """Classify every pixel independently; non-PD pixels get the 0 sentinel.
 
     The rows are scored in blocks of about ``fields.BLOCK_PIXELS`` pixels
-    on every usable CPU (``fields.row_blocks``); each block gathers its valid
-    pixels, scores them and writes their labels.
+    on every usable CPU (``fields.row_blocks``); each block reads its rows
+    (``CovarianceField.rows``), gathers its valid pixels if some are not,
+    scores them and writes their labels.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
     kind = rule.removesuffix("+OW")  # "<kind>+OW" scales <kind> by the class weights
     valid = field.pd_mask
     labels = np.zeros(valid.shape, dtype=np.uint8)
-    n_bad = int((~valid).sum())
+    n_bad = valid.size - int(np.count_nonzero(valid))
     if n_bad:
         logger.warning("%d non-positive-definite pixels labeled 0", n_bad)
 
     def label_rows(r0, r1):
         ok = valid[r0:r1]
-        x = field.data[r0:r1][ok]
-        if x.shape[0]:
+        x = field.rows(r0, r1)
+        if not ok.all():  # a block of PD pixels only is scored without this copy
+            x = x[ok]
+        if x.size:
             scores = distance_stack(x, protos, kind, use_class_looks, weighted=kind != rule)
-            labels[r0:r1][ok] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
+            labels[r0:r1][ok] = np.argmin(scores, axis=-1).reshape(-1).astype(np.uint8) + 1
 
     with row_blocks("classify_image", field.height, field.width) as each_block:
         each_block(label_rows)

@@ -169,7 +169,10 @@ class ExperimentConfig:
         repeated = _repeated(self.rules)
         if repeated:  # each rule names a row of the table and a class map file
             raise ValueError(f"repeated rules {repeated}")
-        if self.phantom_config is not None:
+        if self.image is not None:  # looks stays: it sets the shared looks there
+            keys = ("width", "height", "phantom_seed", "phantom_config")
+            _refuse_beside(f"image {self.image}", {key: getattr(self, key) for key in keys})
+        elif self.phantom_config is not None:
             keys = ("width", "height", "looks", "phantom_seed")
             _refuse_beside(f"phantom_config {self.phantom_config}",
                            {key: getattr(self, key) for key in keys})
@@ -200,10 +203,12 @@ class ExperimentConfig:
 # --- shared helpers -----------------------------------------------------------
 
 def _refuse_beside(source: str, values: dict) -> None:
-    """Refuse phantom values given next to the phantom config ``source``, which sets them."""
+    """Refuse phantom values given next to ``source``, a phantom config or an
+    image, which sets the input image on its own."""
     given = [name for name, value in values.items() if value is not None]
     if given:
-        raise ValueError(f"{', '.join(given)} and {source} both set the phantom; give one of them")
+        raise ValueError(f"{', '.join(given)} and {source} both set the input image; "
+                         "give one of them")
 
 
 def _phantom_spec(**values) -> PhantomSpec:

@@ -10,7 +10,9 @@ read and written from a base path, as ``<base>.hdr`` and ``<base>.dat``.
 from __future__ import annotations
 
 import colorsys
+import os
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -77,21 +79,38 @@ def write_covariance_image(field: CovarianceField, base) -> None:
     field.data.astype(_DTYPES["f64"], copy=False).tofile(f"{base}.dat")
 
 
+def _read_rows(path, dtype: str, width: int, r0: int, r1: int) -> np.ndarray:
+    """Rows r0..r1-1 of a covariance image's .dat file as float64 (r1 - r0, width, 9):
+    one positional read of just those rows; f32 values are converted after it."""
+    count = (r1 - r0) * width * 9
+    raw = np.fromfile(path, dtype=_DTYPES[dtype], count=count,
+                      offset=r0 * width * 9 * np.dtype(_DTYPES[dtype]).itemsize)
+    if raw.size != count:  # the file shrank after its size was checked
+        raise SizeMismatch(f"{path}: rows {r0}..{r1 - 1} are cut short")
+    return raw.astype(np.float64, copy=False).reshape(r1 - r0, width, 9)
+
+
 def read_covariance_image(base) -> CovarianceField:
-    """Load an image; non-PD pixels trigger a warning with their count."""
+    """Open an image whose rows are read from ``<base>.dat`` on demand
+    (``CovarianceField.from_rows``).  Its PD mask is tested here, one row block
+    at a time, and non-PD pixels trigger a warning with their count."""
     header_path, data_path = f"{base}.hdr", f"{base}.dat"
     width, height, dtype, looks = _read_header(header_path)
     if dtype == "u8":
         raise MalformedHeader(f"{header_path}: covariance images need f32 or f64 data")
-    raw = np.fromfile(data_path, dtype=_DTYPES[dtype])
-    expected = width * height * 9
-    if raw.size != expected:
-        raise SizeMismatch(f"{data_path}: expected {expected} values, found {raw.size}")
-    field = CovarianceField(raw.astype(np.float64, copy=False).reshape(height, width, 9),
-                            looks=looks)
-    bad = np.argwhere(~field.pd_mask)
-    if bad.size:
-        warnings.warn(NonPositiveDefinitePixelWarning(bad.shape[0], bad[:5], (height, width)))
+    expected, itemsize = width * height * 9, np.dtype(_DTYPES[dtype]).itemsize
+    size = os.path.getsize(data_path)
+    if size != expected * itemsize:
+        raise SizeMismatch(f"{data_path}: expected {expected} {dtype} values, "
+                           f"found {size} bytes")
+    field = CovarianceField.from_rows(partial(_read_rows, data_path, dtype, width),
+                                      height, width, looks=looks)
+    bad = ~field.pd_mask
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:  # the first five lie in the first five rows that hold any
+        last = np.flatnonzero(bad.any(axis=1))[:5][-1]
+        first = np.argwhere(bad[:last + 1])[:5]
+        warnings.warn(NonPositiveDefinitePixelWarning(n_bad, first, (height, width)))
     return field
 
 
@@ -240,7 +259,7 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path) -> np.ndarray
     rgb = np.empty((field.height, field.width, 3), dtype=np.uint8)
 
     def color_rows(r0, r1):
-        inv = 1.0 / (distance_stack(field.data[r0:r1], protos, "ED") + RENDER_EPS)
+        inv = 1.0 / (distance_stack(field.rows(r0, r1), protos, "ED") + RENDER_EPS)
         weights = inv / inv.sum(axis=-1, keepdims=True)
         rgb[r0:r1] = np.clip(np.rint(weights @ colors), 0, 255)
 

@@ -73,8 +73,9 @@ def _score(kind: str, x: tuple, p: tuple, looks: float) -> np.ndarray:
     if kind == "ML":
         log_norm = 3.0 * looks * np.log(looks) - looks * p_log_det - log_gamma3(looks)
         return looks * hm.trace_product_packed(x, p_inv) - (looks - 3.0) * x_log_det - log_norm
-    r = np.minimum(-np.log(hm.det_packed(0.5 * (x_inv + p_inv)))
-                   - 0.5 * (x_log_det + p_log_det), 0.0)
+    mean_inv = np.add(x_inv, p_inv)  # one block-sized buffer, halved in place
+    mean_inv *= 0.5
+    r = np.minimum(-np.log(hm.det_packed(mean_inv)) - 0.5 * (x_log_det + p_log_det), 0.0)
     return -np.expm1(looks * r) if kind == "HD" else -looks * r
 
 

@@ -72,33 +72,49 @@ def row_blocks(name: str, height: int, width: int):
         yield partial(_each_block, pool, blocks, n_workers)
 
 
-@dataclass(eq=False)
 class CovarianceField:
     """A width x height image whose pixels are 3x3 Hermitian covariance matrices.
 
-    ``data`` is the packed on-disk layout, shape (height, width, 9), float64,
-    each pixel [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
-    (``hermitian.to_packed`` packs complex matrices).  ``looks`` carries the
-    equivalent number of looks when known (e.g. from an image header).
-    ``data`` is not modified after construction: ``pd_mask`` is computed once.
+    Pixels are packed as on disk, float64, each [C11, C22, C33, Re C12, Im C12,
+    Re C13, Im C13, Re C23, Im C23] (``hermitian.to_packed`` packs complex
+    matrices).  ``rows(r0, r1)`` gives rows r0..r1-1, ``data`` the whole
+    (height, width, 9) array.  A field built from an array holds it.  One
+    built by ``from_rows`` (``dataio.read_covariance_image``) holds no pixels
+    until ``data`` reads and keeps them all; until then ``rows`` reads its
+    rows on each call, so row-block work holds a block per worker, not the
+    image.  ``looks`` carries the equivalent number of looks when known (e.g.
+    from an image header).  The pixels are not modified after construction:
+    ``pd_mask`` is computed once.
     """
 
-    data: np.ndarray
-    looks: float | None = None
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
+    def __init__(self, data, looks: float | None = None):
+        data = np.asarray(data)
         if np.iscomplexobj(data) or data.ndim != 3 or data.shape[2] != 9:
             raise ValueError(f"expected packed (H, W, 9) data, got {data.dtype} {data.shape}")
-        self.data = data.astype(np.float64, copy=False)
+        self._data = data.astype(np.float64, copy=False)
+        self._read_rows = None
+        self.height, self.width = data.shape[:2]
+        self.looks = looks
+
+    @classmethod
+    def from_rows(cls, read_rows, height: int, width: int,
+                  looks: float | None = None) -> CovarianceField:
+        """A field whose rows r0..r1-1 are read_rows(r0, r1), a new float64
+        (r1 - r0, width, 9) array each call."""
+        field = cls.__new__(cls)
+        field._data, field._read_rows = None, read_rows
+        field.height, field.width, field.looks = height, width, looks
+        return field
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self._read_rows(0, self.height)
+        return self._data
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Packed pixels of rows r0..r1-1; safe to call from several threads at once."""
+        return self._read_rows(r0, r1) if self._data is None else self._data[r0:r1]
 
     @cached_property
     def pd_mask(self) -> np.ndarray:
@@ -106,7 +122,7 @@ class CovarianceField:
         mask = np.empty((self.height, self.width), dtype=bool)
 
         def test_rows(r0, r1):
-            mask[r0:r1] = hm.is_positive_definite(self.data[r0:r1])
+            mask[r0:r1] = hm.is_positive_definite(self.rows(r0, r1))
 
         with row_blocks("pd_mask", self.height, self.width) as each_block:
             each_block(test_rows)

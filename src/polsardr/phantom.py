@@ -156,24 +156,29 @@ def generate_phantom(spec: PhantomSpec) -> tuple[CovarianceField, ClassMap]:
 def inscribed_rois(truth: ClassMap) -> RoiSet:
     """One square ROI per class, centered where the class region is deepest.
 
-    The chessboard distance transform picks the pixel farthest from the
-    region boundary; the square inscribed there is shrunk by ROI_MARGIN and
-    capped at ROI_MAX_SIDE, and must keep ROI_MIN_SIDE pixels a side.
+    The region is eroded by 3x3 squares, the image border counting as
+    boundary, until nothing is left: the depth is the number of erosions (the
+    largest chessboard distance to the boundary) and the center the first
+    pixel, in row-major order, of the last core left.  The square inscribed
+    there is shrunk by ROI_MARGIN and capped at ROI_MAX_SIDE, and must keep
+    ROI_MIN_SIDE pixels a side.
     """
-    from scipy import ndimage  # deferred: `import polsardr` loads numpy only
-
     rois = RoiSet()
     labels = truth.labels
     for cls in range(1, int(labels.max()) + 1):
-        mask = labels == cls
-        if not mask.any():
+        core = labels == cls
+        if not core.any():
             raise InvalidSpec(f"class {cls} has no pixels")
-        # Zero-pad so the image border counts as region boundary; otherwise the
-        # inscribed square can stick out of the image.
-        padded = np.pad(mask, 1, constant_values=False)
-        dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
-        depth = int(dist.max())
-        y, x = np.unravel_index(int(np.argmax(dist)), dist.shape)
+        depth, y0, x0 = 0, 0, 0
+        while core.any():  # erode the core's bounding box: its edges erode like the image's
+            ys, xs = np.flatnonzero(core.any(axis=1)), np.flatnonzero(core.any(axis=0))
+            last = core[ys[0]:ys[-1] + 1, xs[0]:xs[-1] + 1]
+            y0, x0, depth = y0 + ys[0], x0 + xs[0], depth + 1
+            rows = np.zeros_like(last)  # the erosion, rows then columns
+            rows[1:-1] = last[:-2] & last[1:-1] & last[2:]
+            core = np.zeros_like(last)
+            core[:, 1:-1] = rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:]
+        y, x = np.add(np.unravel_index(int(np.argmax(last)), last.shape), (y0, x0))
         half = min(depth - 1 - ROI_MARGIN, (ROI_MAX_SIDE - 1) // 2)
         if 2 * half + 1 < ROI_MIN_SIDE:
             raise InvalidSpec(

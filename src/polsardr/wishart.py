@@ -21,6 +21,13 @@ from .distances import _features, _score
 from .errors import InvalidLooks, InvalidObservation
 
 
+# Rows, at most, of each (rows, 3) @ (3, 3) complex GEMM of the sampler: OpenBLAS
+# 0.3.31 ran GEMMs of 8,000 rows and more on two threads, and its idle one then spun.
+# Each output entry's bits are the same in any GEMM, but numpy computes a 1-row
+# product another way, with other bits, so each GEMM holds whole pixels.
+GEMM_ROWS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class WishartModel:
     """Covariance prototype plus equivalent number of looks."""
@@ -65,8 +72,13 @@ def _packed_deviates(u: np.ndarray, factor: np.ndarray) -> np.ndarray:
     terms written as einsum's complex products leave them, and the division is
     numpy's complex one, a product with 1/L.
     """
-    s = u @ factor.T
-    n_looks = s.shape[-2]
+    n_looks = u.shape[-2]
+    flat = u.reshape(-1, 3)
+    s = np.empty_like(flat)
+    step = max(1, GEMM_ROWS // n_looks) * n_looks  # whole pixels, so never a 1-row matmul
+    for i in range(0, flat.shape[0], step):
+        np.matmul(flat[i:i + step], factor.T, out=s[i:i + step])
+    s = s.reshape(u.shape)
     # (L, 2, 3, ...): per look, the contiguous real and imaginary planes of s
     planes = np.ascontiguousarray(np.moveaxis(s.view(np.float64).reshape(s.shape + (2,)),
                                               (-3, -1, -2), (0, 1, 2)))

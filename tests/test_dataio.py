@@ -1,15 +1,18 @@
 """File formats: covariance images, class maps, ROIs, models, PPM renders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polsardr import dataio
+from polsardr import dataio, fields
 from polsardr import hermitian as hm
-from polsardr.classify import PrototypeSet
+from polsardr.classify import RULES, PrototypeSet, classify_image
 from polsardr.errors import (MalformedHeader, MalformedRoi,
                              NonPositiveDefinitePixelWarning, OutOfBounds,
                              SizeMismatch)
 from polsardr.fields import ClassMap, CovarianceField, RoiSet
+from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 
 from conftest import make_hpd, read_ppm
@@ -56,6 +59,21 @@ def test_truncated_data_raises(tmp_path, rng):
         dataio.read_covariance_image(tmp_path / "a")
 
 
+def test_a_partial_value_or_a_file_cut_after_reading_raises(tmp_path, rng):
+    field = _random_field(rng)
+    dataio.write_covariance_image(field, tmp_path / "a")
+    raw = (tmp_path / "a.dat").read_bytes()
+    (tmp_path / "a.dat").write_bytes(raw + b"\0")  # not a whole number of values
+    with pytest.raises(SizeMismatch, match="expected 270 f64 values, found 2161 bytes"):
+        dataio.read_covariance_image(tmp_path / "a")
+    (tmp_path / "a.dat").write_bytes(raw)
+    back = dataio.read_covariance_image(tmp_path / "a")  # keeps no pixels
+    (tmp_path / "a.dat").write_bytes(raw[:-72])  # the last pixel goes
+    protos = PrototypeSet(hm.to_packed(np.stack([np.eye(3), 2 * np.eye(3)])), shared_looks=4.0)
+    with pytest.raises(SizeMismatch, match="are cut short"):
+        classify_image(back, protos, "KL")
+
+
 @pytest.mark.parametrize("header", [
     "height: 4\ndtype: f64\nbyte_order: little\n",          # missing width
     "width: 4\nheight: 4\ndtype: f16\nbyte_order: little\n",  # unknown dtype
@@ -91,6 +109,44 @@ def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rn
     assert rec[0].message.count == 7
     assert rec[0].message.first == bad[:5]
     assert int((~back.pd_mask).sum()) == 7
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, monkeypatch,
+                                                                    dtype):
+    # a read field holds no pixels: each row block is read when it is scored,
+    # so the traced peak stays far below the image, and every map is the one
+    # an in-memory field of the same pixels gives
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 1200)  # 4 rows of 300 pixels
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)  # blocks held at once
+    spec = PhantomSpec(width=300, height=300, seed=11)
+    field, _ = generate_phantom(spec)
+    field.data[150, 7] = hm.to_packed(np.diag([1.0, -2.0, 1.0]))  # one block gathers
+    base = tmp_path / "img"
+    dataio.write_covariance_image(field, base)
+    if dtype == "f32":
+        (tmp_path / "img.hdr").write_text((tmp_path / "img.hdr").read_text()
+                                          .replace("dtype: f64", "dtype: f32"))
+        field.data.astype("<f4").tofile(tmp_path / "img.dat")
+        field = CovarianceField(field.data.astype("<f4"), looks=field.looks)
+    protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
+    want = {rule: classify_image(field, protos, rule).labels for rule in RULES}
+    want["render"] = dataio.render_rgb(field, protos, tmp_path / "want.ppm")
+
+    tracemalloc.start()
+    try:  # each map is compared and dropped, so that only the work counts
+        with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 90000 pixels"):
+            back = dataio.read_covariance_image(base)
+        for rule in RULES:
+            assert np.array_equal(classify_image(back, protos, rule).labels, want[rule]), rule
+        assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
+                              want["render"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field.data.nbytes / 4, peak
+    assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
+    assert back._data is None  # nothing loaded the whole image
 
 
 def test_classmap_roundtrip(tmp_path, rng):

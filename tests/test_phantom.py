@@ -5,13 +5,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from polsardr.distances import kl_distance
 from polsardr.errors import InvalidSpec
+from polsardr.fields import ClassMap
 from polsardr.phantom import (DEFAULT_SIGMAS, PhantomSpec, generate_phantom,
                               inscribed_rois, read_phantom_config, region_map)
 from polsardr import hermitian as hm
-from polsardr import phantom
+from polsardr import phantom, wishart
 
 
 def test_spec_validation():
@@ -88,6 +92,15 @@ def test_phantom_bytes_do_not_depend_on_the_batch(monkeypatch, kwargs, digest):
         assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kwargs, digest", PHANTOM_DIGESTS, ids=["default", "six-classes"])
+def test_phantom_bytes_do_not_depend_on_the_gemm_split(monkeypatch, kwargs, digest):
+    # 10**9 rows: one GEMM per class and batch, which OpenBLAS runs on its threads
+    for rows in (1, 7, 10**9):
+        monkeypatch.setattr(wishart, "GEMM_ROWS", rows)
+        field, _ = generate_phantom(PhantomSpec(**kwargs))
+        assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
+
+
 def test_seed_changes_field_not_truth():
     a, ta = generate_phantom(PhantomSpec(width=24, height=16, seed=1))
     b, tb = generate_phantom(PhantomSpec(width=24, height=16, seed=2))
@@ -142,6 +155,45 @@ def test_inscribed_rois_reject_thin_regions():
     from polsardr.fields import ClassMap
     with pytest.raises(InvalidSpec):
         inscribed_rois(ClassMap(labels))
+
+
+def _deepest(mask):
+    """(depth, y, x) of scipy's chessboard distance transform, the border counting as
+    boundary: the largest distance and its first pixel in row-major order."""
+    dist = ndimage.distance_transform_cdt(np.pad(mask, 1), metric="chessboard")[1:-1, 1:-1]
+    y, x = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    return int(dist.max()), int(y), int(x)
+
+
+def _assert_rois_sit_at_scipys_deepest_pixel(labels, monkeypatch):
+    # no margin, cap or minimum side: each square then shows the depth and the center
+    monkeypatch.setattr(phantom, "ROI_MARGIN", 0)
+    monkeypatch.setattr(phantom, "ROI_MAX_SIDE", 2 * max(labels.shape) + 1)
+    monkeypatch.setattr(phantom, "ROI_MIN_SIDE", 1)
+    rois = inscribed_rois(ClassMap(labels))
+    for cls in range(1, int(labels.max()) + 1):
+        depth, y, x = _deepest(labels == cls)
+        half = depth - 1
+        assert rois.rects[cls] == [(x - half, y - half, x + half, y + half)], cls
+
+
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 40), width=st.integers(1, 40),
+       share=st.floats(0.3, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_inscribed_rois_center_is_scipys_deepest_pixel(seed, height, width, share):
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random((height, width)) < share, 1, 2).astype(np.uint8)
+    labels.flat[0] = 1  # class 1 is never empty; class 2 may be
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_rois_sit_at_scipys_deepest_pixel(labels, monkeypatch)
+
+
+@pytest.mark.parametrize("side", [61, 150, 301])
+@pytest.mark.parametrize("classes", [{}, SIX_CLASSES], ids=["default", "six-classes"])
+def test_inscribed_rois_center_is_scipys_deepest_pixel_on_phantoms(side, classes,
+                                                                   monkeypatch):
+    spec = PhantomSpec(**{**classes, "width": side, "height": side})
+    _assert_rois_sit_at_scipys_deepest_pixel(region_map(spec), monkeypatch)
 
 
 def test_phantom_config_roundtrip(tmp_path):
