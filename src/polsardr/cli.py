@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from . import hermitian as hm
 from .classify import KINDS, RULES, PrototypeSet, classify_image
 from .errors import PolsarError, SizeMismatch
 from .estimation import SampleStats, estimate_looks_corrected
 from .evolution import EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, Split
 from .phantom import PhantomSpec, generate_phantom, inscribed_rois, read_phantom_config
-from .weights import TrainingSet, WeightResult, optimize_weights
+from .weights import TrainingSet, WeightResult, optimize_weights, saturate
 
 
 # --- evaluation --------------------------------------------------------------
@@ -159,8 +158,10 @@ class ExperimentConfig:
     use_class_looks: bool = False
 
     def __post_init__(self):
-        # Raises StabilityViolation up front when alpha*dt is too large.
+        # Raise up front: ValueError for a bad alpha, dt or lambda,
+        # StabilityViolation when alpha*dt is too large.
         EvolutionParams(alpha=self.alpha, dt=self.dt, iterations=self.iterations)
+        saturate(0.0, self.lam)
         if self.distance not in KINDS:
             raise ValueError(f"unknown distance {self.distance!r}; choose from {KINDS}")
         unknown = [r for r in self.rules if r not in RULES]
@@ -227,15 +228,25 @@ def read_split(roi_path, seed: int, image: CovarianceField | ClassMap) -> Split:
     return dataio.split_roi(dataio.read_roi(roi_path, image.width, image.height), seed)
 
 
+def _train_pixels(field: CovarianceField, split: Split) -> list[np.ndarray]:
+    """Packed (n, 9) train pixels of each class, read through ``field.rows`` from
+    the rows they span only, so a read image is not loaded whole."""
+    pixels = []
+    for cls in split.classes:
+        y, x = split.train[cls].T
+        r0 = int(y.min())
+        pixels.append(field.rows(r0, int(y.max()) + 1)[y - r0, x])
+    return pixels
+
+
 def train_prototypes(field: CovarianceField, split: Split, looks=None) -> PrototypeSet:
     """Per-class covariance and bias-corrected looks from the train pixels; the
     shared looks are ``looks`` if given, else the field's (its header's), else
     the phantom's."""
-    stats = [SampleStats.from_sample(hm.from_packed(field.data[tuple(split.train[cls].T)]))
-             for cls in split.classes]
+    stats = [SampleStats.from_sample(x) for x in _train_pixels(field, split)]
     if looks is None:
         looks = PhantomSpec.looks if field.looks is None else field.looks
-    return PrototypeSet(sigmas=hm.to_packed(np.stack([s.mean for s in stats])),
+    return PrototypeSet(sigmas=np.stack([s.mean for s in stats]),
                         shared_looks=float(looks),
                         class_looks=np.array([estimate_looks_corrected(s) for s in stats]))
 
@@ -244,8 +255,7 @@ def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,
                 kind: str = ExperimentConfig.distance,
                 lam: float = ExperimentConfig.lam) -> WeightResult:
     """Optimize the class weights on the train pixels and store them in ``protos``."""
-    train = TrainingSet(protos, [field.data[tuple(split.train[cls].T)] for cls in split.classes])
-    result = optimize_weights(train, kind=kind, lam=lam)
+    result = optimize_weights(TrainingSet(protos, _train_pixels(field, split)), kind=kind, lam=lam)
     protos.weights = result.weights
     return result
 

@@ -26,7 +26,8 @@ LOOKS_BRACKET = (3.0 + 1e-6, 1e4)
 
 @dataclass(frozen=True, eq=False)
 class SampleStats:
-    """Sufficient statistics of a covariance sample for looks estimation."""
+    """Sufficient statistics of a covariance sample for looks estimation; the
+    mean is packed (9,) like the sample."""
 
     n: int
     mean: np.ndarray
@@ -34,23 +35,25 @@ class SampleStats:
     log_det_of_mean: float = field(init=False)  # a constant of the looks score
 
     def __post_init__(self):
-        object.__setattr__(self, "log_det_of_mean", np.log(hm.det3(self.mean)))
+        object.__setattr__(self, "log_det_of_mean", np.log(hm.det_packed(self.mean)))
 
     @classmethod
     def from_sample(cls, sample) -> "SampleStats":
-        sample = np.asarray(sample, dtype=np.complex128)
-        if sample.ndim == 2:
-            sample = sample[None]
-        if sample.shape[0] == 0:
+        """Statistics of packed (n, 9) pixels (or one (9,) pixel).
+
+        The pixels are summed one row after another and the sum is multiplied
+        by 1/n, as numpy's mean of complex matrices divides, so the mean has
+        the bits of the mean of the unpacked matrices.
+        """
+        sample = np.ascontiguousarray(hm._packed(sample).reshape(-1, 9))
+        n = sample.shape[0]
+        if n == 0:
             raise EmptySample("cannot build statistics from an empty sample")
-        n_bad = int(np.sum(~hm.is_positive_definite(hm.to_packed(sample))))
+        n_bad = int(np.sum(~hm.is_positive_definite(sample)))
         if n_bad:
             raise InvalidObservation(f"{n_bad} sample matrices are not positive definite")
-        return cls(
-            n=sample.shape[0],
-            mean=sample.mean(axis=0),
-            mean_log_det=float(np.mean(np.log(hm.det3(sample)))),
-        )
+        return cls(n=n, mean=sample.sum(axis=0) * (1.0 / n),
+                   mean_log_det=float(np.mean(np.log(hm.det_packed(sample)))))
 
 
 def polygamma3(order: int, looks) -> np.ndarray | float:

@@ -15,6 +15,7 @@ definite matrices, so the field never leaves the cone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,10 +39,10 @@ class EvolutionParams:
     iterations: int = 50
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         margin = 1.0 - 4.0 * self.alpha * self.dt
         if margin < 0:
             raise StabilityViolation(f"1 - 4*alpha*dt = {margin:.4g} < 0 "

@@ -1,12 +1,14 @@
 """Closed-form linear algebra for 3x3 Hermitian matrices.
 
-Covariance images and class prototypes are packed ``(..., 9)`` float64 arrays
-(see TRACE_WEIGHTS); the ``*_packed`` kernels and ``is_positive_definite``
-work on them, and the formulas of ``distances`` are written on those kernels.
-The complex ``(..., 3, 3)`` helpers serve the prototype estimate's sample
-statistics (``det3``), the Wishart sampler (``cholesky3``) and packing.  All
-functions broadcast and are pure; the packed kernels score exactly the pixels
-they are given.
+Covariance images, training samples and class prototypes are packed
+``(..., 9)`` float64 arrays (see TRACE_WEIGHTS); the ``*_packed`` kernels and
+``is_positive_definite`` work on them, and the formulas of ``distances`` are
+written on those kernels.  Complex ``(..., 3, 3)`` matrices remain only where
+a complex matrix is the result: the Wishart sampler's factor (``cholesky3``,
+which reads packed entries), the built-in prototypes (``hermitian_part``) and
+the conversions between the two layouts, which the public pairwise distances
+take.  All functions broadcast and are pure; the packed kernels score
+exactly the pixels they are given.
 """
 
 from __future__ import annotations
@@ -27,36 +29,22 @@ def hermitian_part(m) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def _entries(m):
-    m = np.asarray(m, dtype=np.complex128)
-    return (m[..., 0, 0].real, m[..., 1, 1].real, m[..., 2, 2].real,
-            m[..., 0, 1], m[..., 0, 2], m[..., 1, 2])
+def cholesky3(p) -> np.ndarray:
+    """Complex lower-triangular factor A with A @ A^H = m, of packed m.
 
-
-def det3(m) -> np.ndarray | float:
-    """Determinant of a Hermitian 3x3 matrix (real by hermitivity)."""
-    a, d, f, b, c, e = _entries(m)
-    det = (a * d * f
-           - a * np.abs(e) ** 2
-           - f * np.abs(b) ** 2
-           - d * np.abs(c) ** 2
-           + 2.0 * (b * e * np.conj(c)).real)
-    return det if det.ndim else float(det)
-
-
-def cholesky3(m) -> np.ndarray:
-    """Lower-triangular factor A with A @ A^H = m.
-
-    Raises NotPositiveDefinite when a pivot is <= PIVOT_RTOL times the
-    largest diagonal entry of the corresponding matrix.
+    The off-diagonal entries are read as complex numbers with the packed
+    bits, so A is bit for bit the factor of the unpacked matrix.  Raises
+    NotPositiveDefinite when a pivot is <= PIVOT_RTOL times the largest
+    diagonal entry of the corresponding matrix.
     """
-    a, d, f, b, c, e = _entries(m)
+    p = _packed(p)
+    a, d, f = p[..., 0], p[..., 1], p[..., 2]
+    b, c, e = np.moveaxis(np.ascontiguousarray(p[..., 3:]).view(np.complex128), -1, 0)
     tol = PIVOT_RTOL * np.maximum(np.maximum(a, d), f)
 
-    p1 = a
-    if np.any(p1 <= tol):
+    if np.any(a <= tol):
         raise NotPositiveDefinite("first Cholesky pivot below tolerance")
-    l11 = np.sqrt(p1)
+    l11 = np.sqrt(a)
     l21 = np.conj(b) / l11
     l31 = np.conj(c) / l11
     p2 = d - np.abs(l21) ** 2
@@ -69,7 +57,7 @@ def cholesky3(m) -> np.ndarray:
         raise NotPositiveDefinite("third Cholesky pivot below tolerance")
     l33 = np.sqrt(p3)
 
-    out = np.zeros(np.shape(np.asarray(p1)) + (3, 3), dtype=np.complex128)
+    out = np.zeros(a.shape + (3, 3), dtype=np.complex128)
     out[..., 0, 0] = l11
     out[..., 1, 0] = l21
     out[..., 1, 1] = l22
@@ -121,7 +109,7 @@ def component_major(p) -> np.ndarray:
     return x if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T).T
 
 
-def _packed_entries(p):
+def _components(p):
     p = _packed(p)
     return tuple(p[..., k] for k in range(9))
 
@@ -129,14 +117,14 @@ def _packed_entries(p):
 def is_positive_definite(p) -> np.ndarray:
     """True where the three leading minors of packed p are > 0 (so NaN counts as False)."""
     x = component_major(p)
-    a, d, _, br, bi = _packed_entries(x)[:5]
+    a, d, _, br, bi = _components(x)[:5]
     pd = (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(x) > 0)
     return pd.reshape(np.shape(p)[:-1])
 
 
 def det_packed(p) -> np.ndarray:
-    """det3 of packed Hermitian matrices, without forming complex arrays."""
-    a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
+    """Determinant of packed Hermitian matrices (real by hermitivity)."""
+    a, d, f, br, bi, cr, ci, er, ei = _components(p)
     return (a * d * f
             - a * (er * er + ei * ei)
             - f * (br * br + bi * bi)
@@ -152,7 +140,7 @@ def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
     every |det| >= DET_TOL.  The inverse is returned component-major (each
     entry contiguous), the layout the packed kernels read fastest.
     """
-    a, d, f, br, bi, cr, ci, er, ei = _packed_entries(p)
+    a, d, f, br, bi, cr, ci, er, ei = _components(p)
     if not np.isfinite(p).all():
         raise SingularMatrix("non-finite matrix entry")
     det = np.asarray(det_packed(p))

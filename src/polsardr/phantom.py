@@ -17,7 +17,7 @@ from . import hermitian as hm
 from .dataio import key_value_lines
 from .errors import InvalidSpec
 from .fields import ClassMap, CovarianceField, RoiSet
-from .wishart import WishartModel, _normals, _packed_deviates
+from .wishart import _normals, _packed_deviates
 
 # Built-in class triplet: classes 2 and 3 share the square root of class 1,
 # scaled along its eigen-directions, so the pairwise KL distances at 4 looks
@@ -28,18 +28,15 @@ from .wishart import WishartModel, _normals, _packed_deviates
 # Configuration values, replaceable through PhantomSpec / config files.
 def _default_sigmas() -> np.ndarray:
     # packed: [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
-    base = hm.from_packed(np.array([0.42, 0.018, 0.24, 0.03, 0.012, 0.28, 0.06, 0.01, 0.005]))
+    base = np.array([0.42, 0.018, 0.24, 0.03, 0.012, 0.28, 0.06, 0.01, 0.005])
     w = hm.cholesky3(base)
     scale_2 = np.array([14.0, 11.0, 8.0])
     # ratio multiset solves sum_i (r_i + 1/r_i - 2)/2 = 0.75, i.e. KL(2,3) = 3 at
     # 4 looks, with the strong expansion on the high-power first direction so
     # class 3 sits far from class 1 in Frobenius distance as well.
     scale_3 = scale_2 * 0.9265972909343432 * np.array([3.0, 0.6, 1.0])
-    return hm.to_packed(np.stack([
-        base,
-        hm.hermitian_part(w @ np.diag(scale_2) @ w.conj().T),
-        hm.hermitian_part(w @ np.diag(scale_3) @ w.conj().T),
-    ]))
+    return np.stack([base] + [hm.to_packed(hm.hermitian_part(w @ np.diag(s) @ w.conj().T))
+                              for s in (scale_2, scale_3)])
 
 
 DEFAULT_SIGMAS = _default_sigmas()
@@ -90,9 +87,6 @@ class PhantomSpec:
     def n_classes(self) -> int:
         return self.sigmas.shape[0]
 
-    def models(self) -> list[WishartModel]:
-        return [WishartModel(hm.from_packed(s), float(self.looks)) for s in self.sigmas]
-
 
 def _region_mask(region: str, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
     parts = region.split()
@@ -134,7 +128,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[CovarianceField, ClassMap]:
     about BATCH_PIXELS pixels then become deviates in one pass per class.
     """
     labels = region_map(spec)
-    factors = [hm.cholesky3(model.sigma) for model in spec.models()]
+    factors = [hm.cholesky3(s) for s in spec.sigmas]  # one by one: a batch has other last bits
     data = np.empty((spec.height, spec.width, 9))
     rows = max(1, BATCH_PIXELS // spec.width)
     for y0 in range(0, spec.height, rows):

@@ -16,6 +16,7 @@ backtracking line search, then Euclidean projection back onto the simplex.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ ENERGY_TOL = 1e-8  # the descent stops once an iteration gains less energy than 
 
 def saturate(s, lam: float = 1.0) -> np.ndarray | float:
     """Odd, bounded, increasing transfer s / (1 + lam * |s|); range (-1/lam, 1/lam)."""
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     s = np.asarray(s, dtype=np.float64)
     out = s / (1.0 + lam * np.abs(s))
     return out if out.ndim else float(out)

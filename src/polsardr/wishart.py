@@ -30,16 +30,17 @@ GEMM_ROWS = 4096
 
 @dataclass(frozen=True, eq=False)
 class WishartModel:
-    """Covariance prototype plus equivalent number of looks."""
+    """Packed (9,) covariance prototype plus equivalent number of looks."""
 
     sigma: np.ndarray
     looks: float
 
     def __post_init__(self):
-        sigma = hm.hermitian_part(np.asarray(self.sigma, dtype=np.complex128))
-        if sigma.shape != (3, 3):
-            raise ValueError(f"sigma must be 3x3, got {sigma.shape}")
-        if not hm.is_positive_definite(hm.to_packed(sigma)):
+        sigma = np.asarray(self.sigma)
+        if np.iscomplexobj(sigma) or sigma.shape != (9,):
+            raise ValueError(f"sigma must be packed (9,), got {sigma.dtype} {sigma.shape}")
+        sigma = sigma.astype(np.float64)
+        if not hm.is_positive_definite(sigma):
             raise InvalidObservation("model covariance is not positive definite")
         if not np.isfinite(self.looks) or self.looks < 3:
             raise InvalidLooks(f"looks must be >= 3, got {self.looks}")
@@ -48,10 +49,10 @@ class WishartModel:
 
 
 def log_density(model: WishartModel, z) -> np.ndarray | float:
-    """Log density of the scaled complex Wishart law at z (broadcasts over z):
-    the negated ML score of ``distances``, which rejects a z that is not PD."""
-    x = hm.to_packed(z)
-    p_inv, p_det = hm.inv_packed(hm.to_packed(model.sigma))  # ML reads no packed P
+    """Log density of the scaled complex Wishart law at packed z (..., 9): the
+    negated ML score of ``distances``, which rejects a z that is not PD."""
+    x = hm._packed(z)
+    p_inv, p_det = hm.inv_packed(model.sigma)  # ML reads no packed P
     out = -_score("ML", _features(x, "ML"), (None, p_inv, np.log(p_det)), model.looks)
     return out if np.ndim(out) else float(out)
 

@@ -89,12 +89,11 @@ def test_criterion_1_distance_unit_values():
 
 def test_criterion_2_estimator_consistency():
     t0 = time.perf_counter()
-    model = WishartModel(hm.from_packed(DEFAULT_SIGMAS[1]), 4.0)
+    model = WishartModel(DEFAULT_SIGMAS[1], 4.0)
     ml = []
     corrected = []
     for rep in range(20):
-        z = hm.from_packed(sample(model, np.random.default_rng([0, rep]), size=5000))
-        stats = SampleStats.from_sample(z)
+        stats = SampleStats.from_sample(sample(model, np.random.default_rng([0, rep]), size=5000))
         est = estimate_looks_ml(stats)
         ml.append(est)
         corrected.append(est - box_snell_bias(est, stats.n))
@@ -229,7 +228,7 @@ def test_criterion_8_weight_optimizer_properties(phantom_run):
     # one class with ~4x intra-class distance spread gets the smallest weight
     rng = np.random.default_rng(100)
     sigmas = [make_hpd(rng, scale=s) for s in (0.6, 1.0, 2.0)]
-    samples = [hm.from_packed(sample(WishartModel(s, g), rng, size=80))
+    samples = [hm.from_packed(sample(WishartModel(hm.to_packed(s), g), rng, size=80))
                for s, g in zip(sigmas, (16, 16, 4))]
     own = [np.mean(kl_distance(samples[m], sigmas[m], 4.0)) for m in range(3)]
     assert own[2] > 3.5 * max(own[0], own[1])

@@ -88,7 +88,7 @@ def test_optimized_weights_are_stored(rng):
     # the optimizer's weights pass the simplex check that an assignment runs
     from polsardr.weights import TrainingSet, optimize_weights
     protos = _protos(rng)
-    samples = [sample(WishartModel(hm.from_packed(s), 4), rng, size=30) for s in protos.sigmas]
+    samples = [sample(WishartModel(s, 4), rng, size=30) for s in protos.sigmas]
     result = optimize_weights(TrainingSet(protos, samples))
     protos.weights = result.weights
     np.testing.assert_array_equal(protos.weights, result.weights)
@@ -116,7 +116,7 @@ def test_prototype_set_is_packed_checked_and_inverted_once(rng, monkeypatch):
     with pytest.raises(AttributeError):
         protos.sigmas = 2.0 * sigmas
     # scoring inverts only the pixels: one call per KL, HD or BD stack
-    x = sample(WishartModel(hm.from_packed(sigmas[1]), 4), rng, size=(4, 5))
+    x = sample(WishartModel(sigmas[1], 4), rng, size=(4, 5))
     for kind in STACK_KINDS:
         distance_stack(x, protos, kind)
     classify_image(CovarianceField(x), protos, "HD+OW")  # in row blocks
@@ -165,7 +165,7 @@ def test_weighted_argmin_hand_example(rng):
 def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
     # with uniform weights "<kind>+OW" gives <kind>'s map, for every distance
     protos = _protos(rng)
-    field = CovarianceField(sample(WishartModel(hm.from_packed(protos.sigmas[1]), 4),
+    field = CovarianceField(sample(WishartModel(protos.sigmas[1], 4),
                                    rng, size=(12, 9)))
     for kind in KINDS:
         plain = classify_image(field, protos, kind)
@@ -175,7 +175,7 @@ def test_uniform_weights_make_weighted_rule_match_plain_kl(rng):
 
 def test_argmin_invariance_under_common_scaling(rng):
     protos = _protos(rng)
-    pts = sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=40)
+    pts = sample(WishartModel(protos.sigmas[0], 4), rng, size=40)
     scores = distance_stack(pts, protos, "KL", weighted=True)
     assert np.array_equal(np.argmin(scores, -1), np.argmin(7.3 * scores, -1))
 
@@ -198,7 +198,7 @@ def test_classify_image_uniform_field(rng):
 
 def test_classify_image_deterministic_and_marks_bad_pixels(rng):
     protos = _protos(rng)
-    data = sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=(5, 7))
+    data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(5, 7))
     data[2, 3] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))  # not positive definite
     field = CovarianceField(data)
     a = classify_image(field, protos, "KL")
@@ -210,7 +210,7 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
 
 def test_ml_rule_matches_density_argmax(rng):
     protos = _protos(rng)
-    pts = hm.from_packed(sample(WishartModel(hm.from_packed(protos.sigmas[2]), 4), rng, size=30))
+    pts = hm.from_packed(sample(WishartModel(protos.sigmas[2], 4), rng, size=30))
     dens = np.stack([oracle.log_density(pts, hm.from_packed(protos.sigmas[m]), 4.0)
                      for m in range(3)], axis=-1)
     got = classify_image(CovarianceField(hm.to_packed(pts)[None]), protos, "ML").labels[0] - 1
@@ -221,7 +221,7 @@ def test_per_class_looks_selectable(rng):
     sigmas = np.stack([make_hpd(rng), make_hpd(rng, scale=2.0)])
     protos = PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=4.0,
                           class_looks=np.array([3.2, 9.0]))
-    pts = sample(WishartModel(sigmas[0], 4), rng, size=10)
+    pts = sample(WishartModel(hm.to_packed(sigmas[0]), 4), rng, size=10)
     shared = distance_stack(pts, protos, "KL")
     per_class = distance_stack(pts, protos, "KL", use_class_looks=True)
     np.testing.assert_allclose(per_class[:, 0], shared[:, 0] * 3.2 / 4.0, rtol=1e-12)
@@ -284,7 +284,8 @@ def test_pairwise_functions_equal_distance_stack_columns(seed, log_scale):
                 "HD": lambda s: hellinger_distance(data, s, looks),
                 "BD": lambda s: bhattacharyya_distance(data, s, looks),
                 "ED": lambda s: euclidean_distance(data, s),
-                "ML": lambda s: -log_density(WishartModel(s, looks), data)}
+                "ML": lambda s: -log_density(WishartModel(hm.to_packed(s), looks),
+                                             hm.to_packed(data))}
     for kind in STACK_KINDS:
         stack = distance_stack(hm.to_packed(data), protos, kind)
         for m in range(protos.n_classes):
@@ -385,7 +386,7 @@ def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, 
     # blocks and more workers than cores force the many-block and many-thread
     # paths; they must give the bits of one unblocked single-thread pass
     protos = _protos(rng, weights=np.array([0.5, 0.3, 0.2]))
-    data = sample(WishartModel(hm.from_packed(protos.sigmas[1]), 4), rng, size=(13, 11))
+    data = sample(WishartModel(protos.sigmas[1], 4), rng, size=(13, 11))
     data[7, 5] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))  # not positive definite
     field = CovarianceField(data)
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 10**9)
@@ -411,7 +412,7 @@ def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
     # a PD pixel with |det| < DET_TOL in the last row, which a pool thread
     # scores: its exception keeps its type, and no pool thread outlives the call
     protos = _protos(rng)
-    data = sample(WishartModel(hm.from_packed(protos.sigmas[0]), 4), rng, size=(6, 5))
+    data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(6, 5))
     data[5, 4] = hm.to_packed(1e-101 * ID)
     field = CovarianceField(data)
     assert field.pd_mask[5, 4]

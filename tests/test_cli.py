@@ -15,9 +15,10 @@ import pytest
 
 from polsardr import dataio
 from polsardr import hermitian as hm
-from polsardr.classify import RULES, PrototypeSet
-from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig,
-                          accuracy_report, build_parser, main, run_pipeline)
+from polsardr.classify import RULES, PrototypeSet, classify_image
+from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig, accuracy_report,
+                          build_parser, fit_weights, main, read_split, run_pipeline,
+                          train_prototypes)
 from polsardr.errors import PolsarError, StabilityViolation
 from polsardr.fields import ClassMap, CovarianceField, RoiSet
 from polsardr.phantom import PhantomSpec, generate_phantom, inscribed_rois
@@ -127,6 +128,20 @@ def test_config_rejects_unknown_bool(tmp_path):
     cfg.write_text("width: 64\nuse_class_looks: ture\n")
     with pytest.raises(ValueError, match=r"exp\.cfg:2: .*'ture'"):
         ExperimentConfig.from_file(cfg)
+
+
+@pytest.mark.parametrize("line", ["alpha: nan", "dt: nan", "alpha: 0\ndt: inf",
+                                  "lambda: -1", "lambda: 0", "lambda: nan", "lambda: inf"])
+def test_config_refuses_bad_evolution_and_lambda_values_up_front(tmp_path, capsys, line):
+    # refused when the config loads, before the simulate stage writes anything;
+    # `alpha: nan` used to run every stage and fail at evolve, `lambda: -1` at weights
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{line}\noutdir: {tmp_path / 'run'}\n")
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig.from_file(cfg)
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("line", ["width: abc", "alpha: fast"])
@@ -486,6 +501,28 @@ def test_classify_computes_the_pd_mask_once(tmp_path, monkeypatch):
     assert len(tested) == 96 and set(tested.values()) == {1}
 
 
+def test_train_and_weights_read_only_the_rows_of_the_train_pixels(tmp_path, monkeypatch):
+    # they gather a few thousand ROI pixels through ``rows``: ``data`` would
+    # load the whole image.  The model equals the one of the image held in memory.
+    base, roi = tmp_path / "img", tmp_path / "img_roi.txt"
+    assert main(["simulate", "--width", "120", "--height", "90", "--out", str(base)]) == 0
+    read = dataio.read_covariance_image(base)
+    held = CovarianceField(read.data, looks=read.looks)
+    split = read_split(roi, 42, held)
+    protos = train_prototypes(held, split)
+    fit_weights(held, split, protos)
+    dataio.write_model(protos, tmp_path / "held.txt")
+
+    def refuse(field):
+        raise AssertionError("the whole image was loaded")
+
+    monkeypatch.setattr(CovarianceField, "data", property(refuse))
+    model = tmp_path / "model.txt"
+    assert main(["train", "--image", str(base), "--roi", str(roi), "--out", str(model)]) == 0
+    assert main(["weights", "--image", str(base), "--roi", str(roi), "--model", str(model)]) == 0
+    assert model.read_bytes() == (tmp_path / "held.txt").read_bytes()
+
+
 def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):
     # classify, render and evolve log their row blocks and workers at DEBUG;
     # the default level (INFO) leaves that out
@@ -543,6 +580,12 @@ def test_default_pipeline_timing_and_dominance(tmp_path):
     assert maps == golden["maps"]
     table = [ln.rsplit(None, 1)[0] for ln in result.table.format().splitlines()]
     assert table == golden["table"]
+    # the trained prototypes and weights, pinned before the statistics were packed
+    # (the class looks may move in their last digits)
+    lines = [ln for ln in (tmp_path / "full" / "model.txt").read_text().splitlines()
+             if ln.startswith(("cov:", "weights:"))]
+    assert len(lines) == 4 and hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "7df98d7314e68ef5adf4a544c2e53457979b0c09ec23171412d1ceb006b253db")
 
 
 def _readme_blocks(section):
@@ -564,6 +607,18 @@ def test_readme_matches_the_command_line(tmp_path):
             if line.startswith("polsardr ")}
     assert used == {"simulate", "train", "weights", "classify", "evolve", "evaluate",
                     "render", "pipeline"}
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the API example runs as it stands, in a directory of its own
+    block, = _readme_blocks("Library use")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["pixels"].shape == (100, 9)
+    np.testing.assert_array_equal(namespace["labels"].labels,
+                                  classify_image(namespace["field"], namespace["protos"],
+                                                 "KL+OW").labels)
 
 
 def _cold_run(*args, cwd=None):

@@ -19,7 +19,8 @@ from conftest import make_hpd, read_ppm
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
-    return CovarianceField(sample(WishartModel(make_hpd(rng), 4), rng, size=(h, w)), looks=looks)
+    model = WishartModel(hm.to_packed(make_hpd(rng)), 4)
+    return CovarianceField(sample(model, rng, size=(h, w)), looks=looks)
 
 
 def test_covariance_roundtrip_f64(tmp_path, rng):

@@ -163,15 +163,15 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
     # sample should sit closer (in either distance) to its own prototype
     rng = np.random.default_rng(17)
     sig_a = make_hpd(rng)
-    w = hm.cholesky3(sig_a)
+    w = hm.cholesky3(hm.to_packed(sig_a))
     sig_b = hm.hermitian_part(w @ np.diag([2.4, 1.6, 0.6]) @ w.conj().T)
     assert 2.0 < kl_distance(sig_a, sig_b, 4.0) < 12.0  # moderate separation
-    model = WishartModel(sig_a, 4)
+    model = WishartModel(hm.to_packed(sig_a), 4)
     hits_kl = hits_hd = 0
     trials = 200
     for t in range(trials):
-        z_hat = SampleStats.from_sample(hm.from_packed(
-            sample(model, np.random.default_rng([91, t]), size=5))).mean
+        z_hat = hm.from_packed(SampleStats.from_sample(
+            sample(model, np.random.default_rng([91, t]), size=5)).mean)
         hits_kl += kl_distance(z_hat, sig_a, 4.0) < kl_distance(z_hat, sig_b, 4.0)
         hits_hd += hellinger_distance(z_hat, sig_a, 4.0) < hellinger_distance(z_hat, sig_b, 4.0)
     assert hits_kl >= 0.95 * trials

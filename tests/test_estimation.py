@@ -20,12 +20,17 @@ from polsardr.estimation import (LOOKS_BRACKET, SampleStats, _brent_root, box_sn
 from polsardr.distances import log_gamma3
 from polsardr.wishart import WishartModel, log_density, sample
 
+import oracle
 from conftest import make_hpd
 
 EULER = 0.5772156649015329
 ZETA3 = sum(1.0 / k**3 for k in range(200000, 0, -1))  # Apery constant, ~1e-11 accurate
 
-ID = np.eye(3, dtype=complex)
+ID = hm.to_packed(np.eye(3))
+
+
+def packed_hpd(rng, scale=1.0):
+    return hm.to_packed(make_hpd(rng, scale=scale))
 
 
 def digamma_int(n):
@@ -46,15 +51,33 @@ def _sigma_hat(sample):
 
 
 def test_estimate_sigma_basics(rng):
-    m = make_hpd(rng)
+    m = packed_hpd(rng)
     np.testing.assert_array_equal(_sigma_hat(m), m)
     np.testing.assert_allclose(_sigma_hat(np.stack([ID, 3 * ID])), 2 * ID)
     with pytest.raises(EmptySample):
-        _sigma_hat(np.empty((0, 3, 3), dtype=complex))
+        _sigma_hat(np.empty((0, 9)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+       log_scale=st.floats(-100.0, 100.0))
+@settings(max_examples=100, deadline=None)
+def test_packed_mean_has_the_bits_of_the_complex_mean(seed, n, log_scale):
+    # the packed sum times 1/n is numpy's mean of the complex matrices to the
+    # bit, so trained prototypes do not move with the representation
+    rng = np.random.default_rng(seed)
+    x = sample(WishartModel(packed_hpd(rng, scale=10.0 ** log_scale), 4), rng, size=n)
+    stats = SampleStats.from_sample(x)
+    m = hm.from_packed(x)
+    want = hm.to_packed(m.mean(axis=0))
+    assert stats.mean.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # abs: a log-det near 0 has no relative accuracy; 1e-12 in log is 1e-12 in det
+    assert stats.mean_log_det == pytest.approx(np.mean(oracle.logdet(m)), rel=1e-12, abs=1e-12)
+    assert stats.log_det_of_mean == pytest.approx(oracle.logdet(m.mean(axis=0)),
+                                                  rel=1e-12, abs=1e-12)
 
 
 def test_estimate_sigma_affine_and_permutation_invariant(rng):
-    zs = np.stack([make_hpd(rng) for _ in range(7)])
+    zs = np.stack([packed_hpd(rng) for _ in range(7)])
     np.testing.assert_allclose(_sigma_hat(3.5 * zs), 3.5 * _sigma_hat(zs), rtol=1e-14)
     perm = np.random.default_rng(0).permutation(7)
     np.testing.assert_allclose(_sigma_hat(zs[perm]), _sigma_hat(zs), rtol=1e-12)
@@ -62,8 +85,8 @@ def test_estimate_sigma_affine_and_permutation_invariant(rng):
 
 def test_estimate_sigma_consistency():
     rng = np.random.default_rng(42)
-    sigma = make_hpd(rng, scale=1.4)
-    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=10000))
+    sigma = packed_hpd(rng, scale=1.4)
+    z = sample(WishartModel(sigma, 4), rng, size=10000)
     se = z.std(axis=0) / np.sqrt(z.shape[0])
     assert np.all(np.abs(_sigma_hat(z) - sigma) <= 5 * se + 1e-12)
 
@@ -99,7 +122,7 @@ def test_polygamma3_is_derivative_of_log_gamma3():
 def _stats_for_root(target, n=100, mean=None):
     # score(target) = 0 <=> mean_log_det = log|mean| + polygamma3(0, t) - 3 log t
     mean = ID if mean is None else mean
-    mld = float(np.log(np.linalg.det(mean).real) + polygamma3(0, target)
+    mld = float(oracle.logdet(hm.from_packed(mean)) + polygamma3(0, target)
                 - 3 * np.log(target))
     return SampleStats(n=n, mean=mean, mean_log_det=mld)
 
@@ -114,8 +137,7 @@ def test_estimate_looks_ml_recovers_target():
 
 def test_estimate_looks_ml_consistency():
     rng = np.random.default_rng(3)
-    sigma = make_hpd(rng)
-    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=5000))
+    z = sample(WishartModel(packed_hpd(rng), 4), rng, size=5000)
     est = estimate_looks_ml(SampleStats.from_sample(z))
     assert abs(est - 4.0) < 0.2
 
@@ -127,8 +149,8 @@ def test_looks_root_is_scipy_brentq_bit_for_bit(seed, n, looks):
     from scipy.optimize import brentq
 
     rng = np.random.default_rng(seed)
-    model = WishartModel(make_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
-    stats = SampleStats.from_sample(hm.from_packed(sample(model, rng, size=n)))
+    model = WishartModel(packed_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
+    stats = SampleStats.from_sample(sample(model, rng, size=n))
     lo, hi = LOOKS_BRACKET
     f_lo, f_hi = looks_score(lo, stats), looks_score(hi, stats)
     assume(f_lo > 0 >= f_hi)  # otherwise estimate_looks_ml raises NoRoot first
@@ -141,15 +163,15 @@ def test_looks_root_is_scipy_brentq_bit_for_bit(seed, n, looks):
 def test_looks_score_reads_the_log_det_of_the_mean_once(rng, monkeypatch):
     # log|mean| is a constant of the score: computed when the statistics are
     # built, by the expression the score used to evaluate on every call
-    stats = SampleStats.from_sample(np.stack([make_hpd(rng) for _ in range(5)]))
-    want = (3.0 * np.log(5.5) + stats.mean_log_det - np.log(hm.det3(stats.mean))
+    stats = SampleStats.from_sample(np.stack([packed_hpd(rng) for _ in range(5)]))
+    want = (3.0 * np.log(5.5) + stats.mean_log_det - np.log(hm.det_packed(stats.mean))
             - polygamma3(0, 5.5))
-    monkeypatch.setattr(hm, "det3", None)
+    monkeypatch.setattr(hm, "det_packed", None)
     assert looks_score(5.5, stats) == want
 
 
 def test_no_root_for_dispersion_free_sample(rng):
-    m = make_hpd(rng)
+    m = packed_hpd(rng)
     stats = SampleStats.from_sample(np.stack([m] * 10))
     with pytest.raises(NoRoot) as exc:
         estimate_looks_ml(stats)
@@ -158,15 +180,15 @@ def test_no_root_for_dispersion_free_sample(rng):
 
 def test_from_sample_refuses_non_pd_matrices_with_a_positive_determinant(rng):
     # det(diag(-1, -1, 1)) = 1 > 0, so a determinant test lets it through
-    m = make_hpd(rng)
-    bad = [np.diag([-1.0, -1.0, 1.0]).astype(complex), np.diag([1.0, -2.0, -3.0]).astype(complex)]
+    m = packed_hpd(rng)
+    bad = [hm.to_packed(np.diag([-1.0, -1.0, 1.0])), hm.to_packed(np.diag([1.0, -2.0, -3.0]))]
     with pytest.raises(InvalidObservation, match="^2 sample matrices are not positive definite"):
         SampleStats.from_sample(np.stack([m, bad[0], m, bad[1]]))
     with pytest.raises(InvalidObservation, match="^1 sample matrices"):
         SampleStats.from_sample(bad[0])
     stats = SampleStats.from_sample(np.stack([m, 2 * m]))  # PD samples keep their log-dets
-    dets = [np.linalg.det(m).real, np.linalg.det(2 * m).real]
-    assert stats.mean_log_det == pytest.approx(np.mean(np.log(dets)), rel=1e-12)
+    log_dets = oracle.logdet(hm.from_packed(np.stack([m, 2 * m])))
+    assert stats.mean_log_det == pytest.approx(np.mean(log_dets), rel=1e-12)
 
 
 def test_no_root_for_overdispersed_sample():
@@ -227,7 +249,7 @@ def test_corrected_estimate_clamped_at_three(caplog):
 def test_corrected_estimate_clamps_when_the_score_has_no_root(rng, caplog):
     # no root on the bracket: the bracket top for a dispersion-free sample,
     # 3 for an over-dispersed one, each with a warning
-    free = SampleStats.from_sample(np.stack([make_hpd(rng)] * 10))
+    free = SampleStats.from_sample(np.stack([packed_hpd(rng)] * 10))
     dispersed = SampleStats(n=10, mean=ID, mean_log_det=-5.0)
     with caplog.at_level("WARNING", logger="polsardr.estimation"):
         assert estimate_looks_corrected(free) == LOOKS_BRACKET[1]
@@ -239,12 +261,11 @@ def test_corrected_estimate_clamps_when_the_score_has_no_root(rng, caplog):
 
 def test_bias_correction_reduces_bias_monte_carlo():
     # 200 replications at n = 50: the corrected estimator's mean error is smaller
-    sigma = make_hpd(np.random.default_rng(8))
-    model = WishartModel(sigma, 4)
+    model = WishartModel(packed_hpd(np.random.default_rng(8)), 4)
     ml = []
     corrected = []
     for rep in range(200):
-        z = hm.from_packed(sample(model, np.random.default_rng([77, rep]), size=50))
+        z = sample(model, np.random.default_rng([77, rep]), size=50)
         stats = SampleStats.from_sample(z)
         est = estimate_looks_ml(stats)
         ml.append(est - 4.0)
@@ -253,8 +274,7 @@ def test_bias_correction_reduces_bias_monte_carlo():
 
 
 def test_log_likelihood_peaks_at_the_estimates(rng):
-    sigma = make_hpd(rng)
-    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=400))
+    z = sample(WishartModel(packed_hpd(rng), 4), rng, size=400)
     stats = SampleStats.from_sample(z)
     s_hat = _sigma_hat(z)
     l_hat = estimate_looks_ml(stats)
@@ -264,5 +284,5 @@ def test_log_likelihood_peaks_at_the_estimates(rng):
     peak = log_likelihood(s_hat, l_hat)
     assert log_likelihood(s_hat, l_hat + 0.05) < peak
     assert log_likelihood(s_hat, l_hat - 0.05) < peak
-    assert log_likelihood(s_hat + 0.02 * np.eye(3), l_hat) < peak
+    assert log_likelihood(s_hat + 0.02 * ID, l_hat) < peak
     assert log_likelihood(0.98 * s_hat, l_hat) < peak

@@ -60,6 +60,15 @@ def test_params_validation():
     EvolutionParams(alpha=25.0, dt=0.01)  # exactly 1 - 4*0.25 = 0 is allowed
 
 
+@pytest.mark.parametrize("alpha, dt", [(np.nan, 0.01), (0.5, np.nan), (np.inf, 0.01),
+                                       (0.0, np.inf), (0.5, -np.inf), (-np.inf, 0.01)])
+def test_params_refuse_non_finite_values(alpha, dt):
+    # NaN fails every comparison and 0 * inf is NaN, so each passed the old
+    # tests and the run failed only at its evolve stage
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionParams(alpha=alpha, dt=dt)
+
+
 def test_diffusion_step_guards_stability():
     # the checked parameters are frozen, so an unstable object cannot reach a step
     params = EvolutionParams()
@@ -151,7 +160,7 @@ def test_reaction_single_pixel_monotone_approach(rng):
     # alpha = 0: repeated reactions move the pixel toward its anchor in
     # Frobenius distance while the assignment stays put
     protos = _protos(rng)
-    x = sample(WishartModel(hm.from_packed(protos.sigmas[2]), 4), rng)
+    x = sample(WishartModel(protos.sigmas[2], 4), rng)
     field = CovarianceField(x[None, None])
     label = int(np.argmin(distance_stack(x, protos, "KL", weighted=True)))
     dists = []

@@ -231,12 +231,13 @@ def test_phantom_config_names_the_line_of_an_unparsable_value(tmp_path, line):
 
 
 def test_phantom_spec_takes_packed_sigmas():
-    # the complex (M, 3, 3) layout is refused; the sampler gets each packed
-    # class covariance back as the complex matrix it was packed from
+    # the complex (M, 3, 3) layout is refused; the sampler factors each packed
+    # class covariance as it stands
     with pytest.raises(InvalidSpec, match="packed"):
         PhantomSpec(sigmas=hm.from_packed(DEFAULT_SIGMAS))
-    for model, s in zip(PhantomSpec().models(), DEFAULT_SIGMAS):
-        np.testing.assert_array_equal(hm.to_packed(model.sigma), s)
+    for s in PhantomSpec().sigmas:
+        w = hm.cholesky3(s)
+        np.testing.assert_allclose(w @ w.conj().T, hm.from_packed(s), rtol=1e-13, atol=1e-16)
 
 
 def test_phantom_config_requires_complete_classes(tmp_path):

@@ -44,8 +44,9 @@ def test_saturate_monotone(a, b):
 
 
 def test_saturate_rejects_bad_lambda():
-    with pytest.raises(ValueError):
-        saturate(1.0, 0.0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            saturate(1.0, lam)
 
 
 def _simplex_projection_oracle(v):
@@ -74,7 +75,7 @@ def _training_set(sigmas, samples, looks=4.0):
 
 
 def _wishart_training_set(rng, sigmas, gen_looks, n_per_class, dist_looks=4.0):
-    samples = [hm.from_packed(sample(WishartModel(s, g), rng, size=n)) for s, g, n in
+    samples = [hm.from_packed(sample(WishartModel(hm.to_packed(s), g), rng, size=n)) for s, g, n in
                zip(sigmas, gen_looks, n_per_class)]
     return _training_set(sigmas, samples, dist_looks)
 
@@ -131,7 +132,7 @@ def test_energy_gradient_matches_finite_differences(rng):
 
 def test_two_identical_classes_keep_uniform_weights(rng):
     sigma = make_hpd(rng)
-    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=30))
+    z = hm.from_packed(sample(WishartModel(hm.to_packed(sigma), 4), rng, size=30))
     train = _training_set([sigma, sigma], [z, z.copy()])
     result = optimize_weights(train)
     np.testing.assert_allclose(result.weights, [0.5, 0.5], atol=1e-9)

@@ -14,15 +14,25 @@ import oracle
 from conftest import make_hermitian, make_hpd
 
 ID = np.eye(3, dtype=complex)
+P = hm.to_packed
+PID = P(ID)
+
+
+def packed_hpd(rng, scale=1.0):
+    return P(make_hpd(rng, scale=scale))
 
 
 def test_model_validation():
     with pytest.raises(InvalidObservation):
-        WishartModel(np.diag([1.0, -1.0, 1.0]).astype(complex), 4)
+        WishartModel(P(np.diag([1.0, -1.0, 1.0])), 4)
+    for bad in (ID, PID[:8], PID.astype(complex)):  # the sigma is packed (9,) floats
+        with pytest.raises(ValueError, match="packed"):
+            WishartModel(bad, 4)
     with pytest.raises(InvalidLooks):
-        WishartModel(ID, 2.5)
-    model = WishartModel(ID, 3.7)  # real looks >= 3 fine for the density
+        WishartModel(PID, 2.5)
+    model = WishartModel(PID, 3.7)  # real looks >= 3 fine for the density
     assert model.looks == 3.7
+    assert model.sigma.dtype == np.float64 and model.sigma.shape == (9,)
 
 
 def test_log_gamma3_against_stdlib():
@@ -38,13 +48,13 @@ def test_log_density_identity_three_looks():
     # direct evaluation of the density terms at sigma = I, looks = 3, z = I
     expected = (9 * math.log(3.0) - 3 * math.log(math.pi)
                 - math.log(math.gamma(3) * math.gamma(2) * math.gamma(1)) - 9.0)
-    assert log_density(WishartModel(ID, 3), ID) == pytest.approx(expected, rel=1e-14)
+    assert log_density(WishartModel(PID, 3), PID) == pytest.approx(expected, rel=1e-14)
 
 
 def test_log_density_scaling_identity(rng):
     # log f(c z; c sigma, looks) = log f(z; sigma, looks) - 9 log c
-    sigma = make_hpd(rng)
-    z = make_hpd(rng)
+    sigma = packed_hpd(rng)
+    z = packed_hpd(rng)
     for c in (0.3, 2.0, 17.5):
         lhs = log_density(WishartModel(c * sigma, 5), c * z)
         rhs = log_density(WishartModel(sigma, 5), z) - 9 * math.log(c)
@@ -54,32 +64,33 @@ def test_log_density_scaling_identity(rng):
 def test_log_density_mode(rng):
     # the maximizer over z is ((looks-3)/looks) * sigma; perturbations lose
     looks = 6.0
-    sigma = make_hpd(rng)
+    sigma = packed_hpd(rng)
     z_star = (looks - 3.0) / looks * sigma
     peak = log_density(WishartModel(sigma, looks), z_star)
     for _ in range(25):
-        z = z_star + 1e-3 * make_hermitian(rng)
+        z = z_star + 1e-3 * P(make_hermitian(rng))
         assert log_density(WishartModel(sigma, looks), z) < peak
 
 
 def test_log_density_matches_oracle(rng):
     for looks in (3.0, 4.0, 7.5, 40.0):
         sigma = make_hpd(rng, scale=rng.uniform(0.1, 10.0))
-        z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=(2, 5)))
-        np.testing.assert_allclose(log_density(WishartModel(sigma, looks), z),
-                                   oracle.log_density(z, sigma, looks), rtol=1e-10)
-        assert log_density(WishartModel(sigma, looks), z[0, 0]) == pytest.approx(
-            oracle.log_density(z[0, 0], sigma, looks), rel=1e-10)
+        z = sample(WishartModel(P(sigma), 4), rng, size=(2, 5))
+        want = oracle.log_density(hm.from_packed(z), sigma, looks)
+        np.testing.assert_allclose(log_density(WishartModel(P(sigma), looks), z), want,
+                                   rtol=1e-10)
+        assert log_density(WishartModel(P(sigma), looks), z[0, 0]) == pytest.approx(
+            want[0, 0], rel=1e-10)
 
 
 def test_log_density_rejects_non_pd():
     with pytest.raises(InvalidObservation):
-        log_density(WishartModel(ID, 4), np.diag([1.0, 1.0, -1.0]).astype(complex))
+        log_density(WishartModel(PID, 4), P(np.diag([1.0, 1.0, -1.0])))
 
 
 def test_sample_requires_integer_looks(rng):
     with pytest.raises(InvalidLooks):
-        sample(WishartModel(ID, 3.5), rng)
+        sample(WishartModel(PID, 3.5), rng)
 
 
 @pytest.mark.parametrize("looks", [3, 4, 7])
@@ -87,7 +98,7 @@ def test_sample_requires_integer_looks(rng):
 def test_sample_is_the_complex_formula_bit_for_bit(rng, looks, size):
     # the packed outer product reproduces einsum's complex one, so the phantom's
     # image.dat keeps its bytes
-    model = WishartModel(make_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
+    model = WishartModel(packed_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
     got = sample(model, np.random.default_rng(11), size=size)
     shape = () if size is None else tuple(np.atleast_1d(size))
     draw = np.random.default_rng(11)
@@ -99,7 +110,7 @@ def test_sample_is_the_complex_formula_bit_for_bit(rng, looks, size):
 
 
 def test_sample_deterministic_given_seed(rng):
-    model = WishartModel(make_hpd(rng), 4)
+    model = WishartModel(packed_hpd(rng), 4)
     a = sample(model, np.random.default_rng(99), size=5)
     b = sample(model, np.random.default_rng(99), size=5)
     c = sample(model, np.random.default_rng(100), size=5)
@@ -109,16 +120,16 @@ def test_sample_deterministic_given_seed(rng):
 
 def test_sample_mean_matches_sigma(rng):
     # E(Z) = sigma; entrywise five-standard-error band from the MC sample itself
-    sigma = make_hpd(rng, scale=2.0)
+    sigma = packed_hpd(rng, scale=2.0)
     z = sample(WishartModel(sigma, 4), np.random.default_rng(2024), size=10000)
     mean = z.mean(axis=0)
     se = z.std(axis=0) / np.sqrt(z.shape[0])
-    assert np.all(np.abs(mean - hm.to_packed(sigma)) <= 5 * se + 1e-12)
+    assert np.all(np.abs(mean - sigma) <= 5 * se + 1e-12)
 
 
 def test_sample_variance_of_first_diagonal():
     # Z11 of W(I, 4) is a mean of 4 unit exponentials: variance 1/4
-    z = sample(WishartModel(ID, 4), np.random.default_rng(5), size=10000)
+    z = sample(WishartModel(PID, 4), np.random.default_rng(5), size=10000)
     v = z[:, 0].var()
     assert v == pytest.approx(0.25, abs=5 * 0.25 * np.sqrt(2.0 / 10000) + 0.002)
 
@@ -127,13 +138,13 @@ def test_sample_whitened_trace():
     # E tr(sigma^-1 Z) = 3
     rng = np.random.default_rng(7)
     sigma = make_hpd(rng)
-    z = hm.from_packed(sample(WishartModel(sigma, 4), rng, size=8000))
+    z = hm.from_packed(sample(WishartModel(P(sigma), 4), rng, size=8000))
     t = oracle.trace_product(oracle.inv(sigma), z)
     assert t.mean() == pytest.approx(3.0, abs=5 * t.std() / np.sqrt(t.size))
 
 
 def test_samples_positive_definite(rng):
-    model = WishartModel(make_hpd(rng), 3)
+    model = WishartModel(packed_hpd(rng), 3)
     z = sample(model, rng, size=2000)
     assert z.shape == (2000, 9)  # packed, so Hermitian by construction
     assert np.all(hm.is_positive_definite(z))
