@@ -102,8 +102,8 @@ def _simplex_weights(weights, m: int) -> np.ndarray:
     return weights
 
 
-def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
-                   use_class_looks: bool = False, weighted: bool = False) -> np.ndarray:
+def distance_stack(x, protos: PrototypeSet, kind: str, use_class_looks: bool = False,
+                   weighted: bool = False) -> np.ndarray:
     """Lower-is-better score of packed (..., 9) pixels against every prototype.
 
     One column per class on a trailing axis: the KL, HD, BD or ED distance,
@@ -133,7 +133,7 @@ def distance_stack(x, protos: PrototypeSet, kind: str = "KL",
     return out.reshape(shape + (protos.n_classes,))
 
 
-def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str = "KL",
+def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
                    use_class_looks: bool = False) -> ClassMap:
     """Classify every pixel independently; non-PD pixels get the 0 sentinel.
 

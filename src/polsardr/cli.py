@@ -252,8 +252,7 @@ def train_prototypes(field: CovarianceField, split: Split, looks=None) -> Protot
 
 
 def fit_weights(field: CovarianceField, split: Split, protos: PrototypeSet,
-                kind: str = ExperimentConfig.distance,
-                lam: float = ExperimentConfig.lam) -> WeightResult:
+                kind: str, lam: float) -> WeightResult:
     """Optimize the class weights on the train pixels and store them in ``protos``."""
     result = optimize_weights(TrainingSet(protos, _train_pixels(field, split)), kind=kind, lam=lam)
     protos.weights = result.weights
@@ -291,6 +290,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    saturate(0.0, args.lam)  # refuse a bad --lambda before reading anything
     field = dataio.read_covariance_image(args.image)
     protos = dataio.read_model(args.model)
     result = fit_weights(field, read_split(args.roi, args.seed, field), protos,
@@ -314,9 +314,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    params = EvolutionParams(alpha=args.alpha, dt=args.dt, iterations=args.iters)
     field = dataio.read_covariance_image(args.image)
     protos = dataio.read_model(args.model)
-    params = EvolutionParams(alpha=args.alpha, dt=args.dt, iterations=args.iters)
     out_field, metrics = evolve(field, protos, params, kind=args.distance)
     dataio.write_covariance_image(out_field, args.out)
     if args.metrics:

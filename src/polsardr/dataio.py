@@ -61,6 +61,7 @@ def _read_header(path):
         width = int(fields["width"])
         height = int(fields["height"])
         dtype = fields["dtype"]
+        looks = float(fields["looks"]) if "looks" in fields else None
     except (KeyError, ValueError) as exc:
         raise MalformedHeader(f"{path}: {exc!r}") from exc
     if width < 1 or height < 1:
@@ -69,7 +70,6 @@ def _read_header(path):
         raise MalformedHeader(f"{path}: unknown dtype {dtype!r}")
     if fields.get("byte_order", "little") != "little":
         raise MalformedHeader(f"{path}: only little-endian data is supported")
-    looks = float(fields["looks"]) if "looks" in fields else None
     return width, height, dtype, looks
 
 

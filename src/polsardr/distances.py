@@ -2,9 +2,9 @@
 
 ``_score`` holds each kind's formula once, on packed ``(..., 9)`` arrays:
 ``classify.distance_stack`` calls it per class column, ``wishart.log_density``
-negates its ML score, and the pairwise functions wrap it.  The distances are
-symmetric, nonnegative, and zero iff the covariances coincide (they are not
-metrics: no triangle inequality is claimed).
+negates its ML score, and the pairwise functions wrap it for two packed
+arguments.  The distances are symmetric, nonnegative, and zero iff the
+covariances coincide (they are not metrics: no triangle inequality is claimed).
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def _score(kind: str, x: tuple, p: tuple, looks: float) -> np.ndarray:
 
 
 def _pairwise(kind: str, s1, s2, looks: float) -> np.ndarray | float:
-    """kind's distance between complex (..., 3, 3) matrices that broadcast."""
+    """kind's distance between packed (..., 9) pixels that broadcast."""
     if not (looks > 0 and np.isfinite(looks)):  # NaN fails the first test
         raise InvalidLooks(f"looks must be finite and > 0, got {looks}")
-    # both arguments in one array, so their features take one kernel call
-    both = _features(hm.to_packed(np.stack(np.broadcast_arrays(s1, s2))), kind)
+    # each argument checked alone, so an error names its shape; one kernel call for both
+    both = _features(np.stack(np.broadcast_arrays(hm._packed(s1), hm._packed(s2))), kind)
     x, p = ([None if f is None else f[i] for f in both] for i in (0, 1))
     out = _score(kind, x, p, looks)
     return out if np.ndim(out) else float(out)

@@ -164,7 +164,7 @@ def diffusion_step(field: CovarianceField, params: EvolutionParams) -> Covarianc
 
 
 def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
-                  kind: str = "KL") -> CovarianceField:
+                  kind: str) -> CovarianceField:
     """Contract each pixel toward its nearest prototype.
 
     The exponent dt * (nearest - runner_up) is <= 0, so the contraction
@@ -178,7 +178,7 @@ def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
 
 
 def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams,
-           kind: str = "KL") -> tuple[CovarianceField, EvolutionMetrics]:
+           kind: str) -> tuple[CovarianceField, EvolutionMetrics]:
     """Run `params.iterations` diffusion+reaction iterations and track metrics.
 
     Metrics row n holds the mean weighted distance to the nearest prototype

@@ -76,15 +76,14 @@ class CovarianceField:
     """A width x height image whose pixels are 3x3 Hermitian covariance matrices.
 
     Pixels are packed as on disk, float64, each [C11, C22, C33, Re C12, Im C12,
-    Re C13, Im C13, Re C23, Im C23] (``hermitian.to_packed`` packs complex
-    matrices).  ``rows(r0, r1)`` gives rows r0..r1-1, ``data`` the whole
-    (height, width, 9) array.  A field built from an array holds it.  One
-    built by ``from_rows`` (``dataio.read_covariance_image``) holds no pixels
-    until ``data`` reads and keeps them all; until then ``rows`` reads its
-    rows on each call, so row-block work holds a block per worker, not the
-    image.  ``looks`` carries the equivalent number of looks when known (e.g.
-    from an image header).  The pixels are not modified after construction:
-    ``pd_mask`` is computed once.
+    Re C13, Im C13, Re C23, Im C23]; a complex array is refused.
+    ``rows(r0, r1)`` gives rows r0..r1-1, ``data`` the whole (height, width, 9)
+    array.  A field built from an array holds it.  One built by ``from_rows``
+    (``dataio.read_covariance_image``) holds no pixels until ``data`` reads and
+    keeps them all; until then ``rows`` reads its rows on each call, so
+    row-block work holds a block per worker, not the image.  ``looks`` carries
+    the equivalent number of looks when known (e.g. from an image header).  The
+    pixels are not modified after construction: ``pd_mask`` is computed once.
     """
 
     def __init__(self, data, looks: float | None = None):

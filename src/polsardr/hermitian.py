@@ -1,14 +1,12 @@
 """Closed-form linear algebra for 3x3 Hermitian matrices.
 
-Covariance images, training samples and class prototypes are packed
-``(..., 9)`` float64 arrays (see TRACE_WEIGHTS); the ``*_packed`` kernels and
+Every matrix the package takes or returns is a packed ``(..., 9)`` float64
+pixel (see TRACE_WEIGHTS); the ``*_packed`` kernels and
 ``is_positive_definite`` work on them, and the formulas of ``distances`` are
-written on those kernels.  Complex ``(..., 3, 3)`` matrices remain only where
-a complex matrix is the result: the Wishart sampler's factor (``cholesky3``,
-which reads packed entries), the built-in prototypes (``hermitian_part``) and
-the conversions between the two layouts, which the public pairwise distances
-take.  All functions broadcast and are pure; the packed kernels score
-exactly the pixels they are given.
+written on those kernels.  A complex array is refused, not cast.  The one
+complex result is the Wishart sampler's factor (``cholesky3``, which reads
+packed entries).  All functions broadcast and are pure; the packed kernels
+score exactly the pixels they are given.
 """
 
 from __future__ import annotations
@@ -21,12 +19,6 @@ from .errors import NotPositiveDefinite, SingularMatrix
 # when it drops below PIVOT_RTOL times the largest diagonal entry.
 DET_TOL = 1e-300
 PIVOT_RTOL = 1e-12
-
-
-def hermitian_part(m) -> np.ndarray:
-    """Exactly symmetrize: 0.5 * (m + m^H)."""
-    m = np.asarray(m, dtype=np.complex128)
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def cholesky3(p) -> np.ndarray:
@@ -72,34 +64,16 @@ def cholesky3(p) -> np.ndarray:
 # tr(a @ b) of Hermitian a, b is the dot product of their packed forms under
 # these weights: each off-diagonal pair contributes twice its real part.
 TRACE_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-# Where the packed entries sit among the 18 floats of a complex 3x3 matrix: the
-# diagonal, then the upper triangle; the lower triangle holds their conjugates.
-_PACKED_FLOATS = [0, 8, 16, 2, 3, 4, 5, 10, 11]
 
 
 def _packed(p) -> np.ndarray:
-    """p as a float64 array, checked to have a trailing axis of size 9."""
+    """p as a float64 array, checked to be real with a trailing axis of size 9."""
+    if np.iscomplexobj(p):  # before the cast, which would drop the imaginary parts
+        raise ValueError(f"packed arrays are real, got a complex array of shape {np.shape(p)}")
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != 9:
         raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
     return p
-
-
-def to_packed(m) -> np.ndarray:
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    floats = m.view(np.float64).reshape(m.shape[:-2] + (18,))  # the 18 floats of each matrix
-    return np.take(floats, _PACKED_FLOATS, axis=-1)
-
-
-def from_packed(p) -> np.ndarray:
-    """Complex Hermitian (..., 3, 3) matrices of packed p, each entry copied into
-    place and the lower triangle conjugated, so to_packed returns p bit for bit."""
-    p = _packed(p)
-    floats = np.zeros(p.shape[:-1] + (18,))
-    floats[..., _PACKED_FLOATS] = p
-    floats[..., [6, 12, 14]] = p[..., [3, 5, 7]]  # Re C21, Re C31, Re C32
-    floats[..., [7, 13, 15]] = -p[..., [4, 6, 8]]  # Im C21, Im C31, Im C32
-    return floats.view(np.complex128).reshape(p.shape[:-1] + (3, 3))
 
 
 def component_major(p) -> np.ndarray:
@@ -166,8 +140,8 @@ def trace_product_packed(a, b) -> np.ndarray:
     The terms are summed one entry at a time, so a pixel's value does not
     depend on the shape of the array it arrives in.
     """
-    a = np.asarray(a, dtype=np.float64)
-    wb = TRACE_WEIGHTS * np.asarray(b, dtype=np.float64)
+    a = _packed(a)
+    wb = TRACE_WEIGHTS * _packed(b)
     t = a[..., 0] * wb[..., 0]
     for k in range(1, 9):
         t += a[..., k] * wb[..., k]

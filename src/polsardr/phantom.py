@@ -19,27 +19,26 @@ from .errors import InvalidSpec
 from .fields import ClassMap, CovarianceField, RoiSet
 from .wishart import _normals, _packed_deviates
 
-# Built-in class triplet: classes 2 and 3 share the square root of class 1,
-# scaled along its eigen-directions, so the pairwise KL distances at 4 looks
-# are exactly controllable.  Class 1 is separated very strongly from both
+# Built-in class triplet, packed.  Classes 2 and 3 are H(W diag(s_m) W^H) for
+# the Cholesky factor W = hermitian.cholesky3(sigma_1) of class 1, H(M) =
+# 0.5 (M + M^H), s_2 = (14, 11, 8) and s_3 = s_2 * 0.9265972909343432 * (3, 0.6,
+# 1); each value is the repr of that float64 result.  The ratios s_3 / s_2 solve
+# sum_i (r_i + 1/r_i - 2)/2 = 0.75, i.e. KL(2,3) = 3 at 4 looks, the strong
+# expansion on the high-power first direction placing class 3 far from class 1
+# in Frobenius distance as well.  Class 1 is separated very strongly from both
 # others (KL 54.6 and 72.5, enough that every pointwise rule classifies it
-# perfectly on thousands of test pixels), while classes 2/3 form the
-# confusable pair (KL 3.04) that the evolution step has to resolve.
-# Configuration values, replaceable through PhantomSpec / config files.
-def _default_sigmas() -> np.ndarray:
-    # packed: [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23]
-    base = np.array([0.42, 0.018, 0.24, 0.03, 0.012, 0.28, 0.06, 0.01, 0.005])
-    w = hm.cholesky3(base)
-    scale_2 = np.array([14.0, 11.0, 8.0])
-    # ratio multiset solves sum_i (r_i + 1/r_i - 2)/2 = 0.75, i.e. KL(2,3) = 3 at
-    # 4 looks, with the strong expansion on the high-power first direction so
-    # class 3 sits far from class 1 in Frobenius distance as well.
-    scale_3 = scale_2 * 0.9265972909343432 * np.array([3.0, 0.6, 1.0])
-    return np.stack([base] + [hm.to_packed(hm.hermitian_part(w @ np.diag(s) @ w.conj().T))
-                              for s in (scale_2, scale_3)])
-
-
-DEFAULT_SIGMAS = _default_sigmas()
+# perfectly on thousands of test pixels), while classes 2/3 form the confusable
+# pair (KL 3.04) that the evolution step has to resolve.  Configuration values,
+# replaceable through PhantomSpec / config files.
+DEFAULT_SIGMAS = np.array([
+    [0.42, 0.018, 0.24, 0.03, 0.012, 0.28, 0.06, 0.01, 0.005],
+    [5.879999999999999, 0.20545714285714284, 3.1326479873717443, 0.41999999999999993,
+     0.16799999999999998, 3.92, 0.8399999999999999, 0.17514285714285716,
+     0.04385714285714284],
+    [16.34517621208181, 0.19161502492355967, 7.91208409024196, 1.1675125865772724,
+     0.4670050346309089, 10.896784141387876, 2.335025173154545, 0.7734175216387401,
+     -0.09125659605287666],
+])
 
 DEFAULT_REGIONS = ("background", "band 0.50 0.02 0.13", "disk 0.70 0.72 0.15")
 # inscribed_rois: pixels kept between a ROI and its region's boundary, and the

@@ -30,7 +30,7 @@ INITIAL_STEP = 0.1  # where every line search starts
 ENERGY_TOL = 1e-8  # the descent stops once an iteration gains less energy than this
 
 
-def saturate(s, lam: float = 1.0) -> np.ndarray | float:
+def saturate(s, lam: float) -> np.ndarray | float:
     """Odd, bounded, increasing transfer s / (1 + lam * |s|); range (-1/lam, 1/lam)."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
@@ -62,7 +62,7 @@ class TrainingSet:
     samples: list[np.ndarray]
 
     def __post_init__(self):
-        self.samples = [np.asarray(s, dtype=np.float64).reshape(-1, 9) for s in self.samples]
+        self.samples = [hm._packed(s).reshape(-1, 9) for s in self.samples]
         if len(self.samples) != self.protos.n_classes:
             raise ValueError("one sample block per class required")
         if any(s.shape[0] < 1 for s in self.samples):
@@ -71,7 +71,7 @@ class TrainingSet:
             raise InvalidObservation("training samples must be positive definite")
 
 
-def distance_tables(train: TrainingSet, kind: str = "KL") -> list[np.ndarray]:
+def distance_tables(train: TrainingSet, kind: str) -> list[np.ndarray]:
     """tables[m][k, m'] = d(sample k of class m, prototype m'); weight-independent."""
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
@@ -88,7 +88,7 @@ def _energy(weights: np.ndarray, tables: list[np.ndarray], lam: float) -> float:
     return float(total)
 
 
-def energy(weights, train: TrainingSet, kind: str = "KL", lam: float = 1.0) -> float:
+def energy(weights, train: TrainingSet, kind: str, lam: float) -> float:
     """Discrimination energy of a weight vector on a training set."""
     return _energy(np.asarray(weights, dtype=np.float64), distance_tables(train, kind), lam)
 
@@ -119,7 +119,7 @@ class WeightResult:
                 writer.writerow([it, repr(float(en))] + [repr(float(x)) for x in w])
 
 
-def optimize_weights(train: TrainingSet, kind: str = "KL", lam: float = 1.0,
+def optimize_weights(train: TrainingSet, kind: str, lam: float,
                      max_iters: int = 500) -> WeightResult:
     """Projected gradient descent from the uniform weight vector.
 

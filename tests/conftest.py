@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracle
+
 
 def make_hpd(rng, scale=1.0, jitter=0.25):
     """Random well-conditioned Hermitian positive definite 3x3 matrix.
@@ -11,6 +13,11 @@ def make_hpd(rng, scale=1.0, jitter=0.25):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     m = a @ a.conj().T / 3.0 + jitter * np.eye(3)
     return scale * 0.5 * (m + m.conj().T)
+
+
+def packed_hpd(rng, scale=1.0, jitter=0.25):
+    """make_hpd's matrix as a packed (9,) pixel."""
+    return oracle.pack(make_hpd(rng, scale=scale, jitter=jitter))
 
 
 def make_hermitian(rng, scale=1.0):

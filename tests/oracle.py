@@ -3,13 +3,47 @@
 Built from numpy.linalg (inv, slogdet, norm, eigvalsh) and einsum on complex
 (..., 3, 3) matrices, sharing no code with ``polsardr``: the package writes
 every formula on packed arrays with closed-form cofactors, so a slip there
-cannot cancel against a slip here.  Every function broadcasts over leading
-axes.
+cannot cancel against a slip here.  ``pack`` and ``unpack`` convert between
+the two layouts, from the layout table alone.  Every function broadcasts over
+leading axes.
 """
 
 import math
 
 import numpy as np
+
+# The packed layout of a pixel, as the package and its image files store it:
+# [C11, C22, C33, Re C12, Im C12, Re C13, Im C13, Re C23, Im C23].
+_UPPER = ((0, 1), (0, 2), (1, 2))
+
+
+def pack(m):
+    """Packed (..., 9) float64 pixels of (..., 3, 3) matrices, read from the
+    diagonal's real parts and the upper triangle, each value with its bits."""
+    m = np.asarray(m, dtype=np.complex128)
+    entries = [m[..., i, i].real for i in range(3)]
+    for i, j in _UPPER:
+        entries += [m[..., i, j].real, m[..., i, j].imag]
+    return np.stack(entries, axis=-1)
+
+
+def unpack(p):
+    """Complex Hermitian (..., 3, 3) matrices of packed p: each value copied into
+    place with its bits, the lower triangle conjugated, so pack(unpack(p)) is p."""
+    p = np.asarray(p, dtype=np.float64)
+    m = np.zeros(p.shape[:-1] + (3, 3), dtype=np.complex128)
+    for i in range(3):
+        m.real[..., i, i] = p[..., i]
+    for k, (i, j) in enumerate(_UPPER):
+        re, im = p[..., 3 + 2 * k], p[..., 4 + 2 * k]
+        m.real[..., i, j] = m.real[..., j, i] = re
+        m.imag[..., i, j], m.imag[..., j, i] = im, -im
+    return m
+
+
+def hermitian_part(m):
+    """0.5 * (m + m^H)."""
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def inv(m):
@@ -64,14 +98,9 @@ def log_density(z, sigma, looks):
 def wishart_deviates(u, factor):
     """Packed Wishart deviates of circular normals u (..., L, 3) under a Cholesky
     factor: the mean of s s^H over the L looks of s = u @ factor.T, made exactly
-    Hermitian, then packed as [C11, C22, C33, Re C12, Im C12, Re C13, Im C13,
-    Re C23, Im C23]."""
+    Hermitian, then packed."""
     s = u @ factor.T
-    z = np.einsum("...li,...lj->...ij", s, np.conj(s)) / u.shape[-2]
-    z = 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
-    return np.stack([z[..., 0, 0].real, z[..., 1, 1].real, z[..., 2, 2].real,
-                     z[..., 0, 1].real, z[..., 0, 1].imag, z[..., 0, 2].real,
-                     z[..., 0, 2].imag, z[..., 1, 2].real, z[..., 1, 2].imag], axis=-1)
+    return pack(hermitian_part(np.einsum("...li,...lj->...ij", s, np.conj(s)) / u.shape[-2]))
 
 
 def score(kind, z, sigma, looks):

@@ -34,9 +34,10 @@ from polsardr.phantom import (DEFAULT_SIGMAS, PhantomSpec, generate_phantom,
 from polsardr.weights import TrainingSet, optimize_weights
 from polsardr.wishart import WishartModel, sample
 
-from conftest import make_hpd
+import oracle
+from conftest import packed_hpd
 
-ID = np.eye(3, dtype=complex)
+ID = oracle.pack(np.eye(3))
 RULES = ("ML", "ED", "HD", "KL", "KL+OW")
 
 
@@ -52,11 +53,11 @@ def phantom_run():
     field, truth = generate_phantom(spec)
     split = split_roi(inscribed_rois(truth), seed=42)
     protos = train_prototypes(field, split, looks=4.0)
-    result = fit_weights(field, split, protos)
+    result = fit_weights(field, split, protos, "KL", 1.0)
     reports = {rule: accuracy_report(rule, classify_image(field, protos, rule), split)
                for rule in RULES}
     params = EvolutionParams(alpha=0.5, dt=0.01, iterations=50)
-    evolved, metrics = evolve(field, protos, params)
+    evolved, metrics = evolve(field, protos, params, "KL")
     reports["DR+KL+OW+50"] = accuracy_report(
         "DR+KL+OW+50", classify_image(evolved, protos, "KL+OW"), split)
     return dict(reports=reports, metrics=metrics, weights=result,
@@ -78,7 +79,7 @@ def test_criterion_1_distance_unit_values():
     assert hellinger_distance(ID, 2 * ID, 1.0) == pytest.approx(derived, abs=1e-5)
     rng = np.random.default_rng(1)
     for _ in range(1000):
-        m = make_hpd(rng)
+        m = packed_hpd(rng)
         assert kl_distance(m, m, 4.0) <= 1e-10
         assert hellinger_distance(m, m, 4.0) <= 1e-10
         assert bhattacharyya_distance(m, m, 4.0) <= 1e-10
@@ -119,12 +120,12 @@ def test_criterion_4_cone_preservation():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((150, 150, 3, 3)) + 1j * rng.standard_normal((150, 150, 3, 3))
-        data = hm.hermitian_part(a @ a.conj().transpose(0, 1, 3, 2) / 3 + 0.2 * np.eye(3))
-        field = CovarianceField(hm.to_packed(data))
+        data = oracle.hermitian_part(a @ a.conj().transpose(0, 1, 3, 2) / 3 + 0.2 * np.eye(3))
+        field = CovarianceField(oracle.pack(data))
         for _ in range(100):
             field = diffusion_step(field, params)
             assert np.all(hm.is_positive_definite(field.data))
-            field = reaction_step(field, protos, params.dt)
+            field = reaction_step(field, protos, params.dt, "KL")
             assert np.all(hm.is_positive_definite(field.data))
     with pytest.raises(StabilityViolation):
         EvolutionParams(alpha=0.5, dt=1.0)  # 1 - 4*alpha*dt < 0
@@ -205,7 +206,7 @@ def test_criterion_7_changed_fraction_monotone(phantom_run):
     field, protos, params = (phantom_run[k] for k in ("field", "protos", "params"))
     maps = [classify_image(field, protos, "KL+OW").labels]
     for _ in range(params.iterations):
-        field = reaction_step(diffusion_step(field, params), protos, params.dt)
+        field = reaction_step(diffusion_step(field, params), protos, params.dt, "KL")
         maps.append(classify_image(field, protos, "KL+OW").labels)
     maps = np.stack(maps)
     flips = np.mean(maps[1:] != maps[:-1], axis=(1, 2))
@@ -227,14 +228,12 @@ def test_criterion_8_weight_optimizer_properties(phantom_run):
         assert np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-9
     # one class with ~4x intra-class distance spread gets the smallest weight
     rng = np.random.default_rng(100)
-    sigmas = [make_hpd(rng, scale=s) for s in (0.6, 1.0, 2.0)]
-    samples = [hm.from_packed(sample(WishartModel(hm.to_packed(s), g), rng, size=80))
-               for s, g in zip(sigmas, (16, 16, 4))]
+    sigmas = np.stack([packed_hpd(rng, scale=s) for s in (0.6, 1.0, 2.0)])
+    samples = [sample(WishartModel(s, g), rng, size=80) for s, g in zip(sigmas, (16, 16, 4))]
     own = [np.mean(kl_distance(samples[m], sigmas[m], 4.0)) for m in range(3)]
     assert own[2] > 3.5 * max(own[0], own[1])
     spread_result = optimize_weights(
-        TrainingSet(PrototypeSet(sigmas=hm.to_packed(np.stack(sigmas)), shared_looks=4.0),
-                    [hm.to_packed(z) for z in samples]))
+        TrainingSet(PrototypeSet(sigmas=sigmas, shared_looks=4.0), samples), "KL", 1.0)
     assert int(np.argmin(spread_result.weights)) == 2
     assert time.perf_counter() - t0 < 60.0
     _pass(8, "weight optimizer descent, feasibility, variability ordering")
@@ -248,8 +247,8 @@ def test_criterion_9_diffusion_scalar_oracle():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((64, 64, 3, 3)) + 1j * rng.standard_normal((64, 64, 3, 3))
-        data = hm.hermitian_part(a @ a.conj().transpose(0, 1, 3, 2) / 3 + 0.2 * np.eye(3))
-        out = diffusion_step(CovarianceField(hm.to_packed(data)), params)
-        assert np.abs(hm.from_packed(out.data) - scalar_five_point(data, coeff)).max() < 1e-12
+        data = oracle.hermitian_part(a @ a.conj().transpose(0, 1, 3, 2) / 3 + 0.2 * np.eye(3))
+        out = diffusion_step(CovarianceField(oracle.pack(data)), params)
+        assert np.abs(oracle.unpack(out.data) - scalar_five_point(data, coeff)).max() < 1e-12
     assert time.perf_counter() - t0 < 10.0
     _pass(9, "diffusion matches the independent scalar stencil")

@@ -21,29 +21,29 @@ from polsardr.phantom import PhantomSpec
 from polsardr.wishart import WishartModel, log_density, sample
 
 import oracle
-from conftest import make_hpd
+from conftest import make_hpd, packed_hpd
 
 ID = np.eye(3, dtype=complex)
 
 
 def _protos(rng, m=3, weights=None, shared_looks=4.0):
-    sigmas = np.stack([make_hpd(rng, scale=s) for s in np.linspace(0.5, 3.0, m)])
-    return PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=shared_looks, weights=weights)
+    sigmas = np.stack([packed_hpd(rng, scale=s) for s in np.linspace(0.5, 3.0, m)])
+    return PrototypeSet(sigmas=sigmas, shared_looks=shared_looks, weights=weights)
 
 
 def _label(x, protos, rule):
-    """Class of one complex 3x3 matrix, classified as a one-pixel field."""
-    field = CovarianceField(hm.to_packed(x)[None, None])
+    """Class of one packed pixel, classified as a one-pixel field."""
+    field = CovarianceField(x[None, None])
     return int(classify_image(field, protos, rule).labels[0, 0])
 
 
 def test_prototype_set_validation(rng):
     with pytest.raises(ValueError):
-        PrototypeSet(sigmas=hm.to_packed(make_hpd(rng))[None], shared_looks=4.0)  # M = 1
+        PrototypeSet(sigmas=packed_hpd(rng)[None], shared_looks=4.0)  # M = 1
     with pytest.raises(ValueError):
         _protos(rng, weights=np.array([0.9, 0.9, 0.2]))
     with pytest.raises(InvalidObservation):
-        PrototypeSet(sigmas=hm.to_packed(np.stack([ID, np.diag([1., -1, 1]).astype(complex)])),
+        PrototypeSet(sigmas=oracle.pack(np.stack([ID, np.diag([1., -1, 1]).astype(complex)])),
                      shared_looks=4.0)
     protos = _protos(rng)
     np.testing.assert_allclose(protos.weights, 1 / 3)
@@ -76,7 +76,7 @@ def test_assigned_weights_are_checked_like_constructed_ones(rng, weights):
     # an assignment used to skip the checks: NaN weights labelled every pixel
     # class 1 under +OW
     protos = _protos(rng)
-    field = CovarianceField(hm.to_packed(np.stack([make_hpd(rng) for _ in range(12)]))[None])
+    field = CovarianceField(np.stack([packed_hpd(rng) for _ in range(12)])[None])
     before = classify_image(field, protos, "KL+OW").labels
     with pytest.raises(ValueError):
         protos.weights = weights
@@ -89,7 +89,7 @@ def test_optimized_weights_are_stored(rng):
     from polsardr.weights import TrainingSet, optimize_weights
     protos = _protos(rng)
     samples = [sample(WishartModel(s, 4), rng, size=30) for s in protos.sigmas]
-    result = optimize_weights(TrainingSet(protos, samples))
+    result = optimize_weights(TrainingSet(protos, samples), "KL", 1.0)
     protos.weights = result.weights
     np.testing.assert_array_equal(protos.weights, result.weights)
     with pytest.raises(ValueError):
@@ -97,12 +97,12 @@ def test_optimized_weights_are_stored(rng):
 
 
 def test_prototype_set_is_packed_checked_and_inverted_once(rng, monkeypatch):
-    sigmas = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng, scale=2.0)]))
+    sigmas = np.stack([packed_hpd(rng), packed_hpd(rng, scale=2.0)])
     with pytest.raises(ValueError, match="packed"):
-        PrototypeSet(sigmas=hm.from_packed(sigmas), shared_looks=4.0)
+        PrototypeSet(sigmas=oracle.unpack(sigmas), shared_looks=4.0)
     # |det| < DET_TOL fails when the set is built, not at its first scoring
     with pytest.raises(SingularMatrix):
-        PrototypeSet(sigmas=np.stack([sigmas[0], hm.to_packed(1e-101 * ID)]), shared_looks=4.0)
+        PrototypeSet(sigmas=np.stack([sigmas[0], oracle.pack(1e-101 * ID)]), shared_looks=4.0)
     calls = []
     inv_packed = hm.inv_packed
     monkeypatch.setattr(hm, "inv_packed", lambda p: calls.append(np.shape(p)) or inv_packed(p))
@@ -126,7 +126,7 @@ def test_prototype_set_is_packed_checked_and_inverted_once(rng, monkeypatch):
 
 def test_prototype_set_rejects_more_classes_than_labels(rng):
     # labels are uint8 with 0 reserved for no-data, so 255 classes is the limit
-    sigmas = hm.to_packed(np.stack([make_hpd(rng) for _ in range(256)]))
+    sigmas = np.stack([packed_hpd(rng) for _ in range(256)])
     with pytest.raises(ValueError, match="255"):
         PrototypeSet(sigmas=sigmas, shared_looks=4.0)
     assert PrototypeSet(sigmas=sigmas[:255], shared_looks=4.0).n_classes == 255
@@ -136,7 +136,7 @@ def test_pixel_at_prototype_is_classified_to_it(rng):
     protos = _protos(rng)
     for rule in ("ED", "HD", "KL"):
         for m in range(3):
-            assert _label(hm.from_packed(protos.sigmas[m]), protos, rule) == m + 1
+            assert _label(protos.sigmas[m], protos, rule) == m + 1
 
 
 def test_weighted_argmin_hand_example(rng):
@@ -149,14 +149,13 @@ def test_weighted_argmin_hand_example(rng):
     # same decision through the full rule with simplex-normalized weights
     # (argmin is invariant under the common positive rescaling)
     rng2 = np.random.default_rng(77)
-    x = make_hpd(rng2)
+    x = packed_hpd(rng2)
     sigmas = []
     for target in d:
         # KL(x, c x) = 6 * (c + 1/c - 2) at 4 looks; pick the c > 1 root
         c = np.roots([1.0, -(2 + target / 6.0), 1.0]).max().real
         sigmas.append(c * x)
-    protos = PrototypeSet(sigmas=hm.to_packed(np.stack(sigmas)), shared_looks=4.0,
-                          weights=w / w.sum())
+    protos = PrototypeSet(sigmas=np.stack(sigmas), shared_looks=4.0, weights=w / w.sum())
     for m, target in enumerate(d):
         assert kl_distance(x, sigmas[m], 4.0) == pytest.approx(target, rel=1e-10)
     assert _label(x, protos, "KL+OW") == 2
@@ -181,9 +180,9 @@ def test_argmin_invariance_under_common_scaling(rng):
 
 
 def test_tie_breaks_to_lowest_class_index(rng):
-    sigma = make_hpd(rng)
-    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([sigma, sigma])), shared_looks=4.0)
-    x = make_hpd(rng)
+    sigma = packed_hpd(rng)
+    protos = PrototypeSet(sigmas=np.stack([sigma, sigma]), shared_looks=4.0)
+    x = packed_hpd(rng)
     for rule in RULES:
         assert _label(x, protos, rule) == 1
 
@@ -199,7 +198,7 @@ def test_classify_image_uniform_field(rng):
 def test_classify_image_deterministic_and_marks_bad_pixels(rng):
     protos = _protos(rng)
     data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(5, 7))
-    data[2, 3] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))  # not positive definite
+    data[2, 3] = oracle.pack(np.diag([1.0, -1.0, 1.0]))  # not positive definite
     field = CovarianceField(data)
     a = classify_image(field, protos, "KL")
     b = classify_image(field, protos, "KL")
@@ -210,18 +209,18 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
 
 def test_ml_rule_matches_density_argmax(rng):
     protos = _protos(rng)
-    pts = hm.from_packed(sample(WishartModel(protos.sigmas[2], 4), rng, size=30))
-    dens = np.stack([oracle.log_density(pts, hm.from_packed(protos.sigmas[m]), 4.0)
+    pts = oracle.unpack(sample(WishartModel(protos.sigmas[2], 4), rng, size=30))
+    dens = np.stack([oracle.log_density(pts, oracle.unpack(protos.sigmas[m]), 4.0)
                      for m in range(3)], axis=-1)
-    got = classify_image(CovarianceField(hm.to_packed(pts)[None]), protos, "ML").labels[0] - 1
+    got = classify_image(CovarianceField(oracle.pack(pts)[None]), protos, "ML").labels[0] - 1
     np.testing.assert_array_equal(got, np.argmax(dens, axis=-1))
 
 
 def test_per_class_looks_selectable(rng):
     sigmas = np.stack([make_hpd(rng), make_hpd(rng, scale=2.0)])
-    protos = PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=4.0,
+    protos = PrototypeSet(sigmas=oracle.pack(sigmas), shared_looks=4.0,
                           class_looks=np.array([3.2, 9.0]))
-    pts = sample(WishartModel(hm.to_packed(sigmas[0]), 4), rng, size=10)
+    pts = sample(WishartModel(oracle.pack(sigmas[0]), 4), rng, size=10)
     shared = distance_stack(pts, protos, "KL")
     per_class = distance_stack(pts, protos, "KL", use_class_looks=True)
     np.testing.assert_allclose(per_class[:, 0], shared[:, 0] * 3.2 / 4.0, rtol=1e-12)
@@ -231,9 +230,9 @@ def test_per_class_looks_selectable(rng):
 def test_unknown_rule_rejected(rng):
     for rule in ("NN", "ML+OW", "KL+", "+OW", "kl", "KL+OW+OW"):
         with pytest.raises(ValueError, match="unknown rule"):
-            _label(make_hpd(rng), _protos(rng), rule)
+            _label(packed_hpd(rng), _protos(rng), rule)
     with pytest.raises(ValueError, match="unknown distance kind 'XX'"):
-        distance_stack(hm.to_packed(make_hpd(rng)), _protos(rng), "XX")
+        distance_stack(packed_hpd(rng), _protos(rng), "XX")
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
@@ -246,11 +245,11 @@ def test_distance_stack_matches_pairwise_distances(seed, log_scale, use_class_lo
     rng = np.random.default_rng(seed)
     m = 4
     sigmas = np.stack([make_hpd(rng, scale=10.0 ** log_scale) for _ in range(m)])
-    protos = PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=4.0,
+    protos = PrototypeSet(sigmas=oracle.pack(sigmas), shared_looks=4.0,
                           class_looks=rng.uniform(3.0, 20.0, m))
     scales = 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, 12))
     data = np.stack([make_hpd(rng, scale=c) for c in scales]).reshape(3, 4, 3, 3)
-    x = hm.to_packed(data)
+    x = oracle.pack(data)
     for kind in STACK_KINDS:
         stack = distance_stack(x, protos, kind, use_class_looks)
         assert stack.shape == (3, 4, m)
@@ -277,28 +276,26 @@ def test_pairwise_functions_equal_distance_stack_columns(seed, log_scale):
     # formula, so at shared looks a column is the pairwise value bit for bit
     rng = np.random.default_rng(seed)
     protos = _protos(rng, m=3, shared_looks=rng.uniform(3.0, 20.0))
-    data = np.stack([make_hpd(rng, scale=10.0 ** (log_scale + rng.uniform(-1.0, 1.0)))
-                     for _ in range(12)]).reshape(3, 4, 3, 3)
+    x = np.stack([packed_hpd(rng, scale=10.0 ** (log_scale + rng.uniform(-1.0, 1.0)))
+                  for _ in range(12)]).reshape(3, 4, 9)
     looks = protos.shared_looks
-    pairwise = {"KL": lambda s: kl_distance(data, s, looks),
-                "HD": lambda s: hellinger_distance(data, s, looks),
-                "BD": lambda s: bhattacharyya_distance(data, s, looks),
-                "ED": lambda s: euclidean_distance(data, s),
-                "ML": lambda s: -log_density(WishartModel(hm.to_packed(s), looks),
-                                             hm.to_packed(data))}
+    pairwise = {"KL": lambda s: kl_distance(x, s, looks),
+                "HD": lambda s: hellinger_distance(x, s, looks),
+                "BD": lambda s: bhattacharyya_distance(x, s, looks),
+                "ED": lambda s: euclidean_distance(x, s),
+                "ML": lambda s: -log_density(WishartModel(s, looks), x)}
     for kind in STACK_KINDS:
-        stack = distance_stack(hm.to_packed(data), protos, kind)
+        stack = distance_stack(x, protos, kind)
         for m in range(protos.n_classes):
-            np.testing.assert_array_equal(stack[..., m],
-                                          pairwise[kind](hm.from_packed(protos.sigmas[m])),
-                                          err_msg=kind)
+            np.testing.assert_array_equal(pairwise[kind](protos.sigmas[m]).view(np.uint64),
+                                          stack[..., m].view(np.uint64), err_msg=kind)
 
 
 @pytest.mark.parametrize("kind", ["KL", "HD", "BD"])
 def test_distance_stack_rejects_singular_pixel(rng, kind):
     data = np.stack([make_hpd(rng), np.ones((3, 3), dtype=complex)])
     with pytest.raises(SingularMatrix):
-        distance_stack(hm.to_packed(data), _protos(rng), kind)
+        distance_stack(oracle.pack(data), _protos(rng), kind)
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)
@@ -313,7 +310,7 @@ def test_distance_stack_rejects_non_finite_pixel(rng, kind, entry, value):
     # on ten random pixels
     protos = _protos(rng)
     for _ in range(10):
-        x = hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng)]))
+        x = np.stack([packed_hpd(rng), packed_hpd(rng)])
         x[1, entry] = value
         with pytest.raises(SingularMatrix):
             distance_stack(x, protos, kind)
@@ -337,10 +334,10 @@ def test_distance_stack_rejects_non_positive_definite_pixel(rng, kind, bad):
     # KL gave (0, 0, 21.1) for diag(1, -1, 1), HD, BD and ML NaN after a
     # RuntimeWarning; now every kind but ED raises, without a warning first
     protos = PrototypeSet(sigmas=PhantomSpec().sigmas, shared_looks=4.0)
-    x = hm.to_packed(np.stack([make_hpd(rng), NOT_PD[bad], make_hpd(rng)]))
+    x = oracle.pack(np.stack([make_hpd(rng), NOT_PD[bad], make_hpd(rng)]))
     if kind == "ED":  # render_rgb colours no-data pixels
         np.testing.assert_allclose(distance_stack(x, protos, kind)[1],
-                                   [oracle.ed(NOT_PD[bad], hm.from_packed(s))
+                                   [oracle.ed(NOT_PD[bad], oracle.unpack(s))
                                     for s in protos.sigmas], rtol=1e-12)
     else:
         with pytest.raises(InvalidObservation, match="positive definite"):
@@ -356,7 +353,7 @@ def test_distance_stack_self_distance_and_symmetry(seed, log_scale, log_ratio, l
     rng = np.random.default_rng(seed)
     sigmas = np.stack([make_hpd(rng, scale=10.0 ** log_scale),
                        make_hpd(rng, scale=10.0 ** (log_scale + log_ratio))])
-    protos = PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=looks)
+    protos = PrototypeSet(sigmas=oracle.pack(sigmas), shared_looks=looks)
     for kind in KINDS:
         stack = distance_stack(protos.sigmas, protos, kind)
         if kind == "ED":
@@ -387,7 +384,7 @@ def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, 
     # paths; they must give the bits of one unblocked single-thread pass
     protos = _protos(rng, weights=np.array([0.5, 0.3, 0.2]))
     data = sample(WishartModel(protos.sigmas[1], 4), rng, size=(13, 11))
-    data[7, 5] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))  # not positive definite
+    data[7, 5] = oracle.pack(np.diag([1.0, -1.0, 1.0]))  # not positive definite
     field = CovarianceField(data)
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 10**9)
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
@@ -413,7 +410,7 @@ def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
     # scores: its exception keeps its type, and no pool thread outlives the call
     protos = _protos(rng)
     data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(6, 5))
-    data[5, 4] = hm.to_packed(1e-101 * ID)
+    data[5, 4] = oracle.pack(1e-101 * ID)
     field = CovarianceField(data)
     assert field.pd_mask[5, 4]
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 5)  # one row per block

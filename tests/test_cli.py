@@ -23,6 +23,8 @@ from polsardr.errors import PolsarError, StabilityViolation
 from polsardr.fields import ClassMap, CovarianceField, RoiSet
 from polsardr.phantom import PhantomSpec, generate_phantom, inscribed_rois
 
+import oracle
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "goldens.json"
 
@@ -142,6 +144,25 @@ def test_config_refuses_bad_evolution_and_lambda_values_up_front(tmp_path, capsy
     assert main(["pipeline", "--config", str(cfg)]) == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("weights", ["--lambda", "nan"], "lambda must be finite and > 0, got nan"),
+    ("weights", ["--lambda", "0"], "lambda must be finite and > 0, got 0.0"),
+    ("evolve", ["--alpha", "nan"], "alpha must be finite and >= 0, got nan"),
+    ("evolve", ["--dt", "inf"], "dt must be finite and > 0, got inf"),
+], ids=["weights lambda nan", "weights lambda 0", "evolve alpha nan", "evolve dt inf"])
+def test_subcommands_refuse_bad_numeric_flags_before_reading(tmp_path, capsys, command,
+                                                             flag, message):
+    # the flag is checked first, so a missing image is never opened: the
+    # commands used to fail on the image, or on a real one load it first
+    missing = str(tmp_path / "nope")
+    argv = {"weights": ["--roi", missing, "--model", missing],
+            "evolve": ["--model", missing, "--out", str(tmp_path / "out")]}[command]
+    assert main([command, "--image", missing] + argv + flag) == 1
+    err = capsys.readouterr().err
+    assert f"polsardr {command}: error: {message}" in err
+    assert "nope" not in err
 
 
 @pytest.mark.parametrize("line", ["width: abc", "alpha: fast"])
@@ -366,7 +387,7 @@ def test_render_argument_checks(tmp_path, capsys, args, code, message):
     # render takes exactly one of --image and --classmap; --image needs --model,
     # and --classes a color for every label of the map
     base, cmap = str(tmp_path / "img"), str(tmp_path / "map")
-    field = CovarianceField(np.tile(hm.to_packed(np.eye(3, dtype=complex)), (2, 2, 1)))
+    field = CovarianceField(np.tile(oracle.pack(np.eye(3, dtype=complex)), (2, 2, 1)))
     dataio.write_covariance_image(field, base)
     dataio.write_classmap(ClassMap(np.array([[0, 1], [2, 1]], dtype=np.uint8)), cmap)
     out = str(tmp_path / "x.ppm")
@@ -510,7 +531,7 @@ def test_train_and_weights_read_only_the_rows_of_the_train_pixels(tmp_path, monk
     held = CovarianceField(read.data, looks=read.looks)
     split = read_split(roi, 42, held)
     protos = train_prototypes(held, split)
-    fit_weights(held, split, protos)
+    fit_weights(held, split, protos, "KL", 1.0)
     dataio.write_model(protos, tmp_path / "held.txt")
 
     def refuse(field):
@@ -616,6 +637,9 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["pixels"].shape == (100, 9)
+    np.testing.assert_allclose(namespace["kl"],
+                               oracle.kl(oracle.unpack(namespace["pixels"]), np.eye(3), 4.0),
+                               rtol=1e-10)
     np.testing.assert_array_equal(namespace["labels"].labels,
                                   classify_image(namespace["field"], namespace["protos"],
                                                  "KL+OW").labels)

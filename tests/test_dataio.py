@@ -1,12 +1,12 @@
 """File formats: covariance images, class maps, ROIs, models, PPM renders."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from polsardr import dataio, fields
-from polsardr import hermitian as hm
 from polsardr.classify import RULES, PrototypeSet, classify_image
 from polsardr.errors import (MalformedHeader, MalformedRoi,
                              NonPositiveDefinitePixelWarning, OutOfBounds,
@@ -15,11 +15,12 @@ from polsardr.fields import ClassMap, CovarianceField, RoiSet
 from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 
-from conftest import make_hpd, read_ppm
+import oracle
+from conftest import packed_hpd, read_ppm
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
-    model = WishartModel(hm.to_packed(make_hpd(rng)), 4)
+    model = WishartModel(packed_hpd(rng), 4)
     return CovarianceField(sample(model, rng, size=(h, w)), looks=looks)
 
 
@@ -43,7 +44,7 @@ def test_covariance_roundtrip_f32(tmp_path, rng):
 
 
 def test_single_pixel_layout(tmp_path):
-    field = CovarianceField(hm.to_packed(np.eye(3, dtype=complex))[None, None])
+    field = CovarianceField(oracle.pack(np.eye(3, dtype=complex))[None, None])
     dataio.write_covariance_image(field, tmp_path / "i")
     raw = np.fromfile(tmp_path / "i.dat", dtype="<f8")
     np.testing.assert_array_equal(raw, [1, 1, 1, 0, 0, 0, 0, 0, 0])
@@ -70,7 +71,7 @@ def test_a_partial_value_or_a_file_cut_after_reading_raises(tmp_path, rng):
     (tmp_path / "a.dat").write_bytes(raw)
     back = dataio.read_covariance_image(tmp_path / "a")  # keeps no pixels
     (tmp_path / "a.dat").write_bytes(raw[:-72])  # the last pixel goes
-    protos = PrototypeSet(hm.to_packed(np.stack([np.eye(3), 2 * np.eye(3)])), shared_looks=4.0)
+    protos = PrototypeSet(oracle.pack(np.stack([np.eye(3), 2 * np.eye(3)])), shared_looks=4.0)
     with pytest.raises(SizeMismatch, match="are cut short"):
         classify_image(back, protos, "KL")
 
@@ -88,9 +89,19 @@ def test_malformed_headers(tmp_path, header):
         dataio.read_covariance_image(tmp_path / "bad")
 
 
+@pytest.mark.parametrize("read", [dataio.read_covariance_image, dataio.read_classmap])
+def test_an_unparsable_looks_names_the_header(tmp_path, read):
+    # `looks: abc` was parsed outside the header's error handling, so it
+    # escaped as a bare ValueError that did not name the file
+    (tmp_path / "bad.hdr").write_text("width: 4\nheight: 4\ndtype: f64\nlooks: abc\n")
+    (tmp_path / "bad.dat").write_bytes(b"")
+    with pytest.raises(MalformedHeader, match=re.escape(f"{tmp_path / 'bad.hdr'}: ")):
+        read(tmp_path / "bad")
+
+
 def test_non_pd_pixels_warn_with_coordinates(tmp_path, rng):
     field = _random_field(rng, 3, 3)
-    field.data[1, 2] = hm.to_packed(np.diag([1.0, -2.0, 1.0]))
+    field.data[1, 2] = oracle.pack(np.diag([1.0, -2.0, 1.0]))
     dataio.write_covariance_image(field, tmp_path / "a")
     with pytest.warns(NonPositiveDefinitePixelWarning) as rec:
         back = dataio.read_covariance_image(tmp_path / "a")
@@ -103,7 +114,7 @@ def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rn
     field = _random_field(rng, 4, 6)
     bad = [(0, 5), (1, 0), (1, 3), (2, 2), (3, 0), (3, 1), (3, 5)]
     for y, x in bad:
-        field.data[y, x] = hm.to_packed(np.diag([-1.0, 1.0, 1.0]))
+        field.data[y, x] = oracle.pack(np.diag([-1.0, 1.0, 1.0]))
     dataio.write_covariance_image(field, tmp_path / "a")
     with pytest.warns(NonPositiveDefinitePixelWarning, match="7 of 24 pixels") as rec:
         back = dataio.read_covariance_image(tmp_path / "a")
@@ -122,7 +133,7 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)  # blocks held at once
     spec = PhantomSpec(width=300, height=300, seed=11)
     field, _ = generate_phantom(spec)
-    field.data[150, 7] = hm.to_packed(np.diag([1.0, -2.0, 1.0]))  # one block gathers
+    field.data[150, 7] = oracle.pack(np.diag([1.0, -2.0, 1.0]))  # one block gathers
     base = tmp_path / "img"
     dataio.write_covariance_image(field, base)
     if dtype == "f32":
@@ -232,7 +243,7 @@ def test_split_refuses_a_class_with_fewer_than_two_pixels():
 
 def test_model_file_roundtrip(tmp_path, rng):
     protos = PrototypeSet(
-        sigmas=hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng), make_hpd(rng)])),
+        sigmas=np.stack([packed_hpd(rng), packed_hpd(rng), packed_hpd(rng)]),
         shared_looks=4.0,
         weights=np.array([0.2, 0.5, 0.3]),
         class_looks=np.array([3.9, 4.1, 4.25]),
@@ -260,7 +271,7 @@ def test_ppm_roundtrip(tmp_path, rng):
 
 
 def test_render_pixel_at_prototype_gets_its_color(tmp_path, rng):
-    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([make_hpd(rng), make_hpd(rng, scale=3)])),
+    protos = PrototypeSet(sigmas=np.stack([packed_hpd(rng), packed_hpd(rng, scale=3)]),
                           shared_looks=4.0)
     data = protos.sigmas[None]
     palette = dataio.default_palette(2)
@@ -272,10 +283,10 @@ def test_render_pixel_at_prototype_gets_its_color(tmp_path, rng):
 def test_render_equidistant_pixel_gets_mean_color(tmp_path):
     s1 = np.diag([1.0, 1.0, 2.0]).astype(complex)
     s2 = np.diag([2.0, 1.0, 1.0]).astype(complex)
-    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([s1, s2])), shared_looks=4.0)
+    protos = PrototypeSet(sigmas=oracle.pack(np.stack([s1, s2])), shared_looks=4.0)
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)  # equidistant by symmetry
     palette = dataio.default_palette(2)
-    rgb = dataio.render_rgb(CovarianceField(hm.to_packed(x)[None, None]), protos,
+    rgb = dataio.render_rgb(CovarianceField(oracle.pack(x)[None, None]), protos,
                             tmp_path / "e.ppm")
     np.testing.assert_array_equal(rgb[0, 0], np.rint(palette.mean(axis=0)))
 

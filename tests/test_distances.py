@@ -5,6 +5,9 @@ Note on the Hellinger spot value: the hand derivation for (identity,
 that self-computed value (see DECISIONS.md for the tolerance note).
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,29 +21,29 @@ from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
 import oracle
-from conftest import make_hpd
+from conftest import make_hpd, packed_hpd
 
-ID = np.eye(3, dtype=complex)
+ID = oracle.pack(np.eye(3))
 ALL = (kl_distance, hellinger_distance, bhattacharyya_distance)
 ORACLE = {kl_distance: oracle.kl, hellinger_distance: oracle.hd, bhattacharyya_distance: oracle.bd}
 
 
 def test_kl_simple_cases(rng):
-    m = make_hpd(rng)
+    m = packed_hpd(rng)
     assert kl_distance(m, m, 4.0) == pytest.approx(0.0, abs=1e-12)
     # diagonal hand evaluation: 4 * [(6 + 1.5)/2 - 3]
     assert kl_distance(ID, 2 * ID, 4.0) == 3.0
 
 
 def test_kl_scale_invariance(rng):
-    a, b = make_hpd(rng), make_hpd(rng)
+    a, b = packed_hpd(rng), packed_hpd(rng)
     for c in (0.2, 3.7):
         assert kl_distance(c * a, c * b, 4.0) == pytest.approx(
             kl_distance(a, b, 4.0), rel=1e-12)
 
 
 def test_hellinger_simple_cases(rng):
-    m = make_hpd(rng)
+    m = packed_hpd(rng)
     assert hellinger_distance(m, m, 4.0) <= 1e-12
     expected = 1.0 - (64.0 / 27.0) / np.sqrt(8.0)  # |(0.75 I)^-1| = (4/3)^3
     assert hellinger_distance(ID, 2 * ID, 1.0) == pytest.approx(expected, abs=1e-12)
@@ -53,7 +56,7 @@ def test_hellinger_monotone_in_looks():
 
 
 def test_bhattacharyya_cases(rng):
-    m = make_hpd(rng)
+    m = packed_hpd(rng)
     assert bhattacharyya_distance(m, m, 4.0) <= 1e-12
     expected = -np.log((64.0 / 27.0) / np.sqrt(8.0))
     assert bhattacharyya_distance(ID, 2 * ID, 1.0) == pytest.approx(expected, abs=1e-12)
@@ -61,12 +64,12 @@ def test_bhattacharyya_cases(rng):
 
 def test_bhattacharyya_dominates_hellinger(rng):
     for _ in range(25):
-        a, b = make_hpd(rng), make_hpd(rng)
+        a, b = packed_hpd(rng), packed_hpd(rng)
         assert bhattacharyya_distance(a, b, 4.0) >= hellinger_distance(a, b, 4.0)
 
 
 def test_bhattacharyya_is_log_transform_of_hellinger(rng):
-    a, b = make_hpd(rng), make_hpd(rng)
+    a, b = packed_hpd(rng), packed_hpd(rng)
     dh = hellinger_distance(a, b, 4.0)
     assert bhattacharyya_distance(a, b, 4.0) == pytest.approx(-np.log1p(-dh), rel=1e-12)
 
@@ -79,7 +82,8 @@ def test_euclidean_simple_cases():
 def test_euclidean_delegates_to_frobenius(rng):
     # ED is the Frobenius norm of the difference (indefinite pairs: test_hermitian)
     a, b = make_hpd(rng), make_hpd(rng)
-    assert euclidean_distance(a, b) == pytest.approx(oracle.ed(a, b), rel=1e-12)
+    assert euclidean_distance(oracle.pack(a), oracle.pack(b)) == pytest.approx(oracle.ed(a, b),
+                                                                               rel=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), looks=st.sampled_from([1.0, 2.5, 4.0, 13.0]),
@@ -91,7 +95,8 @@ def test_pairwise_distances_match_oracle(seed, looks, log_scale):
     a = make_hpd(rng, scale=10.0 ** log_scale)
     b = make_hpd(rng, scale=10.0 ** (log_scale + rng.uniform(-1.0, 1.0)))
     for d in ALL:
-        assert d(a, b, looks) == pytest.approx(ORACLE[d](a, b, looks), rel=1e-10)
+        assert d(oracle.pack(a), oracle.pack(b), looks) == pytest.approx(ORACLE[d](a, b, looks),
+                                                                         rel=1e-10)
 
 
 @pytest.mark.parametrize("looks", [-4.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
@@ -104,12 +109,13 @@ def test_pairwise_rejects_invalid_looks(looks):
 
 @pytest.mark.parametrize("bad", [(1, -1, 1), (-1, -1, 1), (1, -1, -1), (-1, -1, -1), (1, 1, -2)])
 def test_pairwise_rejects_non_positive_definite_arguments(bad):
-    m = np.diag(np.asarray(bad, dtype=complex))
+    m = oracle.pack(np.diag(np.asarray(bad, dtype=float)))
     for d in ALL:
         for args in ((m, ID), (ID, m), (m, m)):
             with pytest.raises(InvalidObservation, match="positive definite"):
                 d(*args, 4.0)
-    assert euclidean_distance(m, ID) == pytest.approx(oracle.ed(m, ID), rel=1e-15)
+    assert euclidean_distance(m, ID) == pytest.approx(oracle.ed(oracle.unpack(m), np.eye(3)),
+                                                      rel=1e-15)
 
 
 def test_pairwise_rejects_an_indefinite_matrix_in_a_stack(rng):
@@ -119,13 +125,14 @@ def test_pairwise_rejects_an_indefinite_matrix_in_a_stack(rng):
     assert not oracle.is_positive_definite(stack[3])
     for d in ALL:
         with pytest.raises(InvalidObservation):
-            d(stack, ID, 4.0)
-    np.testing.assert_allclose(euclidean_distance(stack, ID), oracle.ed(stack, ID), rtol=1e-12)
+            d(oracle.pack(stack), ID, 4.0)
+    np.testing.assert_allclose(euclidean_distance(oracle.pack(stack), ID),
+                               oracle.ed(stack, np.eye(3)), rtol=1e-12)
 
 
 def test_pairwise_rejects_non_finite_arguments():
     m = ID.copy()
-    m[0, 0] = np.nan
+    m[0] = np.nan
     for d in ALL:
         with pytest.raises(SingularMatrix, match="non-finite"):
             d(m, ID, 4.0)
@@ -137,7 +144,7 @@ def test_pairwise_rejects_non_finite_arguments():
 @settings(max_examples=60, deadline=None)
 def test_distance_axioms(seed):
     rng = np.random.default_rng(seed)
-    a, b = make_hpd(rng), make_hpd(rng)
+    a, b = packed_hpd(rng), packed_hpd(rng)
     for d in ALL:
         assert d(a, b, 4.0) == pytest.approx(d(b, a, 4.0), rel=1e-9, abs=1e-12)
         assert d(a, b, 4.0) > 0
@@ -151,7 +158,7 @@ def test_identity_of_indiscernibles_at_zero():
     # distances; 1e-10 is the documented band (ED subtracts exactly)
     rng = np.random.default_rng(31)
     for _ in range(1000):
-        m = make_hpd(rng)
+        m = packed_hpd(rng)
         assert kl_distance(m, m, 4.0) <= 1e-10
         assert hellinger_distance(m, m, 4.0) <= 1e-10
         assert bhattacharyya_distance(m, m, 4.0) <= 1e-10
@@ -162,16 +169,15 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
     # prototypes at moderate separation; the sample-mean estimate of a small
     # sample should sit closer (in either distance) to its own prototype
     rng = np.random.default_rng(17)
-    sig_a = make_hpd(rng)
-    w = hm.cholesky3(hm.to_packed(sig_a))
-    sig_b = hm.hermitian_part(w @ np.diag([2.4, 1.6, 0.6]) @ w.conj().T)
+    sig_a = packed_hpd(rng)
+    w = hm.cholesky3(sig_a)
+    sig_b = oracle.pack(oracle.hermitian_part(w @ np.diag([2.4, 1.6, 0.6]) @ w.conj().T))
     assert 2.0 < kl_distance(sig_a, sig_b, 4.0) < 12.0  # moderate separation
-    model = WishartModel(hm.to_packed(sig_a), 4)
+    model = WishartModel(sig_a, 4)
     hits_kl = hits_hd = 0
     trials = 200
     for t in range(trials):
-        z_hat = hm.from_packed(SampleStats.from_sample(
-            sample(model, np.random.default_rng([91, t]), size=5)).mean)
+        z_hat = SampleStats.from_sample(sample(model, np.random.default_rng([91, t]), size=5)).mean
         hits_kl += kl_distance(z_hat, sig_a, 4.0) < kl_distance(z_hat, sig_b, 4.0)
         hits_hd += hellinger_distance(z_hat, sig_a, 4.0) < hellinger_distance(z_hat, sig_b, 4.0)
     assert hits_kl >= 0.95 * trials
@@ -179,10 +185,23 @@ def test_argmin_ordering_matches_monte_carlo_oracle():
 
 
 def test_broadcasting(rng):
-    field = np.stack([make_hpd(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
-    ref = make_hpd(rng)
+    field = np.stack([packed_hpd(rng) for _ in range(6)]).reshape(2, 3, 9)
+    ref = packed_hpd(rng)
     for d in ALL + (lambda a, b, _: euclidean_distance(a, b),):
         stack = d(field, ref, 4.0)
         assert stack.shape == (2, 3)
         assert stack[1, 2] == pytest.approx(d(field[1, 2], ref, 4.0), rel=1e-12)
         assert d(ref, field, 4.0).shape == (2, 3)
+
+
+@pytest.mark.parametrize("bad", [np.eye(3, dtype=complex), np.eye(3), ID.astype(complex)],
+                         ids=["complex (3, 3)", "real (3, 3)", "complex (9,)"])
+def test_pairwise_refuses_anything_but_packed_pixels(bad):
+    # a complex argument is refused before any cast could drop its imaginary
+    # parts, and the error names the shape of the argument, in either place
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in ALL + (lambda a, b, _: euclidean_distance(a, b),):
+            for args in ((bad, ID), (ID, bad)):
+                with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+                    d(*args, 4.0)

@@ -21,16 +21,12 @@ from polsardr.distances import log_gamma3
 from polsardr.wishart import WishartModel, log_density, sample
 
 import oracle
-from conftest import make_hpd
+from conftest import packed_hpd
 
 EULER = 0.5772156649015329
 ZETA3 = sum(1.0 / k**3 for k in range(200000, 0, -1))  # Apery constant, ~1e-11 accurate
 
-ID = hm.to_packed(np.eye(3))
-
-
-def packed_hpd(rng, scale=1.0):
-    return hm.to_packed(make_hpd(rng, scale=scale))
+ID = oracle.pack(np.eye(3))
 
 
 def digamma_int(n):
@@ -67,8 +63,8 @@ def test_packed_mean_has_the_bits_of_the_complex_mean(seed, n, log_scale):
     rng = np.random.default_rng(seed)
     x = sample(WishartModel(packed_hpd(rng, scale=10.0 ** log_scale), 4), rng, size=n)
     stats = SampleStats.from_sample(x)
-    m = hm.from_packed(x)
-    want = hm.to_packed(m.mean(axis=0))
+    m = oracle.unpack(x)
+    want = oracle.pack(m.mean(axis=0))
     assert stats.mean.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     # abs: a log-det near 0 has no relative accuracy; 1e-12 in log is 1e-12 in det
     assert stats.mean_log_det == pytest.approx(np.mean(oracle.logdet(m)), rel=1e-12, abs=1e-12)
@@ -122,7 +118,7 @@ def test_polygamma3_is_derivative_of_log_gamma3():
 def _stats_for_root(target, n=100, mean=None):
     # score(target) = 0 <=> mean_log_det = log|mean| + polygamma3(0, t) - 3 log t
     mean = ID if mean is None else mean
-    mld = float(oracle.logdet(hm.from_packed(mean)) + polygamma3(0, target)
+    mld = float(oracle.logdet(oracle.unpack(mean)) + polygamma3(0, target)
                 - 3 * np.log(target))
     return SampleStats(n=n, mean=mean, mean_log_det=mld)
 
@@ -181,13 +177,13 @@ def test_no_root_for_dispersion_free_sample(rng):
 def test_from_sample_refuses_non_pd_matrices_with_a_positive_determinant(rng):
     # det(diag(-1, -1, 1)) = 1 > 0, so a determinant test lets it through
     m = packed_hpd(rng)
-    bad = [hm.to_packed(np.diag([-1.0, -1.0, 1.0])), hm.to_packed(np.diag([1.0, -2.0, -3.0]))]
+    bad = [oracle.pack(np.diag([-1.0, -1.0, 1.0])), oracle.pack(np.diag([1.0, -2.0, -3.0]))]
     with pytest.raises(InvalidObservation, match="^2 sample matrices are not positive definite"):
         SampleStats.from_sample(np.stack([m, bad[0], m, bad[1]]))
     with pytest.raises(InvalidObservation, match="^1 sample matrices"):
         SampleStats.from_sample(bad[0])
     stats = SampleStats.from_sample(np.stack([m, 2 * m]))  # PD samples keep their log-dets
-    log_dets = oracle.logdet(hm.from_packed(np.stack([m, 2 * m])))
+    log_dets = oracle.logdet(oracle.unpack(np.stack([m, 2 * m])))
     assert stats.mean_log_det == pytest.approx(np.mean(log_dets), rel=1e-12)
 
 

@@ -19,7 +19,7 @@ from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
 import oracle
-from conftest import make_hpd
+from conftest import packed_hpd
 
 ID = np.eye(3, dtype=complex)
 
@@ -27,12 +27,12 @@ ID = np.eye(3, dtype=complex)
 def _random_field(rng, h, w, jitter=0.2):
     a = rng.standard_normal((h, w, 3, 3)) + 1j * rng.standard_normal((h, w, 3, 3))
     data = a @ a.conj().transpose(0, 1, 3, 2) / 3 + jitter * np.eye(3)
-    return CovarianceField(hm.to_packed(hm.hermitian_part(data)))
+    return CovarianceField(oracle.pack(oracle.hermitian_part(data)))
 
 
 def _protos(rng, m=3):
-    sigmas = np.stack([make_hpd(rng, scale=s) for s in np.linspace(0.5, 3.0, m)])
-    return PrototypeSet(sigmas=hm.to_packed(sigmas), shared_looks=4.0)
+    sigmas = np.stack([packed_hpd(rng, scale=s) for s in np.linspace(0.5, 3.0, m)])
+    return PrototypeSet(sigmas=sigmas, shared_looks=4.0)
 
 
 def scalar_five_point(field, coeff):
@@ -78,8 +78,7 @@ def test_diffusion_step_guards_stability():
 
 
 def test_diffusion_constant_field_is_fixed(rng):
-    m = make_hpd(rng)
-    field = CovarianceField(np.broadcast_to(hm.to_packed(m), (5, 6, 9)))
+    field = CovarianceField(np.broadcast_to(packed_hpd(rng), (5, 6, 9)))
     out = diffusion_step(field, EvolutionParams())
     np.testing.assert_array_equal(out.data, field.data)
 
@@ -98,9 +97,9 @@ def test_diffusion_checkerboard_interior_value():
     for y in range(h):
         for x in range(w):
             data[y, x] = ID if (x + y) % 2 == 0 else 3 * ID
-    out = diffusion_step(CovarianceField(hm.to_packed(data)),
+    out = diffusion_step(CovarianceField(oracle.pack(data)),
                          EvolutionParams(alpha=12.5, dt=0.01))
-    out = hm.from_packed(out.data)
+    out = oracle.unpack(out.data)
     np.testing.assert_allclose(out[3, 3], 2 * ID, atol=1e-14)
     np.testing.assert_allclose(out[3, 4], 3 * ID - ID, atol=1e-14)  # 3I shrinks to 2I
 
@@ -109,15 +108,15 @@ def test_diffusion_matches_scalar_stencil_oracle(rng):
     params = EvolutionParams(alpha=0.5, dt=0.01)
     field = _random_field(rng, 12, 10)
     out = diffusion_step(field, params)
-    expected = scalar_five_point(hm.from_packed(field.data), params.alpha * params.dt)
-    assert np.abs(hm.from_packed(out.data) - expected).max() < 1e-12
+    expected = scalar_five_point(oracle.unpack(field.data), params.alpha * params.dt)
+    assert np.abs(oracle.unpack(out.data) - expected).max() < 1e-12
 
 
 def test_reaction_fixed_points(rng):
     protos = _protos(rng)
     # a pixel equal to its nearest prototype does not move
     data = np.broadcast_to(protos.sigmas[1], (3, 4, 9))
-    out = reaction_step(CovarianceField(data), protos, dt=0.01)
+    out = reaction_step(CovarianceField(data), protos, 0.01, "KL")
     np.testing.assert_array_equal(out.data, data)
 
 
@@ -125,12 +124,12 @@ def test_reaction_exact_tie_is_fixed_point():
     # x is equidistant from both prototypes by symmetry: exponent 0, factor 1
     s1 = np.diag([1.0, 1.0, 2.0]).astype(complex)
     s2 = np.diag([2.0, 1.0, 1.0]).astype(complex)
-    protos = PrototypeSet(sigmas=hm.to_packed(np.stack([s1, s2])), shared_looks=4.0)
+    protos = PrototypeSet(sigmas=oracle.pack(np.stack([s1, s2])), shared_looks=4.0)
     x = np.diag([1.5, 1.0, 1.5]).astype(complex)
-    stack = distance_stack(hm.to_packed(x), protos, "KL", weighted=True)
+    stack = distance_stack(oracle.pack(x), protos, "KL", weighted=True)
     assert stack[0] == pytest.approx(stack[1], rel=1e-14)
-    out = reaction_step(CovarianceField(hm.to_packed(x)[None, None]), protos, dt=0.01)
-    np.testing.assert_allclose(hm.from_packed(out.data[0, 0]), x, atol=1e-12)
+    out = reaction_step(CovarianceField(oracle.pack(x)[None, None]), protos, 0.01, "KL")
+    np.testing.assert_allclose(oracle.unpack(out.data[0, 0]), x, atol=1e-12)
 
 
 def test_reaction_contraction_factor(rng):
@@ -139,14 +138,12 @@ def test_reaction_contraction_factor(rng):
     protos = _protos(rng)
     field = _random_field(rng, 4, 5, jitter=0.4)
     dt = 0.01
-    out = hm.from_packed(reaction_step(field, protos, dt).data)
-    data = hm.from_packed(field.data)
-    sigmas = hm.from_packed(protos.sigmas)
-    from polsardr.distances import kl_distance
+    out = oracle.unpack(reaction_step(field, protos, dt, "KL").data)
+    data = oracle.unpack(field.data)
+    sigmas = oracle.unpack(protos.sigmas)
     for y in range(4):
         for x in range(5):
-            d = np.array([protos.weights[m] * kl_distance(data[y, x],
-                                                          sigmas[m], 4.0)
+            d = np.array([protos.weights[m] * oracle.kl(data[y, x], sigmas[m], 4.0)
                           for m in range(3)])
             order = np.sort(d)
             factor = np.exp(dt * (order[0] - order[1]))
@@ -165,11 +162,11 @@ def test_reaction_single_pixel_monotone_approach(rng):
     label = int(np.argmin(distance_stack(x, protos, "KL", weighted=True)))
     dists = []
     for _ in range(60):
-        field = reaction_step(field, protos, dt=0.01)
+        field = reaction_step(field, protos, 0.01, "KL")
         cur = int(np.argmin(distance_stack(field.data, protos, "KL", weighted=True)[0, 0]))
         assert cur == label
-        dists.append(float(oracle.ed(hm.from_packed(field.data[0, 0]),
-                                     hm.from_packed(protos.sigmas[label]))))
+        dists.append(float(oracle.ed(oracle.unpack(field.data[0, 0]),
+                                     oracle.unpack(protos.sigmas[label]))))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
@@ -180,17 +177,16 @@ def test_steps_and_evolve_leave_their_input_unchanged(rng):
     params = EvolutionParams(iterations=2)
     field = diffusion_step(_random_field(rng, 5, 4), params)
     before = field.data.copy()
-    reaction_step(field, protos, params.dt)
+    reaction_step(field, protos, params.dt, "KL")
     diffusion_step(field, params)
-    evolve(field, protos, params)
+    evolve(field, protos, params, "KL")
     np.testing.assert_array_equal(field.data, before)
 
 
 def test_evolve_fixed_point_field(rng):
     protos = _protos(rng)
     data = np.broadcast_to(protos.sigmas[0], (4, 4, 9))
-    out, metrics = evolve(CovarianceField(data), protos,
-                          EvolutionParams(iterations=5))
+    out, metrics = evolve(CovarianceField(data), protos, EvolutionParams(iterations=5), "KL")
     np.testing.assert_array_equal(out.data, data)
     assert np.all(metrics.changed_fraction == 0.0)
     np.testing.assert_allclose(metrics.mean_weighted_distance, 0.0, atol=1e-12)
@@ -198,17 +194,17 @@ def test_evolve_fixed_point_field(rng):
 
 def test_evolve_requires_pd_field(rng):
     protos = _protos(rng)
-    data = np.broadcast_to(hm.to_packed(ID), (3, 3, 9)).copy()
-    data[1, 1] = hm.to_packed(np.diag([1.0, -1.0, 1.0]))
+    data = np.broadcast_to(oracle.pack(ID), (3, 3, 9)).copy()
+    data[1, 1] = oracle.pack(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(InvalidObservation):
-        evolve(CovarianceField(data), protos, EvolutionParams(iterations=1))
+        evolve(CovarianceField(data), protos, EvolutionParams(iterations=1), "KL")
 
 
 def test_evolve_preserves_cone_and_tracks_metrics(rng):
     protos = _protos(rng)
     field = _random_field(rng, 20, 16)
     params = EvolutionParams(alpha=0.5, dt=0.01, iterations=30)
-    out, metrics = evolve(field, protos, params)
+    out, metrics = evolve(field, protos, params, "KL")
     assert np.all(hm.is_positive_definite(out.data))
     assert metrics.iteration.tolist() == list(range(31))
     assert metrics.changed_fraction[0] == 0.0
@@ -222,14 +218,13 @@ def test_evolve_preserves_cone_and_tracks_metrics(rng):
 def test_evolve_rejects_the_ml_rule(rng):
     # ML scores are negative log-densities, not distances: no reaction term
     with pytest.raises(ValueError, match="ML"):
-        evolve(_random_field(rng, 4, 4), _protos(rng), EvolutionParams(iterations=1),
-               kind="ML")
+        evolve(_random_field(rng, 4, 4), _protos(rng), EvolutionParams(iterations=1), "ML")
 
 
 def test_metrics_csv(tmp_path, rng):
     protos = _protos(rng)
     field = _random_field(rng, 6, 6)
-    _, metrics = evolve(field, protos, EvolutionParams(iterations=3))
+    _, metrics = evolve(field, protos, EvolutionParams(iterations=3), "KL")
     path = tmp_path / "metrics.csv"
     metrics.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -272,7 +267,7 @@ def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
         inverted.clear()
-        evolve(field, protos, EvolutionParams(iterations=iterations))
+        evolve(field, protos, EvolutionParams(iterations=iterations), "KL")
         assert len(inverted) == (2 * iterations + 1) * cpus
         assert sum(inverted) == (2 * iterations + 1) * field.height * field.width
 
@@ -333,7 +328,7 @@ def test_evolve_raises_a_worker_band_error_and_joins_the_pool(rng, monkeypatch):
     monkeypatch.setattr(evolution, "distance_stack", failing_off_the_main_thread)
     before = threading.active_count()
     with pytest.raises(SingularMatrix, match="worker band"):
-        evolve(field, protos, EvolutionParams(iterations=3))
+        evolve(field, protos, EvolutionParams(iterations=3), "KL")
     assert threading.active_count() == before
 
 

@@ -17,6 +17,8 @@ from polsardr.phantom import (DEFAULT_SIGMAS, PhantomSpec, generate_phantom,
 from polsardr import hermitian as hm
 from polsardr import phantom, wishart
 
+import oracle
+
 
 def test_spec_validation():
     with pytest.raises(InvalidSpec):
@@ -40,11 +42,23 @@ def test_spec_validation():
 
 def test_default_separations():
     # configuration regression: weak pair ~3, class 1 very strongly separated
-    s = hm.from_packed(DEFAULT_SIGMAS)
+    s = DEFAULT_SIGMAS
     assert kl_distance(s[1], s[2], 4.0) == pytest.approx(3.0, abs=0.1)
     assert kl_distance(s[0], s[1], 4.0) > 30
     assert kl_distance(s[0], s[2], 4.0) > 30
     assert np.all(hm.is_positive_definite(DEFAULT_SIGMAS))
+
+
+def test_default_sigmas_equal_their_derivation_bit_for_bit():
+    # the literal against the derivation written above it in phantom.py: the
+    # Cholesky factor of class 1 scaled along its columns, made exactly Hermitian
+    base = np.array([0.42, 0.018, 0.24, 0.03, 0.012, 0.28, 0.06, 0.01, 0.005])
+    w = hm.cholesky3(base)
+    scale_2 = np.array([14.0, 11.0, 8.0])
+    scale_3 = scale_2 * 0.9265972909343432 * np.array([3.0, 0.6, 1.0])
+    derived = np.stack([base] + [oracle.pack(oracle.hermitian_part(w @ np.diag(s) @ w.conj().T))
+                                 for s in (scale_2, scale_3)])
+    np.testing.assert_array_equal(DEFAULT_SIGMAS.view(np.uint64), derived.view(np.uint64))
 
 
 def test_region_map_partitions():
@@ -105,7 +119,7 @@ def test_seed_changes_field_not_truth():
     a, ta = generate_phantom(PhantomSpec(width=24, height=16, seed=1))
     b, tb = generate_phantom(PhantomSpec(width=24, height=16, seed=2))
     np.testing.assert_array_equal(ta.labels, tb.labels)
-    assert np.abs(hm.from_packed(a.data) - hm.from_packed(b.data)).max() > 1e-3
+    assert np.abs(oracle.unpack(a.data) - oracle.unpack(b.data)).max() > 1e-3
 
 
 def test_single_class_spec():
@@ -114,10 +128,10 @@ def test_single_class_spec():
                        regions=("background",))
     field, truth = generate_phantom(spec)
     assert np.all(truth.labels == 1)
-    data = hm.from_packed(field.data).reshape(-1, 3, 3)
+    data = oracle.unpack(field.data).reshape(-1, 3, 3)
     mean = data.mean(axis=0)
     se = data.std(axis=0) / 100.0
-    assert np.all(np.abs(mean - hm.from_packed(sigma[0])) <= 5 * se + 1e-12)
+    assert np.all(np.abs(mean - oracle.unpack(sigma[0])) <= 5 * se + 1e-12)
 
 
 def test_every_pixel_positive_definite():
@@ -129,10 +143,10 @@ def test_per_region_means_converge():
     spec = PhantomSpec(width=150, height=150, seed=11)
     field, truth = generate_phantom(spec)
     for cls in (1, 2):  # background and band both exceed 4000 pixels
-        pts = hm.from_packed(field.data[truth.labels == cls])
+        pts = oracle.unpack(field.data[truth.labels == cls])
         mean = pts.mean(axis=0)
         se = pts.std(axis=0) / np.sqrt(pts.shape[0])
-        assert np.all(np.abs(mean - hm.from_packed(spec.sigmas[cls - 1])) <= 5 * se + 1e-12)
+        assert np.all(np.abs(mean - oracle.unpack(spec.sigmas[cls - 1])) <= 5 * se + 1e-12)
 
 
 def test_inscribed_rois_sit_inside_regions():
@@ -234,10 +248,10 @@ def test_phantom_spec_takes_packed_sigmas():
     # the complex (M, 3, 3) layout is refused; the sampler factors each packed
     # class covariance as it stands
     with pytest.raises(InvalidSpec, match="packed"):
-        PhantomSpec(sigmas=hm.from_packed(DEFAULT_SIGMAS))
+        PhantomSpec(sigmas=oracle.unpack(DEFAULT_SIGMAS))
     for s in PhantomSpec().sigmas:
         w = hm.cholesky3(s)
-        np.testing.assert_allclose(w @ w.conj().T, hm.from_packed(s), rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(w @ w.conj().T, oracle.unpack(s), rtol=1e-13, atol=1e-16)
 
 
 def test_phantom_config_requires_complete_classes(tmp_path):
@@ -263,8 +277,8 @@ def test_default_phantom_classification_patterns():
     ml = accuracy_report("ML", classify_image(field, protos, "ML"), split)
     assert ml.per_class[1] == 100.0
     assert ml.per_class[3] <= min(ml.per_class[1], ml.per_class[2])
-    fit_weights(field, split, protos)
+    fit_weights(field, split, protos, "KL", 1.0)
     kl = accuracy_report("KL", classify_image(field, protos, "KL"), split)
-    evolved, _ = evolve(field, protos, EvolutionParams(iterations=25))
+    evolved, _ = evolve(field, protos, EvolutionParams(iterations=25), "KL")
     dr = accuracy_report("DR", classify_image(evolved, protos, "KL+OW"), split)
     assert kl.overall < dr.overall

@@ -11,15 +11,11 @@ from polsardr.distances import log_gamma3
 from polsardr.wishart import WishartModel, log_density, sample
 
 import oracle
-from conftest import make_hermitian, make_hpd
+from conftest import make_hermitian, make_hpd, packed_hpd
 
 ID = np.eye(3, dtype=complex)
-P = hm.to_packed
+P = oracle.pack
 PID = P(ID)
-
-
-def packed_hpd(rng, scale=1.0):
-    return P(make_hpd(rng, scale=scale))
 
 
 def test_model_validation():
@@ -76,7 +72,7 @@ def test_log_density_matches_oracle(rng):
     for looks in (3.0, 4.0, 7.5, 40.0):
         sigma = make_hpd(rng, scale=rng.uniform(0.1, 10.0))
         z = sample(WishartModel(P(sigma), 4), rng, size=(2, 5))
-        want = oracle.log_density(hm.from_packed(z), sigma, looks)
+        want = oracle.log_density(oracle.unpack(z), sigma, looks)
         np.testing.assert_allclose(log_density(WishartModel(P(sigma), looks), z), want,
                                    rtol=1e-10)
         assert log_density(WishartModel(P(sigma), looks), z[0, 0]) == pytest.approx(
@@ -138,7 +134,7 @@ def test_sample_whitened_trace():
     # E tr(sigma^-1 Z) = 3
     rng = np.random.default_rng(7)
     sigma = make_hpd(rng)
-    z = hm.from_packed(sample(WishartModel(P(sigma), 4), rng, size=8000))
+    z = oracle.unpack(sample(WishartModel(P(sigma), 4), rng, size=8000))
     t = oracle.trace_product(oracle.inv(sigma), z)
     assert t.mean() == pytest.approx(3.0, abs=5 * t.std() / np.sqrt(t.size))
 
