@@ -8,7 +8,6 @@ of one distance_stack call; ties break toward the lowest class index.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +15,7 @@ import numpy as np
 from . import hermitian as hm
 from .distances import _features, _score
 from .errors import InvalidLooks, InvalidObservation
-from .fields import ClassMap, CovarianceField, row_blocks
-
-logger = logging.getLogger(__name__)
+from .fields import ClassMap, CovarianceField, row_blocks, warn_non_pd
 
 KINDS = ("KL", "HD", "BD", "ED")  # the stochastic distances and the Euclidean baseline
 STACK_KINDS = KINDS + ("ML",)
@@ -92,7 +89,7 @@ class PrototypeSet:
 def _simplex_weights(weights, m: int) -> np.ndarray:
     """A read-only float64 copy of ``weights``, checked to be m finite
     nonnegative values that sum to 1."""
-    weights = np.array(weights, dtype=np.float64)
+    weights = np.array(hm._real(weights))
     if weights.shape != (m,):
         raise ValueError(f"weights shape {weights.shape} != ({m},)")
     # a NaN fails both tests, and an inf makes the sum inf or NaN
@@ -138,28 +135,28 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
     """Classify every pixel independently; non-PD pixels get the 0 sentinel.
 
     The rows are scored in blocks of about ``fields.BLOCK_PIXELS`` pixels
-    on every usable CPU (``fields.row_blocks``); each block reads its rows
-    (``CovarianceField.rows``), gathers its valid pixels if some are not,
-    scores them and writes their labels.
+    on every usable CPU (``fields.row_blocks``).  Each block reads its rows once
+    (``CovarianceField.rows``) into one component-major copy, which the PD test and
+    the scores share; only a block with non-PD pixels gathers the rest.  Those
+    pixels are warned of after the pass (``fields.warn_non_pd``).
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
     kind = rule.removesuffix("+OW")  # "<kind>+OW" scales <kind> by the class weights
-    valid = field.pd_mask
-    labels = np.zeros(valid.shape, dtype=np.uint8)
-    n_bad = valid.size - int(np.count_nonzero(valid))
-    if n_bad:
-        logger.warning("%d non-positive-definite pixels labeled 0", n_bad)
+    labels = np.zeros((field.height, field.width), dtype=np.uint8)
+    valid = np.empty(labels.shape, dtype=bool)
 
     def label_rows(r0, r1):
-        ok = valid[r0:r1]
-        x = field.rows(r0, r1)
+        x = hm.component_major(field.rows(r0, r1))
+        ok = hm.is_positive_definite(x)
+        valid[r0:r1] = ok.reshape(r1 - r0, field.width)
         if not ok.all():  # a block of PD pixels only is scored without this copy
-            x = x[ok]
+            x = x.T[:, ok].T
         if x.size:
             scores = distance_stack(x, protos, kind, use_class_looks, weighted=kind != rule)
-            labels[r0:r1][ok] = np.argmin(scores, axis=-1).reshape(-1).astype(np.uint8) + 1
+            labels[r0:r1][valid[r0:r1]] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
 
     with row_blocks("classify_image", field.height, field.width) as each_block:
         each_block(label_rows)
+    warn_non_pd(valid)
     return ClassMap(labels)

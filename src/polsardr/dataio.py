@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import colorsys
 import os
-import warnings
 from functools import partial
 
 import numpy as np
 
 from .classify import PrototypeSet, distance_stack
-from .errors import (MalformedHeader, MalformedRoi, NonPositiveDefinitePixelWarning,
-                     OutOfBounds, SizeMismatch)
-from .fields import ClassMap, CovarianceField, RoiSet, Split, row_blocks
+from . import hermitian as hm
+from .errors import MalformedHeader, MalformedRoi, OutOfBounds, SizeMismatch
+from .fields import ClassMap, CovarianceField, RoiSet, Split, row_blocks, warn_non_pd
 
 _DTYPES = {"f32": "<f4", "f64": "<f8", "u8": "|u1"}
 RENDER_EPS = 1e-12
@@ -92,8 +91,8 @@ def _read_rows(path, dtype: str, width: int, r0: int, r1: int) -> np.ndarray:
 
 def read_covariance_image(base) -> CovarianceField:
     """Open an image whose rows are read from ``<base>.dat`` on demand
-    (``CovarianceField.from_rows``).  Its PD mask is tested here, one row block
-    at a time, and non-PD pixels trigger a warning with their count."""
+    (``CovarianceField.from_rows``).  Only the header and the file size are
+    checked here; no pixel is read until the field's rows are."""
     header_path, data_path = f"{base}.hdr", f"{base}.dat"
     width, height, dtype, looks = _read_header(header_path)
     if dtype == "u8":
@@ -103,15 +102,8 @@ def read_covariance_image(base) -> CovarianceField:
     if size != expected * itemsize:
         raise SizeMismatch(f"{data_path}: expected {expected} {dtype} values, "
                            f"found {size} bytes")
-    field = CovarianceField.from_rows(partial(_read_rows, data_path, dtype, width),
-                                      height, width, looks=looks)
-    bad = ~field.pd_mask
-    n_bad = int(np.count_nonzero(bad))
-    if n_bad:  # the first five lie in the first five rows that hold any
-        last = np.flatnonzero(bad.any(axis=1))[:5][-1]
-        first = np.argwhere(bad[:last + 1])[:5]
-        warnings.warn(NonPositiveDefinitePixelWarning(n_bad, first, (height, width)))
-    return field
+    return CovarianceField.from_rows(partial(_read_rows, data_path, dtype, width),
+                                     height, width, looks=looks)
 
 
 def write_classmap(cmap: ClassMap, base) -> None:
@@ -253,18 +245,23 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path) -> np.ndarray
     Pixel color = sum_m c_m * color_m with c_m proportional to
     1 / (d_E(pixel, prototype_m) + eps), normalized to sum 1, so a pixel at a
     prototype gets that class color and an equidistant pixel the palette mean.
-    The rows are colored in blocks on every usable CPU (``fields.row_blocks``).
+    The rows are colored in blocks on every usable CPU (``fields.row_blocks``), each read
+    once; non-PD pixels are colored too, and warned of after the pass (``fields.warn_non_pd``).
     """
     colors = default_palette(protos.n_classes).astype(np.float64)
     rgb = np.empty((field.height, field.width, 3), dtype=np.uint8)
+    valid = np.empty((field.height, field.width), dtype=bool)
 
     def color_rows(r0, r1):
-        inv = 1.0 / (distance_stack(field.rows(r0, r1), protos, "ED") + RENDER_EPS)
+        x = hm.component_major(field.rows(r0, r1)).reshape(r1 - r0, field.width, 9)  # a view
+        valid[r0:r1] = hm.is_positive_definite(x)
+        inv = 1.0 / (distance_stack(x, protos, "ED") + RENDER_EPS)
         weights = inv / inv.sum(axis=-1, keepdims=True)
         rgb[r0:r1] = np.clip(np.rint(weights @ colors), 0, 255)
 
     with row_blocks("render_rgb", field.height, field.width) as each_block:
         each_block(color_rows)
+    warn_non_pd(valid)
     write_ppm(path, rgb)
     return rgb
 
@@ -277,6 +274,6 @@ def render_classmap(cmap: ClassMap, path, n_classes: int | None = None) -> np.nd
     if n < max(largest, 1):
         raise ValueError(f"n_classes = {n} must be >= 1 and >= the largest label {largest}")
     table = np.vstack([np.zeros(3, dtype=np.uint8), default_palette(n)])
-    rgb = table[cmap.labels]
+    rgb = np.take(table, cmap.labels, axis=0)
     write_ppm(path, rgb)
     return rgb

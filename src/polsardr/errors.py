@@ -71,11 +71,11 @@ class OutOfBounds(PolsarError):
 
 
 class NonPositiveDefinitePixelWarning(UserWarning):
-    """Some pixels of a loaded covariance image are not positive definite.
+    """Some pixels of a classified or rendered covariance image are not positive definite.
 
-    Carries their ``count`` and the (y, x) coordinates of the ``first`` few in
-    row-major order; ``CovarianceField.pd_mask`` marks them all.  Loading
-    itself succeeds.
+    Carries their ``count`` and the (y, x) coordinates of the first five in
+    row-major order.  ``classify_image`` (which labels them 0) and ``render_rgb``
+    warn after the pass that tests each pixel as it scores it; opening tests none.
     """
 
     def __init__(self, count, first, shape):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import hermitian as hm
+from .errors import NonPositiveDefinitePixelWarning
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +74,16 @@ def row_blocks(name: str, height: int, width: int):
         yield partial(_each_block, pool, blocks, n_workers)
 
 
+def warn_non_pd(valid: np.ndarray) -> None:
+    """Warn NonPositiveDefinitePixelWarning, as the caller's caller, of valid's False pixels."""
+    n_bad = valid.size - int(np.count_nonzero(valid))
+    if n_bad:  # the first five lie in the first five rows that hold any
+        bad = ~valid
+        last = np.flatnonzero(bad.any(axis=1))[:5][-1]
+        first = np.argwhere(bad[:last + 1])[:5]
+        warnings.warn(NonPositiveDefinitePixelWarning(n_bad, first, valid.shape), stacklevel=3)
+
+
 class CovarianceField:
     """A width x height image whose pixels are 3x3 Hermitian covariance matrices.
 
@@ -83,7 +95,7 @@ class CovarianceField:
     keeps them all; until then ``rows`` reads its rows on each call, so
     row-block work holds a block per worker, not the image.  ``looks`` carries
     the equivalent number of looks when known (e.g. from an image header).  The
-    pixels are not modified after construction: ``pd_mask`` is computed once.
+    pixels are not modified after construction: ``pd_mask`` (``evolve``'s check) is computed once.
     """
 
     def __init__(self, data, looks: float | None = None):

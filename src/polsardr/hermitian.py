@@ -64,13 +64,19 @@ def cholesky3(p) -> np.ndarray:
 # tr(a @ b) of Hermitian a, b is the dot product of their packed forms under
 # these weights: each off-diagonal pair contributes twice its real part.
 TRACE_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+_TRANSPOSE_PIXELS = 4096  # pixels per chunk of component_major's copy (DECISIONS.md)
+
+
+def _real(a) -> np.ndarray:
+    """a as float64; a complex array is refused before the cast would drop its imaginary parts."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"expected real values, got a complex array of shape {np.shape(a)}")
+    return np.asarray(a, dtype=np.float64)
 
 
 def _packed(p) -> np.ndarray:
     """p as a float64 array, checked to be real with a trailing axis of size 9."""
-    if np.iscomplexobj(p):  # before the cast, which would drop the imaginary parts
-        raise ValueError(f"packed arrays are real, got a complex array of shape {np.shape(p)}")
-    p = np.asarray(p, dtype=np.float64)
+    p = _real(p)
     if p.shape[-1] != 9:
         raise ValueError(f"packed arrays need a trailing axis of size 9, got {p.shape}")
     return p
@@ -80,7 +86,12 @@ def component_major(p) -> np.ndarray:
     """Packed (..., 9) pixels as (N, 9) with each entry contiguous, the layout the
     packed kernels read fastest; copied only when not already in that layout."""
     x = _packed(p).reshape(-1, 9)  # checked first: the reshape would take a (..., 3, 3) array
-    return x if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T).T
+    if x.strides[0] == x.itemsize:
+        return x
+    out = np.empty((9, x.shape[0]))
+    for i in range(0, x.shape[0], _TRANSPOSE_PIXELS):  # chunks that stay in cache
+        out[:, i:i + _TRANSPOSE_PIXELS] = x[i:i + _TRANSPOSE_PIXELS].T
+    return out.T
 
 
 def _components(p):

@@ -34,14 +34,14 @@ def saturate(s, lam: float) -> np.ndarray | float:
     """Odd, bounded, increasing transfer s / (1 + lam * |s|); range (-1/lam, 1/lam)."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    s = np.asarray(s, dtype=np.float64)
+    s = hm._real(s)
     out = s / (1.0 + lam * np.abs(s))
     return out if out.ndim else float(out)
 
 
 def project_to_simplex(v) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1} (sort-based)."""
-    v = np.asarray(v, dtype=np.float64)
+    v = hm._real(v)
     u = np.sort(v)[::-1]
     cumsum = np.cumsum(u)
     rho = np.nonzero(u + (1.0 - cumsum) / np.arange(1, v.size + 1) > 0)[0][-1]

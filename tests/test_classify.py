@@ -15,7 +15,8 @@ from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, classify
 from polsardr.dataio import render_rgb
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
-from polsardr.errors import InvalidLooks, InvalidObservation, SingularMatrix
+from polsardr.errors import (InvalidLooks, InvalidObservation, NonPositiveDefinitePixelWarning,
+                             SingularMatrix)
 from polsardr.fields import CovarianceField
 from polsardr.phantom import PhantomSpec
 from polsardr.wishart import WishartModel, log_density, sample
@@ -67,6 +68,18 @@ def test_prototype_set_rejects_weights_off_the_simplex(rng, weights):
     # NaN weights used to pass both tests and label every pixel class 1 under +OW
     with pytest.raises(ValueError, match="sum to 1"):
         _protos(rng, weights=np.array(weights))
+
+
+def test_prototype_set_refuses_complex_weights(rng):
+    # the float64 cast kept [0.5, 0.25, 0.25] of these, with only a ComplexWarning
+    weights = np.array([0.5 + 2j, 0.25, 0.25])
+    with pytest.raises(ValueError, match=r"complex array of shape \(3,\)"):
+        PrototypeSet(PhantomSpec().sigmas, 4.0, weights=weights)
+    protos = _protos(rng)
+    for value in (weights, weights.real + 0j):
+        with pytest.raises(ValueError, match="complex"):
+            protos.weights = value
+    np.testing.assert_array_equal(protos.weights, 1 / 3)
 
 
 @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
@@ -200,8 +213,10 @@ def test_classify_image_deterministic_and_marks_bad_pixels(rng):
     data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(5, 7))
     data[2, 3] = oracle.pack(np.diag([1.0, -1.0, 1.0]))  # not positive definite
     field = CovarianceField(data)
-    a = classify_image(field, protos, "KL")
-    b = classify_image(field, protos, "KL")
+    with pytest.warns(NonPositiveDefinitePixelWarning, match=r"1 of 35 pixels.*\[\(2, 3\)\]"):
+        a = classify_image(field, protos, "KL")
+    with pytest.warns(NonPositiveDefinitePixelWarning):
+        b = classify_image(field, protos, "KL")
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.labels[2, 3] == 0
     assert np.all(a.labels[:2] > 0)
@@ -368,9 +383,12 @@ def _split_results(field, protos, tmp_path):
     field = CovarianceField(field.data)
     pd = field.pd_mask
     x = field.data[pd]
-    return {"pd_mask": pd,
-            **{rule: classify_image(field, protos, rule).labels for rule in RULES},
-            "rgb": render_rgb(field, protos, tmp_path / "img.ppm"),
+    with pytest.warns(NonPositiveDefinitePixelWarning) as caught:  # one per classify and render
+        maps = {rule: classify_image(field, protos, rule).labels for rule in RULES}
+        rgb = render_rgb(field, protos, tmp_path / "img.ppm")
+    want = [(1, [(7, 5)])] * (len(RULES) + 1)
+    assert [(w.message.count, w.message.first) for w in caught] == want
+    return {"pd_mask": pd, **maps, "rgb": rgb,
             **{f"{kind} stack": distance_stack(x, protos, kind) for kind in STACK_KINDS},
             "KL+OW component-major stack": distance_stack(np.asfortranarray(x), protos,
                                                           "KL", weighted=True)}

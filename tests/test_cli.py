@@ -501,25 +501,38 @@ def test_pipeline_matches_the_step_by_step_cli(tmp_path, distance):
         assert (run / name).read_bytes() == (steps / name).read_bytes(), name
 
 
-def test_classify_computes_the_pd_mask_once(tmp_path, monkeypatch):
-    # one PD test of the image per run: the read warning and the labels share it
+def test_classify_reads_and_tests_each_pixel_once(tmp_path, monkeypatch):
+    # one pass per command: opening the image reads no pixel, and each row
+    # block is read once, PD-tested and scored from that one read
     base, model = str(tmp_path / "img"), str(tmp_path / "model.txt")
     assert main(["simulate", "--width", "96", "--height", "96", "--out", base]) == 0
     assert main(["train", "--image", base, "--roi", f"{base}_roi.txt", "--out", model]) == 0
-    tested = Counter()
-    original = hm.is_positive_definite
+    pixels = dataio.read_covariance_image(base).data.reshape(-1, 9)
+    tested, read = Counter(), Counter()
+    original_test, original_read = hm.is_positive_definite, dataio._read_rows
 
-    def counting(x):
-        if np.ndim(x) == 3 and np.shape(x)[1:] == (96, 9):  # image rows, not prototypes
-            tested.update(row.tobytes() for row in np.asarray(x))
-        return original(x)
+    def counting_test(x):  # image blocks arrive as (N, 9) or (rows, 96, 9)
+        tested.update(pixel.tobytes() for pixel in np.reshape(x, (-1, 9)))
+        return original_test(x)
 
-    monkeypatch.setattr(hm, "is_positive_definite", counting)
-    assert main(["classify", "--image", base, "--model", model,
-                 "--out", str(tmp_path / "map")]) == 0
-    # the mask is tested in row blocks: together they test each of the 96
-    # (distinct) rows, hence each of the 96 x 96 pixels, exactly once
-    assert len(tested) == 96 and set(tested.values()) == {1}
+    def counting_read(path, dtype, width, r0, r1):
+        read.update(range(r0, r1))
+        return original_read(path, dtype, width, r0, r1)
+
+    monkeypatch.setattr(hm, "is_positive_definite", counting_test)
+    monkeypatch.setattr(dataio, "_read_rows", counting_read)
+    dataio.read_covariance_image(base)
+    assert not read and not tested
+    for argv in (["classify", "--image", base, "--model", model,
+                  "--out", str(tmp_path / "map")],
+                 ["render", "--image", base, "--model", model,
+                  "--out", str(tmp_path / "img.ppm")]):
+        tested.clear()
+        read.clear()
+        assert main(argv) == 0
+        assert read == Counter(range(96)), argv[0]  # each of the 96 rows, once
+        # each of the 96 x 96 (distinct) pixels is tested exactly once
+        assert all(tested[pixel.tobytes()] == 1 for pixel in pixels), argv[0]
 
 
 def test_train_and_weights_read_only_the_rows_of_the_train_pixels(tmp_path, monkeypatch):

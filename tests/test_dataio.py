@@ -99,28 +99,56 @@ def test_an_unparsable_looks_names_the_header(tmp_path, read):
         read(tmp_path / "bad")
 
 
+def _two_protos(rng):
+    return PrototypeSet(np.stack([packed_hpd(rng), packed_hpd(rng)]), shared_looks=4.0)
+
+
 def test_non_pd_pixels_warn_with_coordinates(tmp_path, rng):
+    # opening tests no pixel: the classifier's pass finds the non-PD one
     field = _random_field(rng, 3, 3)
     field.data[1, 2] = oracle.pack(np.diag([1.0, -2.0, 1.0]))
     dataio.write_covariance_image(field, tmp_path / "a")
+    back = dataio.read_covariance_image(tmp_path / "a")
     with pytest.warns(NonPositiveDefinitePixelWarning) as rec:
-        back = dataio.read_covariance_image(tmp_path / "a")
+        labels = classify_image(back, _two_protos(rng), "KL").labels
+    assert len(rec) == 1
     assert rec[0].message.count == 1
     assert rec[0].message.first == [(1, 2)]
+    assert labels[1, 2] == 0 and np.count_nonzero(labels) == 8
     assert back.data.shape == (3, 3, 9)
 
 
-def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rng):
+def _seven_bad_pixels(rng):
     field = _random_field(rng, 4, 6)
     bad = [(0, 5), (1, 0), (1, 3), (2, 2), (3, 0), (3, 1), (3, 5)]
     for y, x in bad:
         field.data[y, x] = oracle.pack(np.diag([-1.0, 1.0, 1.0]))
+    return field, bad
+
+
+def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rng):
+    field, bad = _seven_bad_pixels(rng)
     dataio.write_covariance_image(field, tmp_path / "a")
+    back = dataio.read_covariance_image(tmp_path / "a")
     with pytest.warns(NonPositiveDefinitePixelWarning, match="7 of 24 pixels") as rec:
-        back = dataio.read_covariance_image(tmp_path / "a")
+        dataio.render_rgb(back, _two_protos(rng), tmp_path / "a.ppm")
+    assert len(rec) == 1
     assert rec[0].message.count == 7
     assert rec[0].message.first == bad[:5]
     assert int((~back.pd_mask).sum()) == 7
+
+
+def test_an_in_memory_field_warns_as_a_read_one(tmp_path, rng):
+    field, bad = _seven_bad_pixels(rng)
+    protos = _two_protos(rng)
+    dataio.write_covariance_image(field, tmp_path / "a")
+    back = dataio.read_covariance_image(tmp_path / "a")
+    for image in (field, back):
+        with pytest.warns(NonPositiveDefinitePixelWarning, match="7 of 24 pixels") as rec:
+            classify_image(image, protos, "HD")
+            dataio.render_rgb(image, protos, tmp_path / "a.ppm")
+        assert [(w.message.count, w.message.first) for w in rec] == [(7, bad[:5])] * 2
+        assert {w.filename for w in rec} == {__file__}  # it points at the call
 
 
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
@@ -142,20 +170,23 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
         field.data.astype("<f4").tofile(tmp_path / "img.dat")
         field = CovarianceField(field.data.astype("<f4"), looks=field.looks)
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
-    want = {rule: classify_image(field, protos, rule).labels for rule in RULES}
-    want["render"] = dataio.render_rgb(field, protos, tmp_path / "want.ppm")
+    with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 90000 pixels"):
+        want = {rule: classify_image(field, protos, rule).labels for rule in RULES}
+        want["render"] = dataio.render_rgb(field, protos, tmp_path / "want.ppm")
 
     tracemalloc.start()
     try:  # each map is compared and dropped, so that only the work counts
-        with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 90000 pixels"):
-            back = dataio.read_covariance_image(base)
-        for rule in RULES:
-            assert np.array_equal(classify_image(back, protos, rule).labels, want[rule]), rule
-        assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
-                              want["render"])
+        back = dataio.read_covariance_image(base)
+        with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 90000 pixels") as rec:
+            for rule in RULES:
+                assert np.array_equal(classify_image(back, protos, rule).labels,
+                                      want[rule]), rule
+            assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
+                                  want["render"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(rec) == len(RULES) + 1  # one per pass
     assert peak < field.data.nbytes / 4, peak
     assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
     assert back._data is None  # nothing loaded the whole image

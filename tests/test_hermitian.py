@@ -193,6 +193,8 @@ def test_component_major_copies_only_other_layouts(rng):
     assert not np.shares_memory(x, p)
     np.testing.assert_array_equal(x, p.reshape(6, 9))
     assert np.shares_memory(hm.component_major(x), x)  # no second copy
+    band = np.moveaxis(np.ones((9, 4, 5)), 0, -1)[1:3]  # rows of (9, H, W) planes, as evolve's
+    assert np.shares_memory(hm.component_major(band), band)
     np.testing.assert_array_equal(hm.is_positive_definite(p), np.ones((2, 3), dtype=bool))
     # the trailing axis is checked before any reshape, which would take both
     for bad in (np.ones((2, 3, 3)), np.ones((4, 3, 3))):
@@ -200,6 +202,34 @@ def test_component_major_copies_only_other_layouts(rng):
             hm.component_major(bad)
         with pytest.raises(ValueError, match="trailing axis"):
             hm.is_positive_definite(bad)
+
+
+_CHUNK = hm._TRANSPOSE_PIXELS
+
+
+@given(n=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 5])
+       | st.integers(0, 3 * _CHUNK),
+       layout=st.sampled_from(["rows", "image", "gathered", "strided rows", "strided entries"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_component_major_is_the_transposed_copy_bit_for_bit(n, layout, seed):
+    # chunked transposes give the bits and the layout of one whole transpose,
+    # for no pixel, part of a chunk, several chunks and a part, and gathered input
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((2 * n, 18))
+    wide[rng.random(wide.shape) < 0.05] = -0.0
+    p = {"rows": wide[:n, :9],
+         "image": np.ascontiguousarray(wide[:n, :9]).reshape(1, n, 9),
+         "gathered": wide[rng.permutation(2 * n)[:n], 9:],
+         "strided rows": wide[::2, :9],
+         "strided entries": wide[:n, ::2]}[layout]
+    want = np.ascontiguousarray(p.reshape(-1, 9).T).T
+    got = hm.component_major(p)
+    assert got.shape == want.shape == (n, 9)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    if n > 1:  # the strides of fewer pixels say nothing
+        assert got.strides == want.strides
+        assert np.shares_memory(hm.component_major(got), got)  # not copied again
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -49,6 +49,15 @@ def test_saturate_rejects_bad_lambda():
             saturate(1.0, lam)
 
 
+@pytest.mark.parametrize("value", [np.array([1 + 1j]), 1 + 1j, np.array([0.5 + 0j, 0.5])])
+def test_vector_paths_refuse_complex_values(value):
+    # the float64 cast dropped the imaginary parts: saturate([1+1j], 1.0) was
+    # [0.5], with only a ComplexWarning
+    for call in (lambda v: saturate(v, 1.0), project_to_simplex):
+        with pytest.raises(ValueError, match="complex"):
+            call(value)
+
+
 def _simplex_projection_oracle(v):
     # independent formulation: w = max(v - tau, 0) with tau solving sum w = 1
     v = np.asarray(v, dtype=float)
