@@ -56,9 +56,9 @@ class PrototypeSet:
                              f"(0 marks no-data), got {m}")
         self.sigmas = np.array(sigmas, dtype=np.float64)
         self.sigmas.flags.writeable = False
-        if not np.all(hm.is_positive_definite(self.sigmas)):
+        inverse, det, pd = hm._inverse(self.sigmas)  # raises SingularMatrix first
+        if not np.all(pd):
             raise InvalidObservation("every prototype must be positive definite")
-        inverse, det = hm.inv_packed(self.sigmas)  # raises SingularMatrix
         self._inverse, self._log_det = inverse, np.log(det)
         self.weights = np.full(m, 1.0 / m) if self.weights is None else self.weights
         if self.class_looks is not None:
@@ -119,15 +119,18 @@ def distance_stack(x, protos: PrototypeSet, kind: str, use_class_looks: bool = F
     """
     if kind not in STACK_KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
-    shape = np.shape(x)[:-1]
-    x = hm.component_major(x)
-    pixels = _features(x, kind)
-    out = np.empty((x.shape[0], protos.n_classes))
+    out = _stack(_features(hm.component_major(x), kind), protos, kind, use_class_looks, weighted)
+    return out.reshape(np.shape(x)[:-1] + (protos.n_classes,))
+
+
+def _stack(pixels: tuple, protos: PrototypeSet, kind: str, use_class_looks, weighted):
+    """distance_stack's (N, M) scores from the features (``distances._features``) of N pixels."""
+    out = np.empty((pixels[0].shape[0], protos.n_classes))
     for m in range(protos.n_classes):
         proto = (protos.sigmas[m], protos._inverse[m], protos._log_det[m])
         col = _score(kind, pixels, proto, protos.looks_for(m, use_class_looks))
         out[:, m] = protos.weights[m] * col if weighted else col
-    return out.reshape(shape + (protos.n_classes,))
+    return out
 
 
 def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
@@ -136,27 +139,26 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
 
     The rows are scored in blocks of about ``fields.BLOCK_PIXELS`` pixels
     on every usable CPU (``fields.row_blocks``).  Each block reads its rows once
-    (``CovarianceField.rows``) into one component-major copy, which the PD test and
-    the scores share; only a block with non-PD pixels gathers the rest.  Those
-    pixels are warned of after the pass (``fields.warn_non_pd``).
+    (``CovarianceField.rows``) into one component-major copy; the PD test and the
+    scores share it and its determinant, and only a block with non-PD pixels
+    gathers the rest.  The 0 labels are warned of after the pass (``fields.warn_non_pd``).
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r} (expected one of {RULES})")
     kind = rule.removesuffix("+OW")  # "<kind>+OW" scales <kind> by the class weights
     labels = np.zeros((field.height, field.width), dtype=np.uint8)
-    valid = np.empty(labels.shape, dtype=bool)
 
     def label_rows(r0, r1):
         x = hm.component_major(field.rows(r0, r1))
-        ok = hm.is_positive_definite(x)
-        valid[r0:r1] = ok.reshape(r1 - r0, field.width)
+        det, ok = hm._det_pd(x)
         if not ok.all():  # a block of PD pixels only is scored without this copy
-            x = x.T[:, ok].T
-        if x.size:
-            scores = distance_stack(x, protos, kind, use_class_looks, weighted=kind != rule)
-            labels[r0:r1][valid[r0:r1]] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
+            x, det = x.T[:, ok].T, det[ok]
+        if x.size:  # the features take the block's det rather than evaluate it again
+            pixels, det = _features(x, kind, det), None  # and it is freed before the scores
+            scores = _stack(pixels, protos, kind, use_class_looks, kind != rule)
+            labels[r0:r1][ok.reshape(r1 - r0, -1)] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
 
     with row_blocks("classify_image", field.height, field.width) as each_block:
         each_block(label_rows)
-    warn_non_pd(valid)
+    warn_non_pd(labels != 0)  # every PD pixel got a label >= 1
     return ClassMap(labels)

@@ -26,26 +26,23 @@ def log_gamma3(looks) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _features(x, kind: str) -> tuple:
+def _features(x, kind: str, det=None) -> tuple:
     """(x, inverse, log|x|) of packed pixels x, each part None unless kind's
-    score reads it.  Raises SingularMatrix for a non-finite entry (or a
-    singular x, where the inverse is read), and InvalidObservation for a KL,
-    HD, BD or ML argument that ``hermitian.is_positive_definite`` rejects; ED
-    scores any finite x."""
-    inv = log_det = None
+    score reads it; det, when given, is ``hermitian.det_packed(x)``, not evaluated
+    again.  Raises SingularMatrix for a non-finite entry (or a singular x, where
+    the inverse is read), and InvalidObservation for a KL, HD, BD or ML argument
+    that is not positive definite (``hermitian._det_pd``); ED scores any finite x."""
     if kind in ("KL", "HD", "BD"):
-        inv, det = hm.inv_packed(x)  # tests the entries itself
+        inv, det, pd = hm._inverse(x, det)  # tests the entries and |det| first
     elif not np.all(np.isfinite(x)):
         raise SingularMatrix("non-finite matrix entry")
-    elif kind == "ML":
-        det = hm.det_packed(x)
-    if kind != "ED":  # inv33 is the 2x2 leading minor over det, NaN after an overflow
-        fast = inv is not None and np.all((x[..., 0] > 0) & (det > 0) & (inv[..., 2] > 0))
-        if not (fast or np.all(hm.is_positive_definite(x))):  # the PD test decides
-            raise InvalidObservation("matrix is not positive definite")
-        if kind != "KL":
-            log_det = np.log(det)
-    return x, inv, log_det
+    elif kind == "ED":
+        return x, None, None
+    else:  # ML reads no inverse
+        inv, (det, pd) = None, hm._det_pd(x, det)
+    if not np.all(pd):  # det = inf (1e308 I) passes, with a NaN inverse and NaN scores
+        raise InvalidObservation("matrix is not positive definite")
+    return x, inv, None if kind == "KL" else np.log(det)
 
 
 def _score(kind: str, x: tuple, p: tuple, looks: float) -> np.ndarray:

@@ -49,11 +49,11 @@ class SampleStats:
         n = sample.shape[0]
         if n == 0:
             raise EmptySample("cannot build statistics from an empty sample")
-        n_bad = int(np.sum(~hm.is_positive_definite(sample)))
-        if n_bad:
-            raise InvalidObservation(f"{n_bad} sample matrices are not positive definite")
+        det, pd = hm._det_pd(sample)
+        if not pd.all():
+            raise InvalidObservation(f"{(~pd).sum()} sample matrices are not positive definite")
         return cls(n=n, mean=sample.sum(axis=0) * (1.0 / n),
-                   mean_log_det=float(np.mean(np.log(hm.det_packed(sample)))))
+                   mean_log_det=float(np.mean(np.log(det))))
 
 
 def polygamma3(order: int, looks) -> np.ndarray | float:

@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import hermitian as hm
 from .classify import KINDS, PrototypeSet, distance_stack
 from .errors import InvalidObservation, StabilityViolation
 from .fields import CovarianceField, row_blocks
@@ -193,9 +194,9 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     diffusion_step and reaction_step and every pixel is inverted once per
     state, so the result does not depend on the number of bands.
     """
-    if not np.all(field.pd_mask):
-        raise InvalidObservation("initial field has non-positive-definite pixels")
     x = _planes(field.data)
+    if not np.all(hm.is_positive_definite(_pixels(x))):  # no copy: each entry is contiguous
+        raise InvalidObservation("initial field has non-positive-definite pixels")
     y = np.empty_like(x)
     h, w = x.shape[1:]
     labels, prev = np.empty((2, h, w), dtype=np.intp)

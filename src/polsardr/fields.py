@@ -11,11 +11,10 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
-from . import hermitian as hm
 from .errors import NonPositiveDefinitePixelWarning
 
 logger = logging.getLogger(__name__)
@@ -94,8 +93,7 @@ class CovarianceField:
     (``dataio.read_covariance_image``) holds no pixels until ``data`` reads and
     keeps them all; until then ``rows`` reads its rows on each call, so
     row-block work holds a block per worker, not the image.  ``looks`` carries
-    the equivalent number of looks when known (e.g. from an image header).  The
-    pixels are not modified after construction: ``pd_mask`` (``evolve``'s check) is computed once.
+    the equivalent number of looks when known (e.g. from an image header).
     """
 
     def __init__(self, data, looks: float | None = None):
@@ -127,18 +125,6 @@ class CovarianceField:
         """Packed pixels of rows r0..r1-1; safe to call from several threads at once."""
         return self._read_rows(r0, r1) if self._data is None else self._data[r0:r1]
 
-    @cached_property
-    def pd_mask(self) -> np.ndarray:
-        """(H, W) bool, True where the pixel is positive definite; tested in row blocks."""
-        mask = np.empty((self.height, self.width), dtype=bool)
-
-        def test_rows(r0, r1):
-            mask[r0:r1] = hm.is_positive_definite(self.rows(r0, r1))
-
-        with row_blocks("pd_mask", self.height, self.width) as each_block:
-            each_block(test_rows)
-        return mask
-
 
 @dataclass(eq=False)
 class ClassMap:
@@ -147,7 +133,11 @@ class ClassMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        labels = np.asarray(self.labels)
+        if labels.dtype != np.uint8:  # a cast would wrap 256 to the no-data 0 and cut 1.7 to 1
+            if labels.dtype.kind not in "buif" or not np.isin(labels, np.arange(256)).all():
+                raise ValueError("labels must be integers in 0..255")
+        self.labels = labels.astype(np.uint8, copy=False)
         if self.labels.ndim != 2:
             raise ValueError(f"expected (H, W) labels, got {self.labels.shape}")
 

@@ -101,10 +101,15 @@ def _components(p):
 
 def is_positive_definite(p) -> np.ndarray:
     """True where the three leading minors of packed p are > 0 (so NaN counts as False)."""
-    x = component_major(p)
-    a, d, _, br, bi = _components(x)[:5]
-    pd = (a > 0) & (a * d - (br * br + bi * bi) > 0) & (det_packed(x) > 0)
-    return pd.reshape(np.shape(p)[:-1])
+    return _det_pd(component_major(p))[1].reshape(np.shape(p)[:-1])
+
+
+def _det_pd(p, det=None, minor=None) -> tuple[np.ndarray, np.ndarray]:
+    """det_packed(p) or the det given, and the PD verdict x11, 2x2 minor (or one given), det > 0."""
+    a, d, _, br, bi = _components(p)[:5]
+    det = det_packed(p) if det is None else det
+    minor = a * d - (br * br + bi * bi) if minor is None else minor
+    return det, (a > 0) & (minor > 0) & (det > 0)
 
 
 def det_packed(p) -> np.ndarray:
@@ -118,7 +123,12 @@ def det_packed(p) -> np.ndarray:
 
 
 def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
-    """Packed cofactor inverse and determinant of packed Hermitian matrices.
+    """_inverse's inverse and determinant of packed p."""
+    return _inverse(p)[:2]
+
+
+def _inverse(p, det=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed cofactor inverse, determinant (given or evaluated) and verdict (_det_pd) of p.
 
     Raises SingularMatrix for a non-finite entry (tested first: an infinite
     off-diagonal entry can leave det finite and the inverse NaN) and unless
@@ -128,10 +138,7 @@ def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
     a, d, f, br, bi, cr, ci, er, ei = _components(p)
     if not np.isfinite(p).all():
         raise SingularMatrix("non-finite matrix entry")
-    det = np.asarray(det_packed(p))
-    if not (np.abs(det) >= DET_TOL).all():  # also False for a NaN det
-        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
-    inv = np.empty((9,) + det.shape)
+    inv = np.empty((9,) + a.shape)
     inv[0] = d * f - (er * er + ei * ei)
     inv[1] = a * f - (cr * cr + ci * ci)
     inv[2] = a * d - (br * br + bi * bi)
@@ -141,8 +148,11 @@ def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
     inv[6] = br * ei + bi * er - ci * d
     inv[7] = cr * br + ci * bi - a * er
     inv[8] = ci * br - cr * bi - a * ei
+    det, pd = _det_pd(p, det, inv[2])  # before the division, inv[2] is the 2x2 minor
+    if not (np.abs(det) >= DET_TOL).all():  # also False for a NaN det
+        raise SingularMatrix(f"|det| < {DET_TOL} or NaN (min |det| = {np.abs(det).min():.3e})")
     inv /= det
-    return inv.transpose(*range(1, inv.ndim), 0), det
+    return inv.transpose(*range(1, inv.ndim), 0), det, pd
 
 
 def trace_product_packed(a, b) -> np.ndarray:

@@ -62,7 +62,10 @@ def trace_product(a, b):
 
 
 def is_positive_definite(m):
-    return np.all(np.linalg.eigvalsh(m) > 0, axis=-1)
+    """Every eigenvalue > 0; a matrix with a non-finite entry is not positive definite."""
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    eigenvalues = np.linalg.eigvalsh(np.where(finite[..., None, None], m, 0))
+    return finite & np.all(eigenvalues > 0, axis=-1)
 
 
 def kl(s1, s2, looks):

@@ -116,11 +116,13 @@ def test_prototype_set_is_packed_checked_and_inverted_once(rng, monkeypatch):
     # |det| < DET_TOL fails when the set is built, not at its first scoring
     with pytest.raises(SingularMatrix):
         PrototypeSet(sigmas=np.stack([sigmas[0], oracle.pack(1e-101 * ID)]), shared_looks=4.0)
-    calls = []
-    inv_packed = hm.inv_packed
-    monkeypatch.setattr(hm, "inv_packed", lambda p: calls.append(np.shape(p)) or inv_packed(p))
+    calls, dets = [], []
+    inverse, det_packed = hm._inverse, hm.det_packed
+    monkeypatch.setattr(hm, "_inverse", lambda p, det=None: calls.append(np.shape(p))
+                        or inverse(p, det))
+    monkeypatch.setattr(hm, "det_packed", lambda p: dets.append(np.shape(p)) or det_packed(p))
     protos = PrototypeSet(sigmas=sigmas, shared_looks=4.0)
-    assert calls == [(2, 9)]
+    assert calls == dets == [(2, 9)]  # one determinant serves the PD test and the inverse
     # a read-only copy: the cached inverse cannot go stale
     sigmas[0, 0] *= 2.0
     assert protos.sigmas[0, 0] != sigmas[0, 0]
@@ -381,28 +383,36 @@ def test_distance_stack_self_distance_and_symmetry(seed, log_scale, log_ratio, l
 def _split_results(field, protos, tmp_path):
     """Everything that runs in pixel or row blocks, on a fresh copy of field."""
     field = CovarianceField(field.data)
-    pd = field.pd_mask
+    pd = hm.is_positive_definite(field.data)
     x = field.data[pd]
     with pytest.warns(NonPositiveDefinitePixelWarning) as caught:  # one per classify and render
         maps = {rule: classify_image(field, protos, rule).labels for rule in RULES}
         rgb = render_rgb(field, protos, tmp_path / "img.ppm")
-    want = [(1, [(7, 5)])] * (len(RULES) + 1)
-    assert [(w.message.count, w.message.first) for w in caught] == want
+    want = [(45, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)])] * (len(RULES) + 1)
+    assert [(w.message.count, w.message.first) for w in caught
+            if w.category is NonPositiveDefinitePixelWarning] == want
     return {"pd_mask": pd, **maps, "rgb": rgb,
             **{f"{kind} stack": distance_stack(x, protos, kind) for kind in STACK_KINDS},
             "KL+OW component-major stack": distance_stack(np.asfortranarray(x), protos,
                                                           "KL", weighted=True)}
 
 
+# the 1e308 I pixel overflows its determinant and scores NaN (its render colour too)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, block, cpus):
     # every test image is smaller than one block of BLOCK_PIXELS pixels, so tiny
     # blocks and more workers than cores force the many-block and many-thread
-    # paths; they must give the bits of one unblocked single-thread pass
+    # paths; they must give the bits of one unblocked single-thread pass.  Rows
+    # 0 to 3, a whole block at every size, are not positive definite, so their
+    # blocks gather no pixel; the others gather the rest with their determinants.
     protos = _protos(rng, weights=np.array([0.5, 0.3, 0.2]))
     data = sample(WishartModel(protos.sigmas[1], 4), rng, size=(13, 11))
+    data[:4] *= -1.0
     data[7, 5] = oracle.pack(np.diag([1.0, -1.0, 1.0]))  # not positive definite
+    data[10, 3] = oracle.pack(1e308 * ID)  # positive definite, det = inf, inverse NaN
     field = CovarianceField(data)
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 10**9)
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
@@ -415,12 +425,14 @@ def test_results_do_not_depend_on_blocks_or_workers(rng, monkeypatch, tmp_path, 
         got = _split_results(field, protos, tmp_path)
     finally:
         sys.setswitchinterval(interval)
-    assert not got["pd_mask"][7, 5]
+    assert not got["pd_mask"][7, 5] and not got["pd_mask"][:4].any()
+    huge = np.count_nonzero(got["pd_mask"].ravel()[:10 * 11 + 3])  # its row of the stacks
+    assert got["pd_mask"][10, 3] and np.isnan(got["KL stack"][huge]).all()
     for rule in RULES:
-        assert got[rule][7, 5] == 0, rule
-        assert np.all(np.delete(got[rule].ravel(), 7 * 11 + 5) > 0), rule
+        assert got[rule][7, 5] == 0 and not got[rule][:4].any(), rule
+        assert np.all(np.delete(got[rule][4:].ravel(), 3 * 11 + 5) > 0), rule
     for name, value in expected.items():
-        assert np.array_equal(got[name], value), name
+        assert np.array_equal(got[name], value, equal_nan=name.endswith("stack")), name
 
 
 def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
@@ -430,20 +442,20 @@ def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
     data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(6, 5))
     data[5, 4] = oracle.pack(1e-101 * ID)
     field = CovarianceField(data)
-    assert field.pd_mask[5, 4]
+    assert hm.is_positive_definite(field.data)[5, 4]
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 5)  # one row per block
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
     failed_in = []
-    inv_packed = hm.inv_packed
+    inverse = hm._inverse
 
-    def recording(p):
+    def recording(p, det=None):
         try:
-            return inv_packed(p)
+            return inverse(p, det)
         except SingularMatrix:
             failed_in.append(threading.current_thread())
             raise
 
-    monkeypatch.setattr(hm, "inv_packed", recording)
+    monkeypatch.setattr(hm, "_inverse", recording)
     before = threading.active_count()
     with pytest.raises(SingularMatrix, match="det"):
         classify_image(field, protos, "KL")

@@ -503,36 +503,42 @@ def test_pipeline_matches_the_step_by_step_cli(tmp_path, distance):
 
 def test_classify_reads_and_tests_each_pixel_once(tmp_path, monkeypatch):
     # one pass per command: opening the image reads no pixel, and each row
-    # block is read once, PD-tested and scored from that one read
+    # block is read once; classify and render evaluate each pixel's determinant
+    # once, for the PD test and, whatever the rule, for the scores
     base, model = str(tmp_path / "img"), str(tmp_path / "model.txt")
     assert main(["simulate", "--width", "96", "--height", "96", "--out", base]) == 0
     assert main(["train", "--image", base, "--roi", f"{base}_roi.txt", "--out", model]) == 0
     pixels = dataio.read_covariance_image(base).data.reshape(-1, 9)
     tested, read = Counter(), Counter()
-    original_test, original_read = hm.is_positive_definite, dataio._read_rows
+    original_det, original_read = hm.det_packed, dataio._read_rows
 
-    def counting_test(x):  # image blocks arrive as (N, 9) or (rows, 96, 9)
+    def counting_det(x):  # image blocks arrive as (N, 9) or (rows, 96, 9)
         tested.update(pixel.tobytes() for pixel in np.reshape(x, (-1, 9)))
-        return original_test(x)
+        return original_det(x)
 
     def counting_read(path, dtype, width, r0, r1):
         read.update(range(r0, r1))
         return original_read(path, dtype, width, r0, r1)
 
-    monkeypatch.setattr(hm, "is_positive_definite", counting_test)
+    monkeypatch.setattr(hm, "det_packed", counting_det)
     monkeypatch.setattr(dataio, "_read_rows", counting_read)
     dataio.read_covariance_image(base)
     assert not read and not tested
-    for argv in (["classify", "--image", base, "--model", model,
-                  "--out", str(tmp_path / "map")],
-                 ["render", "--image", base, "--model", model,
-                  "--out", str(tmp_path / "img.ppm")]):
+    commands = [["classify", "--image", base, "--model", model, "--rule", rule,
+                 "--out", str(tmp_path / "map")] for rule in RULES]
+    commands.append(["render", "--image", base, "--model", model,
+                     "--out", str(tmp_path / "img.ppm")])
+    for argv in commands:
         tested.clear()
         read.clear()
         assert main(argv) == 0
         assert read == Counter(range(96)), argv[0]  # each of the 96 rows, once
-        # each of the 96 x 96 (distinct) pixels is tested exactly once
-        assert all(tested[pixel.tobytes()] == 1 for pixel in pixels), argv[0]
+        # each of the 96 x 96 (distinct) pixels has its determinant evaluated once
+        assert all(tested[pixel.tobytes()] == 1 for pixel in pixels), argv
+    read.clear()  # evolve PD-tests the planes it builds from one read of the image
+    assert main(["evolve", "--image", base, "--model", model, "--iters", "1",
+                 "--out", str(tmp_path / "evolved")]) == 0
+    assert read == Counter(range(96))
 
 
 def test_train_and_weights_read_only_the_rows_of_the_train_pixels(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polsardr import dataio, fields
+from polsardr import hermitian as hm
 from polsardr.classify import RULES, PrototypeSet, classify_image
 from polsardr.errors import (MalformedHeader, MalformedRoi,
                              NonPositiveDefinitePixelWarning, OutOfBounds,
@@ -135,7 +136,7 @@ def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rn
     assert len(rec) == 1
     assert rec[0].message.count == 7
     assert rec[0].message.first == bad[:5]
-    assert int((~back.pd_mask).sum()) == 7
+    assert int((~hm.is_positive_definite(back.data)).sum()) == 7
 
 
 def test_an_in_memory_field_warns_as_a_read_one(tmp_path, rng):
@@ -199,6 +200,23 @@ def test_classmap_roundtrip(tmp_path, rng):
     dataio.write_classmap(cmap, tmp_path / "m")
     back = dataio.read_classmap(tmp_path / "m")
     np.testing.assert_array_equal(back.labels, labels)
+
+
+@pytest.mark.parametrize("labels", [[[256, -1, 3]], [[1.7, 2.2]], [[np.nan, 1.0]],
+                                    [[np.inf, 1.0]], [[1 + 0j, 2]], [["1", "2"]]])
+def test_classmap_refuses_labels_a_uint8_cast_would_change(labels):
+    # the cast made 256 the no-data 0, -1 the label 255 and 1.7 the label 1
+    with pytest.raises(ValueError, match="integers in 0..255"):
+        ClassMap(np.array(labels))
+
+
+def test_classmap_takes_integer_labels_of_any_type():
+    for labels in ([[0, 255]], np.array([[0, 255]], dtype=np.int64), [[0.0, 255.0]],
+                   [[False, True]]):
+        got = ClassMap(labels).labels
+        assert got.dtype == np.uint8 and got.tolist() == np.array(labels, dtype=int).tolist()
+    held = np.array([[0, 3]], dtype=np.uint8)
+    assert ClassMap(held).labels is held  # the maps the package makes are not copied
 
 
 def test_classmap_size_mismatch(tmp_path, rng):

@@ -174,7 +174,7 @@ def test_no_root_for_dispersion_free_sample(rng):
     assert exc.value.side == "high"
 
 
-def test_from_sample_refuses_non_pd_matrices_with_a_positive_determinant(rng):
+def test_from_sample_refuses_non_pd_matrices_with_a_positive_determinant(rng, monkeypatch):
     # det(diag(-1, -1, 1)) = 1 > 0, so a determinant test lets it through
     m = packed_hpd(rng)
     bad = [oracle.pack(np.diag([-1.0, -1.0, 1.0])), oracle.pack(np.diag([1.0, -2.0, -3.0]))]
@@ -182,7 +182,10 @@ def test_from_sample_refuses_non_pd_matrices_with_a_positive_determinant(rng):
         SampleStats.from_sample(np.stack([m, bad[0], m, bad[1]]))
     with pytest.raises(InvalidObservation, match="^1 sample matrices"):
         SampleStats.from_sample(bad[0])
+    dets, det_packed = [], hm.det_packed
+    monkeypatch.setattr(hm, "det_packed", lambda p: dets.append(np.shape(p)) or det_packed(p))
     stats = SampleStats.from_sample(np.stack([m, 2 * m]))  # PD samples keep their log-dets
+    assert dets == [(2, 9), (9,)]  # one for the PD test and the log-dets, one for the mean
     log_dets = oracle.logdet(oracle.unpack(np.stack([m, 2 * m])))
     assert stats.mean_log_det == pytest.approx(np.mean(log_dets), rel=1e-12)
 

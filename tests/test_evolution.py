@@ -255,14 +255,14 @@ def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
     protos = _protos(rng)
     field = _random_field(rng, 6, 5)
     inverted = []
-    inv_packed = hm.inv_packed
+    inverse = hm._inverse
 
-    def counting(p):
+    def counting(p, det=None):
         if np.shape(p)[0] != protos.n_classes:
             inverted.append(np.shape(p)[0])
-        return inv_packed(p)
+        return inverse(p, det)
 
-    monkeypatch.setattr(hm, "inv_packed", counting)
+    monkeypatch.setattr(hm, "_inverse", counting)
     iterations = 4
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)

@@ -186,6 +186,56 @@ def test_packed_pd_test_rejects_non_finite_entries(seed, entry, value):
     np.testing.assert_array_equal(hm.is_positive_definite(p), [True, False])
 
 
+def _matrix(rng, case):
+    """A complex 3x3 Hermitian matrix of the case, whose verdict eigvalsh gets exactly."""
+    m = make_hpd(rng, scale=10.0 ** rng.uniform(-3, 3))
+    if case == "indefinite":  # eigenvalues of either sign, none within 0.1 of 0
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        lam = rng.uniform(0.1, 10.0, 3) * rng.choice([-1.0, 1.0], 3)
+        lam[0] = -abs(lam[0])
+        m = oracle.hermitian_part((q * lam) @ q.conj().T)
+    elif case == "zero pivot":  # indefinite: the zero diagonal entry keeps its row
+        k = rng.integers(3)
+        m[k, k] = 0.0
+    elif case == "zero first minor or det":  # a zero first or last row and column
+        k = rng.choice([0, 2])
+        m[k, :] = m[:, k] = 0.0
+    elif case == "zero 2x2 minor":  # diagonal: eigvalsh rounds a zero middle row
+        m = np.diag(rng.uniform(0.1, 10.0, 3) * [1.0, 0.0, 1.0]).astype(complex)
+    elif case == "1e308 I":  # det overflows to inf; positive definite all the same
+        m = 1e308 * ID
+    elif case == "non-finite":
+        i, j = rng.integers(3, size=2)
+        m[i, j] = m[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+    return m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1),
+       cases=st.lists(st.sampled_from(["positive definite", "indefinite", "zero pivot",
+                                       "zero first minor or det", "zero 2x2 minor", "1e308 I",
+                                       "non-finite"]), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_pd_kernel_verdict_matches_the_oracle(seed, cases):
+    # the one kernel behind the PD test of a field, a sample, a prototype set and
+    # the scores: its determinant is det_packed's, bit for bit, and its verdict
+    # the oracle's, on its own and where the inverse reads the 2x2 minor
+    rng = np.random.default_rng(seed)
+    m = np.stack([_matrix(rng, case) for case in cases])
+    p, want = oracle.pack(m), oracle.is_positive_definite(m)
+    det, pd = hm._det_pd(p)
+    np.testing.assert_array_equal(det.view(np.uint64), hm.det_packed(p).view(np.uint64))
+    np.testing.assert_array_equal(pd, want)
+    np.testing.assert_array_equal(hm.is_positive_definite(p), want)
+    for k in range(len(cases)):
+        if np.isfinite(p[k]).all() and abs(det[k]) >= hm.DET_TOL:
+            assert hm._inverse(p[k])[2] == want[k] == hm._inverse(p[k], det[k])[2], cases[k]
+        else:
+            with pytest.raises(SingularMatrix):
+                hm._inverse(p[k])
+
+
 def test_component_major_copies_only_other_layouts(rng):
     p = np.stack([packed_hpd(rng) for _ in range(6)]).reshape(2, 3, 9)
     x = hm.component_major(p)
