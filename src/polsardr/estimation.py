@@ -12,6 +12,7 @@ unique root.  The first-order Box-Snell bias estimate is then subtracted.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,21 +57,38 @@ class SampleStats:
                    mean_log_det=float(np.mean(np.log(det))))
 
 
-def polygamma3(order: int, looks) -> np.ndarray | float:
-    """Trivariate polygamma: sum_{i=0}^{2} polygamma(order, looks - i).
+# B_2, B_4, ..., B_14: the asymptotic series below is within 1.2e-14 relative at x >= 10
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _polygamma(order: int, x: float) -> float:
+    """psi^(order)(x) for x > 0: psi^(n)(x) = psi^(n)(x+1) + (-1)^(n+1) n!/x^(n+1)
+    until x >= 10, then the asymptotic series in 1/x."""
+    sign = -1.0 if order % 2 == 0 else 1.0  # (-1)^(n+1)
+    fact = math.factorial(order)
+    head = 0.0
+    while x < 10.0:
+        head += sign * fact / x ** (order + 1)
+        x += 1.0
+    # (-1)^(n+1) [(n-1)!/x^n + n!/(2 x^(n+1)) + sum_k B_2k (2k+n-1)!/((2k)! x^(2k+n))],
+    # with log x in place of the first term for n = 0
+    tail = sum(b * math.factorial(2 * k + order - 1) / (math.factorial(2 * k) * x ** (2 * k + order))
+               for k, b in enumerate(_BERNOULLI, start=1))
+    lead = math.log(x) if order == 0 else sign * math.factorial(order - 1) / x ** order
+    return head + lead + sign * (fact / (2.0 * x ** (order + 1)) + tail)
+
+
+def polygamma3(order: int, looks: float) -> float:
+    """Trivariate polygamma: sum_{i=0}^{2} polygamma(order, looks - i), order 0, 1 or 2.
 
     Requires looks > 2 so that every shifted argument is positive.
     """
-    from scipy.special import polygamma  # deferred: `import polsardr` loads numpy only
-
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    looks = np.asarray(looks, dtype=np.float64)
-    if np.any(looks <= 2):
+    if order not in (0, 1, 2):
+        raise DomainError(f"order must be 0, 1 or 2, got {order}")
+    if not looks > 2:  # NaN fails the test too
         raise DomainError(f"polygamma3 requires looks > 2, got {looks}")
-    out = (polygamma(order, looks) + polygamma(order, looks - 1.0)
-           + polygamma(order, looks - 2.0))
-    return out if out.ndim else float(out)
+    looks = float(looks)
+    return _polygamma(order, looks) + _polygamma(order, looks - 1.0) + _polygamma(order, looks - 2.0)
 
 
 def looks_score(looks: float, stats: SampleStats) -> float:
@@ -79,61 +97,22 @@ def looks_score(looks: float, stats: SampleStats) -> float:
             - stats.log_det_of_mean - polygamma3(0, looks))
 
 
-def _brent_root(f, xpre, xcur, fpre, fcur, xtol, rtol):
-    """Root of f between xpre and xcur, given fpre = f(xpre) > 0 >= fcur = f(xcur).
-
-    scipy's brentq.c step for step, so the root has the bits that
-    ``scipy.optimize.brentq`` returns: inverse quadratic or secant steps while
-    they shrink fast enough, bisection otherwise, until the bracket is within
-    2*delta = xtol + rtol*|x|, in at most brentq's default 100 iterations.  The
-    arithmetic runs on numpy floats, so a flat step divides by zero as C does
-    and falls back to bisection.
-    """
-    xpre, xcur, fpre, fcur = map(np.float64, (xpre, xcur, fpre, fcur))
-    xblk = fblk = spre = scur = np.float64(0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return xcur
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                    spre, scur = scur, stry
-                else:
-                    spre = scur = sbis
-            else:
-                spre = scur = sbis
-            xpre, fpre = xcur, fcur
-            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-            fcur = np.float64(f(xcur))
-    raise RuntimeError("Failed to converge after 100 iterations.")
-
-
 def estimate_looks_ml(stats: SampleStats) -> float:
     lo, hi = LOOKS_BRACKET
-    f_lo = looks_score(lo, stats)
-    f_hi = looks_score(hi, stats)
-    if f_hi > 0:
+    if looks_score(hi, stats) > 0:
         raise NoRoot("looks score positive on the whole bracket "
                      "(near-dispersion-free sample)", side="high")
-    if f_lo <= 0:
+    if looks_score(lo, stats) <= 0:
         raise NoRoot("looks score negative at the bracket bottom "
                      "(sample more dispersed than looks = 3 allows)", side="low")
-    root = _brent_root(lambda x: looks_score(x, stats), lo, hi, f_lo, f_hi,
-                       xtol=1e-10, rtol=8.9e-16)
+    # bisection keeps score(lo) > 0 >= score(hi); at most 47 halvings reach 1e-10
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if looks_score(mid, stats) > 0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
     # One Newton step for the last digits; the slope 3/l - polygamma3(1, l)
     # is strictly negative so the step is well defined.
     slope = 3.0 / root - polygamma3(1, root)
@@ -143,7 +122,7 @@ def estimate_looks_ml(stats: SampleStats) -> float:
 
 def box_snell_bias(looks: float, n: int) -> float:
     """First-order bias of the ML looks estimate for a sample of size n."""
-    if looks <= 2:
+    if not looks > 2:  # NaN fails the test too
         raise DomainError(f"bias formula needs looks > 2, got {looks}")
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")

@@ -681,8 +681,7 @@ def _cold_run(*args, cwd=None):
 
 
 def test_import_and_scipy_free_subcommands_load_no_scipy(tmp_path):
-    # only train, pipeline and the ML rule call scipy, so they alone
-    # pay its import; every polsardr module imports only numpy at top level
+    # every polsardr module imports only the standard library and numpy at top level
     loaded, output = _cold_run("--help")  # imports polsardr.cli and stops
     assert loaded == set()
     assert output[0].startswith("usage: polsardr")
@@ -702,20 +701,23 @@ def test_import_and_scipy_free_subcommands_load_no_scipy(tmp_path):
 
 
 def test_subcommands_that_call_scipy_import_it_cold(tmp_path):
-    # each deferred import runs on its function's first call in a fresh process
-    loaded, _ = _cold_run("simulate", "--width", "96", "--height", "96", "--out", "img",
+    # the subcommands that once called scipy now load none of it in a fresh process
+    # inscribed_rois erodes with numpy
+    loaded, _ = _cold_run("simulate", "--width", "96", "--height", "96", "--out", "sim",
                           cwd=tmp_path)
-    assert loaded == set()  # inscribed_rois erodes with numpy
-    loaded, _ = _cold_run("train", "--image", "img", "--roi", "img_roi.txt",
-                          "--out", "model.txt", cwd=tmp_path)
-    # polygamma3; estimate_looks_ml finds its root without scipy.optimize
-    assert "scipy.special" in loaded and "scipy.optimize" not in loaded
-    loaded, _ = _cold_run("classify", "--image", "img", "--model", "model.txt",
+    assert loaded == set()
+    # polygamma3 is a series and estimate_looks_ml bisects
+    loaded, _ = _cold_run("train", "--image", "sim", "--roi", "sim_roi.txt",
+                          "--out", "sim_model.txt", cwd=tmp_path)
+    assert loaded == set()
+    assert dataio.read_model(tmp_path / "sim_model.txt").n_classes == 3
+    loaded, _ = _cold_run("classify", "--image", "sim", "--model", "sim_model.txt",
                           "--rule", "ML", "--out", "map_ml", cwd=tmp_path)
-    assert "scipy.special" in loaded and "scipy.ndimage" not in loaded  # log_gamma3
-    truth = dataio.read_classmap(tmp_path / "img_truth").labels
-    assert (dataio.read_classmap(tmp_path / "map_ml").labels == truth).mean() > 0.5
+    assert loaded == set()  # log_gamma3 is math.lgamma
+    sim_truth = dataio.read_classmap(tmp_path / "sim_truth").labels
+    assert (dataio.read_classmap(tmp_path / "map_ml").labels == sim_truth).mean() > 0.5
     (tmp_path / "exp.cfg").write_text("width: 96\nheight: 96\niterations: 2\nrules: ML\n"
                                       "outdir: run\n")
     loaded, _ = _cold_run("pipeline", "--config", "exp.cfg", cwd=tmp_path)
-    assert "scipy.special" in loaded and not {"scipy.ndimage", "scipy.optimize"} & loaded
+    assert loaded == set()
+    assert "ML" in (tmp_path / "run" / "report.txt").read_text()

@@ -2,19 +2,20 @@
 
 The polygamma oracles below are built from scratch (Euler-Mascheroni plus
 harmonic recurrences, pi^2/6, and a partial-sum Apery constant) so they are
-independent of the scipy-backed implementation.
+independent of the series in ``polygamma3``; ``scipy.special`` and
+``scipy.optimize.brentq`` are the oracles on random arguments.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polsardr import hermitian as hm
 from polsardr.errors import DomainError, EmptySample, InvalidObservation, NoRoot
-from polsardr.estimation import (LOOKS_BRACKET, SampleStats, _brent_root, box_snell_bias,
+from polsardr.estimation import (LOOKS_BRACKET, SampleStats, box_snell_bias,
                                  estimate_looks_corrected, estimate_looks_ml, looks_score,
                                  polygamma3)
 from polsardr.distances import log_gamma3
@@ -105,7 +106,22 @@ def test_polygamma3_domain():
     with pytest.raises(DomainError):
         polygamma3(0, 2.0)
     with pytest.raises(DomainError):
+        polygamma3(0, math.nan)
+    with pytest.raises(DomainError):
         polygamma3(-1, 4.0)
+
+
+@given(order=st.integers(0, 2), looks=st.floats(2.0, 1e6, exclude_min=True))
+@example(order=0, looks=2.0 + 1e-15)  # just above 2: psi(looks - 2) ~ -1/(looks - 2)
+@example(order=2, looks=np.nextafter(2.0, 3.0))  # the smallest looks allowed
+@example(order=0, looks=3.4616321449683623)  # psi(looks - 2) = 0
+@example(order=1, looks=12.0)  # no recurrence step for any shift
+@settings(max_examples=300, deadline=None)
+def test_polygamma3_matches_scipy(order, looks):
+    from scipy.special import polygamma
+
+    want = float(sum(polygamma(order, looks - i) for i in range(3)))
+    assert abs(polygamma3(order, looks) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_polygamma3_is_derivative_of_log_gamma3():
@@ -140,20 +156,18 @@ def test_estimate_looks_ml_consistency():
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 500), looks=st.integers(3, 40))
 @settings(max_examples=60, deadline=None)
-def test_looks_root_is_scipy_brentq_bit_for_bit(seed, n, looks):
-    # the ported Brent search keeps model.txt's class looks to the bit
+def test_looks_root_matches_scipy_brentq(seed, n, looks):
+    # bisection to xtol = 1e-10 and one Newton step land where brentq and the same step do
     from scipy.optimize import brentq
 
     rng = np.random.default_rng(seed)
     model = WishartModel(packed_hpd(rng, scale=rng.uniform(0.1, 10.0)), looks)
     stats = SampleStats.from_sample(sample(model, rng, size=n))
     lo, hi = LOOKS_BRACKET
-    f_lo, f_hi = looks_score(lo, stats), looks_score(hi, stats)
-    assume(f_lo > 0 >= f_hi)  # otherwise estimate_looks_ml raises NoRoot first
+    assume(looks_score(lo, stats) > 0 >= looks_score(hi, stats))  # otherwise NoRoot
     want = brentq(looks_score, lo, hi, args=(stats,), xtol=1e-10, rtol=8.9e-16)
-    got = _brent_root(lambda x: looks_score(x, stats), lo, hi, f_lo, f_hi,
-                      xtol=1e-10, rtol=8.9e-16)
-    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    want -= looks_score(want, stats) / (3.0 / want - polygamma3(1, want))
+    assert estimate_looks_ml(stats) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_looks_score_reads_the_log_det_of_the_mean_once(rng, monkeypatch):
@@ -226,6 +240,8 @@ def test_box_snell_scales_inversely_with_n():
 def test_box_snell_domain():
     with pytest.raises(DomainError):
         box_snell_bias(2.0, 100)
+    with pytest.raises(DomainError):
+        box_snell_bias(math.nan, 10)
     with pytest.raises(DomainError):
         box_snell_bias(4.0, 0)
 

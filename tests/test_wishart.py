@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polsardr import hermitian as hm
 from polsardr.errors import InvalidLooks, InvalidObservation
@@ -38,6 +40,18 @@ def test_log_gamma3_against_stdlib():
         assert log_gamma3(looks) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(InvalidLooks):
         log_gamma3(2.9)
+    with pytest.raises(InvalidLooks):
+        log_gamma3(math.nan)
+
+
+@given(looks=st.floats(3.0, 1e8))
+@example(looks=3.0)  # Gamma(1) = Gamma(2) = 1
+@settings(max_examples=300, deadline=None)
+def test_log_gamma3_matches_scipy(looks):
+    from scipy.special import gammaln
+
+    want = float(3.0 * np.log(np.pi) + sum(gammaln(looks - i) for i in range(3)))
+    assert abs(log_gamma3(looks) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_log_density_identity_three_looks():
