@@ -120,17 +120,40 @@ def distance_stack(x, protos: PrototypeSet, kind: str, use_class_looks: bool = F
     if kind not in STACK_KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {STACK_KINDS})")
     out = _stack(_features(hm.component_major(x), kind), protos, kind, use_class_looks, weighted)
-    return out.reshape(np.shape(x)[:-1] + (protos.n_classes,))
+    return np.ascontiguousarray(out.T).reshape(np.shape(x)[:-1] + (protos.n_classes,))
 
 
-def _stack(pixels: tuple, protos: PrototypeSet, kind: str, use_class_looks, weighted):
-    """distance_stack's (N, M) scores from the features (``distances._features``) of N pixels."""
-    out = np.empty((pixels[0].shape[0], protos.n_classes))
+def _stack(pixels: tuple, protos: PrototypeSet, kind: str, use_class_looks=False,
+           weighted=False) -> np.ndarray:
+    """Class-major (M, N) scores from the features (``distances._features``) of N
+    pixels: row m, contiguous, is column m of distance_stack's C-order stack."""
+    out = np.empty((protos.n_classes, next(f for f in pixels if f is not None).shape[0]))
     for m in range(protos.n_classes):
         proto = (protos.sigmas[m], protos._inverse[m], protos._log_det[m])
         col = _score(kind, pixels, proto, protos.looks_for(m, use_class_looks))
-        out[:, m] = protos.weights[m] * col if weighted else col
+        out[m] = protos.weights[m] * col if weighted else col
     return out
+
+
+def _nearest(scores: np.ndarray):
+    """Labels (0-based), nearest and runner-up of class-major (M, N) scores.
+
+    One elementwise chain over the class rows with a strict <, so the lowest
+    index wins ties; a pixel with a NaN score (nearest NaN) takes np.argmin's
+    label, so the labels are np.argmin's over the classes.
+    """
+    d0, d1 = scores[0], scores[1]
+    labels = (d1 < d0).astype(np.intp)
+    nearest, runner_up = np.minimum(d0, d1), np.maximum(d0, d1)
+    for m in range(2, scores.shape[0]):
+        d = scores[m]
+        np.minimum(runner_up, np.maximum(nearest, d), out=runner_up)
+        np.copyto(labels, m, where=d < nearest)
+        np.minimum(nearest, d, out=nearest)
+    nan = np.isnan(nearest)  # every comparison with a NaN is False
+    if nan.any():
+        labels[nan] = np.argmin(scores[:, nan], axis=0)
+    return labels, nearest, runner_up
 
 
 def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
@@ -154,9 +177,10 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
         if not ok.all():  # a block of PD pixels only is scored without this copy
             x, det = x.T[:, ok].T, det[ok]
         if x.size:  # the features take the block's det rather than evaluate it again
-            pixels, det = _features(x, kind, det), None  # and it is freed before the scores
+            pixels = _features(x, kind, det)
+            x = det = None  # what the features do not keep is freed before the scores
             scores = _stack(pixels, protos, kind, use_class_looks, kind != rule)
-            labels[r0:r1][ok.reshape(r1 - r0, -1)] = np.argmin(scores, axis=-1).astype(np.uint8) + 1
+            labels[r0:r1][ok.reshape(r1 - r0, -1)] = _nearest(scores)[0].astype(np.uint8) + 1
 
     with row_blocks("classify_image", field.height, field.width) as each_block:
         each_block(label_rows)

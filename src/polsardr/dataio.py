@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
+from . import fields, hermitian as hm
 from .classify import PrototypeSet, distance_stack
-from . import hermitian as hm
 from .errors import MalformedHeader, MalformedRoi, OutOfBounds, SizeMismatch
 from .fields import ClassMap, CovarianceField, RoiSet, Split, row_blocks, warn_non_pd
 
@@ -56,26 +56,32 @@ def key_value_lines(path, error=MalformedHeader):
 
 def _read_header(path):
     try:
-        fields = {key: value for _, key, value in key_value_lines(path)}
-        width = int(fields["width"])
-        height = int(fields["height"])
-        dtype = fields["dtype"]
-        looks = float(fields["looks"]) if "looks" in fields else None
+        entries = {key: value for _, key, value in key_value_lines(path)}
+        width = int(entries["width"])
+        height = int(entries["height"])
+        dtype = entries["dtype"]
+        looks = float(entries["looks"]) if "looks" in entries else None
     except (KeyError, ValueError) as exc:
         raise MalformedHeader(f"{path}: {exc!r}") from exc
     if width < 1 or height < 1:
         raise MalformedHeader(f"{path}: bad dimensions {width}x{height}")
     if dtype not in _DTYPES:
         raise MalformedHeader(f"{path}: unknown dtype {dtype!r}")
-    if fields.get("byte_order", "little") != "little":
+    if entries.get("byte_order", "little") != "little":
         raise MalformedHeader(f"{path}: only little-endian data is supported")
     return width, height, dtype, looks
 
 
 def write_covariance_image(field: CovarianceField, base) -> None:
-    """Write f64 pixels (``read_covariance_image`` reads f32 too)."""
+    """Write f64 pixels (``read_covariance_image`` reads f32 too) in contiguous
+    chunks of about ``fields.BLOCK_PIXELS`` pixels from ``field.rows``, so a
+    strided field (``evolve``'s) writes fast and a read field is not loaded."""
     _write_header(f"{base}.hdr", field.width, field.height, "f64", looks=field.looks)
-    field.data.astype(_DTYPES["f64"], copy=False).tofile(f"{base}.dat")
+    step = max(fields.BLOCK_PIXELS // field.width, 1)
+    with open(f"{base}.dat", "wb") as f:
+        for r0 in range(0, field.height, step):
+            rows = field.rows(r0, min(r0 + step, field.height))
+            np.ascontiguousarray(rows, dtype=_DTYPES["f64"]).tofile(f)
 
 
 def _read_rows(path, dtype: str, width: int, r0: int, r1: int) -> np.ndarray:

@@ -41,7 +41,7 @@ def _features(x, kind: str, det=None) -> tuple:
         inv, (det, pd) = None, hm._det_pd(x, det)
     if not np.all(pd):  # det = inf (1e308 I) passes, with a NaN inverse and NaN scores
         raise InvalidObservation("matrix is not positive definite")
-    return x, inv, None if kind == "KL" else np.log(det)
+    return x if kind in ("KL", "ML") else None, inv, None if kind == "KL" else np.log(det)
 
 
 def _score(kind: str, x: tuple, p: tuple, looks: float) -> np.ndarray:

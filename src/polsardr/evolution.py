@@ -22,7 +22,8 @@ from functools import partial
 import numpy as np
 
 from . import hermitian as hm
-from .classify import KINDS, PrototypeSet, distance_stack
+from .classify import KINDS, PrototypeSet, _nearest, _stack
+from .distances import _features
 from .errors import InvalidObservation, StabilityViolation
 from .fields import CovarianceField, row_blocks
 
@@ -85,64 +86,60 @@ def _diffuse(x: np.ndarray, r0: int, r1: int, params: EvolutionParams,
 
     Reads one row of x above and one below the band.  The neighbours are
     summed up, down, left, right for every pixel, so a band gets the same
-    bits as the whole field.
+    bits as the whole field.  The passes run one entry plane at a time, so
+    that a band's plane stays in cache between them.
     """
     h = x.shape[1]
-    xb = x[:, r0:r1]
-    if r0 > 0:
-        out[...] = x[:, r0 - 1:r1 - 1]
-    else:
-        out[:, 0] = x[:, 0]
-        out[:, 1:] = x[:, :r1 - 1]
-    if r1 < h:
-        out += x[:, r0 + 1:r1 + 1]
-    else:
-        out[:, :-1] += x[:, r0 + 1:]
-        out[:, -1] += x[:, -1]
-    out[:, :, 1:] += xb[:, :, :-1]
-    out[:, :, 0] += xb[:, :, 0]
-    out[:, :, :-1] += xb[:, :, 1:]
-    out[:, :, -1] += xb[:, :, -1]
-    out -= 4.0 * xb
-    out *= params.alpha * params.dt
-    out += xb
+    for p, o in zip(x, out):
+        pb = p[r0:r1]
+        if r0 > 0:
+            o[...] = p[r0 - 1:r1 - 1]
+        else:
+            o[0] = p[0]
+            o[1:] = p[:r1 - 1]
+        if r1 < h:
+            o += p[r0 + 1:r1 + 1]
+        else:
+            o[:-1] += p[r0 + 1:]
+            o[-1] += p[-1]
+        o[:, 1:] += pb[:, :-1]
+        o[:, 0] += pb[:, 0]
+        o[:, :-1] += pb[:, 1:]
+        o[:, -1] += pb[:, -1]
+        o -= 4.0 * pb
+        o *= params.alpha * params.dt
+        o += pb
 
 
-def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str):
-    """Labels (0-based), nearest and runner-up weighted distances of packed pixels.
+def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str, det=None):
+    """Labels (0-based), nearest and runner-up weighted distances of component-major
+    (N, 9) pixels (``classify._nearest``), whose determinants, when given, are det.
 
-    One elementwise pass over the class columns; the lowest index wins ties,
-    as with np.argmin.  The reaction needs a distance, so "ML" is refused.
+    The reaction needs a distance, so "ML" is refused.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
-    stack = distance_stack(x, protos, kind, weighted=True)
-    d0, d1 = stack[..., 0], stack[..., 1]
-    labels = (d1 < d0).astype(np.intp)
-    nearest, runner_up = np.minimum(d0, d1), np.maximum(d0, d1)
-    for m in range(2, protos.n_classes):
-        d = stack[..., m]
-        runner_up = np.minimum(runner_up, np.maximum(nearest, d))
-        labels[d < nearest] = m
-        nearest = np.minimum(nearest, d)
-    return labels, nearest, runner_up
+    return _nearest(_stack(_features(x, kind, det), protos, kind, weighted=True))
 
 
 def _react(pixels: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> None:
     """Contract packed (N, 9) pixels in place toward the prototypes their assignment names."""
     labels, d1, d2 = assignments
     factor = np.exp(dt * (d1 - d2))
+    columns = np.ascontiguousarray(protos.sigmas.T)  # each entry's M values, for take
     for k in range(9):
-        anchor = protos.sigmas[labels, k]
+        anchor = columns[k].take(labels)
         entry = pixels[:, k]
         entry -= anchor
         entry *= factor
         entry += anchor
 
 
-def _assign_band(protos, kind, x, labels, nearest, r0, r1) -> None:
-    """Write the labels and nearest distances of rows r0:r1 of planes x."""
-    band_labels, band_nearest, _ = _assignments(_pixels(x[:, r0:r1]), protos, kind)
+def _assign_band(protos, kind, x, labels, nearest, det, r0, r1) -> None:
+    """Write the labels and nearest distances of rows r0:r1 of planes x, whose
+    (H, W) determinants are det when it is not None."""
+    band_det = None if det is None else det[r0:r1].reshape(-1)
+    band_labels, band_nearest, _ = _assignments(_pixels(x[:, r0:r1]), protos, kind, band_det)
     labels[r0:r1] = band_labels.reshape(r1 - r0, -1)
     nearest[r0:r1] = band_nearest.reshape(r1 - r0, -1)
 
@@ -153,7 +150,7 @@ def _evolve_band(protos, params, kind, x, y, labels, nearest, r0, r1) -> None:
     _diffuse(x, r0, r1, params, yb)
     pixels = _pixels(yb)
     _react(pixels, protos, params.dt, _assignments(pixels, protos, kind))
-    _assign_band(protos, kind, y, labels, nearest, r0, r1)
+    _assign_band(protos, kind, y, labels, nearest, None, r0, r1)
 
 
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
@@ -192,18 +189,20 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     every band, a band reading one row of the previous state above and below
     it, and waits for all bands before the next.  The bands run the helpers of
     diffusion_step and reaction_step and every pixel is inverted once per
-    state, so the result does not depend on the number of bands.
+    state, so the result does not depend on the number of bands.  The
+    initial state's determinants come from its positive-definiteness check.
     """
     x = _planes(field.data)
-    if not np.all(hm.is_positive_definite(_pixels(x))):  # no copy: each entry is contiguous
+    h, w = x.shape[1:]
+    det, pd = hm._det_pd(_pixels(x))  # no copy: each entry is contiguous
+    if not np.all(pd):
         raise InvalidObservation("initial field has non-positive-definite pixels")
     y = np.empty_like(x)
-    h, w = x.shape[1:]
     labels, prev = np.empty((2, h, w), dtype=np.intp)
     nearest = np.empty((h, w))
     iters, changed = [0], [0.0]
     with row_blocks("evolve", h, w) as each_band:
-        each_band(partial(_assign_band, protos, kind, x, labels, nearest))
+        each_band(partial(_assign_band, protos, kind, x, labels, nearest, det.reshape(h, w)))
         mean_dist = [float(nearest.mean())]
         for n in range(1, params.iterations + 1):
             labels, prev = prev, labels

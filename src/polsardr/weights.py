@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .classify import KINDS, PrototypeSet, distance_stack
+from .classify import KINDS, PrototypeSet, _stack
+from .distances import _features
 from .errors import InvalidObservation, NonFiniteEnergy
 
 FD_STEP = 1e-6
@@ -55,27 +56,30 @@ class TrainingSet:
     """Class prototypes and per-class training samples.
 
     ``samples[m]`` holds the packed (n_m, 9) covariance observations of class
-    m; distances are evaluated unweighted at ``protos.shared_looks``.
+    m, component-major, and their PD test's determinants serve the distances,
+    which are evaluated unweighted at ``protos.shared_looks``.
     """
 
     protos: PrototypeSet
     samples: list[np.ndarray]
 
     def __post_init__(self):
-        self.samples = [hm._packed(s).reshape(-1, 9) for s in self.samples]
+        self.samples = [hm.component_major(s) for s in self.samples]
         if len(self.samples) != self.protos.n_classes:
             raise ValueError("one sample block per class required")
         if any(s.shape[0] < 1 for s in self.samples):
             raise ValueError("every class needs at least one training sample")
-        if not all(np.all(hm.is_positive_definite(s)) for s in self.samples):
+        self._dets, pd = zip(*(hm._det_pd(s) for s in self.samples))
+        if not all(np.all(ok) for ok in pd):
             raise InvalidObservation("training samples must be positive definite")
 
 
 def distance_tables(train: TrainingSet, kind: str) -> list[np.ndarray]:
-    """tables[m][k, m'] = d(sample k of class m, prototype m'); weight-independent."""
+    """tables[m][k, m'] = d(sample k of class m, prototype m'), C order; weight-independent."""
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
-    return [distance_stack(s, train.protos, kind) for s in train.samples]
+    return [np.ascontiguousarray(_stack(_features(s, kind, det), train.protos, kind).T)
+            for s, det in zip(train.samples, train._dets)]
 
 
 def _energy(weights: np.ndarray, tables: list[np.ndarray], lam: float) -> float:

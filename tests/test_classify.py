@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polsardr import fields
 from polsardr import hermitian as hm
-from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, classify_image,
-                               distance_stack)
+from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, _nearest,
+                               classify_image, distance_stack)
 from polsardr.dataio import render_rgb
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
@@ -395,6 +396,27 @@ def _split_results(field, protos, tmp_path):
             **{f"{kind} stack": distance_stack(x, protos, kind) for kind in STACK_KINDS},
             "KL+OW component-major stack": distance_stack(np.asfortranarray(x), protos,
                                                           "KL", weighted=True)}
+
+
+# few distinct values, so that ties are common; NaN and the infinities anywhere
+_SCORES = st.sampled_from([0.0, 1.0, 2.0, -3.5, np.inf, -np.inf, np.nan]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(2, 12), n=st.integers(1, 30), class_major=st.booleans())
+def test_nearest_class_is_argmin_and_the_two_smallest(data, m, n, class_major):
+    # the chain over the class rows gives np.argmin's labels, NaN rows
+    # included, from C- or F-ordered class-major scores; without a NaN, the
+    # nearest and the runner-up are the two smallest scores
+    table = data.draw(hnp.arrays(np.float64, (n, m), elements=_SCORES))
+    scores = np.ascontiguousarray(table.T) if class_major else table.T
+    labels, nearest, runner_up = _nearest(scores)
+    np.testing.assert_array_equal(labels, np.argmin(table, axis=-1))
+    clean = ~np.isnan(table).any(axis=-1)
+    assert np.isnan(nearest[~clean]).all()
+    two_smallest = np.sort(table[clean], axis=-1)[:, :2]
+    np.testing.assert_array_equal(nearest[clean], two_smallest[:, 0])
+    np.testing.assert_array_equal(runner_up[clean], two_smallest[:, 1])
 
 
 # the 1e308 I pixel overflows its determinant and scores NaN (its render colour too)

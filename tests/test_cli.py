@@ -541,6 +541,39 @@ def test_classify_reads_and_tests_each_pixel_once(tmp_path, monkeypatch):
     assert read == Counter(range(96))
 
 
+def test_evolve_and_weights_evaluate_each_determinant_once(tmp_path, monkeypatch):
+    # evolve's entry check hands its determinants to the first assignment, and
+    # the training set's PD test hands its own to the weights' distance tables
+    base, model = str(tmp_path / "img"), str(tmp_path / "model.txt")
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--width", "96", "--height", "96", "--out", base]) == 0
+    assert main(["train", "--image", base, "--roi", f"{base}_roi.txt", "--out", model]) == 0
+    field = dataio.read_covariance_image(base)
+    pixels = field.data.reshape(-1, 9)
+    split = read_split(f"{base}_roi.txt", 42, field)
+    train = np.concatenate([field.data[tuple(split.train[c].T)] for c in split.classes])
+    tested, original_det = Counter(), hm.det_packed
+
+    def counting_det(x):
+        tested.update(pixel.tobytes() for pixel in np.reshape(x, (-1, 9)))
+        return original_det(x)
+
+    monkeypatch.setattr(hm, "det_packed", counting_det)
+    assert main(["evolve", "--image", base, "--model", model, "--iters", "1",
+                 "--out", str(tmp_path / "evolved")]) == 0
+    # each of the 96 x 96 (distinct) pixels of the initial state, once
+    assert all(tested[pixel.tobytes()] == 1 for pixel in pixels)
+    tested.clear()
+    assert main(["weights", "--image", base, "--roi", f"{base}_roi.txt", "--model", model,
+                 "--trace", str(trace)]) == 0
+    assert len(train) == 1251 and all(tested[pixel.tobytes()] == 1 for pixel in train)
+    # the same bytes as the pinned 96 x 96 pipeline (tests/digests.json)
+    pinned = json.loads((ROOT / "tests" / "digests.json").read_text())
+    for path, name in [(model, "model.txt"), (trace, "weights_trace.csv")]:
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert digest == pinned[f"shared/{name}"], name
+
+
 def test_train_and_weights_read_only_the_rows_of_the_train_pixels(tmp_path, monkeypatch):
     # they gather a few thousand ROI pixels through ``rows``: ``data`` would
     # load the whole image.  The model equals the one of the image held in memory.

@@ -44,6 +44,34 @@ def test_covariance_roundtrip_f32(tmp_path, rng):
     np.testing.assert_allclose(back.data, field.data, rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("block", [10, 35, 10**6])  # 2-row chunks, 7, and one chunk
+def test_write_is_chunked_and_writes_the_bytes_of_one_contiguous_copy(tmp_path, rng,
+                                                                       monkeypatch, block):
+    # a strided field (the planes view that evolve returns) and a read f32
+    # field write the bytes of one contiguous f64 copy; the read field's
+    # pixels are read in chunks through rows and never loaded whole
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", block)
+    data = _random_field(rng, 7, 5).data
+    planes = np.moveaxis(data, -1, 0).copy()
+    strided = CovarianceField(np.moveaxis(planes, 0, -1), looks=4.0)
+    assert not strided.data.flags.c_contiguous
+    dataio.write_covariance_image(strided, tmp_path / "s")
+    np.ascontiguousarray(strided.data, "<f8").tofile(tmp_path / "want_s.dat")
+    assert (tmp_path / "s.dat").read_bytes() == (tmp_path / "want_s.dat").read_bytes()
+
+    dataio.write_covariance_image(strided, tmp_path / "f")
+    header = tmp_path / "f.hdr"
+    header.write_text(header.read_text().replace("dtype: f64", "dtype: f32"))
+    data.astype("<f4").tofile(tmp_path / "f.dat")
+    read = dataio.read_covariance_image(tmp_path / "f")
+    dataio.write_covariance_image(read, tmp_path / "r")
+    assert read._data is None
+    want = dataio.read_covariance_image(tmp_path / "f").data
+    np.ascontiguousarray(want, "<f8").tofile(tmp_path / "want_r.dat")
+    assert (tmp_path / "r.dat").read_bytes() == (tmp_path / "want_r.dat").read_bytes()
+    assert (tmp_path / "r.hdr").read_text() == (tmp_path / "s.hdr").read_text()
+
+
 def test_single_pixel_layout(tmp_path):
     field = CovarianceField(oracle.pack(np.eye(3, dtype=complex))[None, None])
     dataio.write_covariance_image(field, tmp_path / "i")
@@ -191,6 +219,32 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
     assert peak < field.data.nbytes / 4, peak
     assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
     assert back._data is None  # nothing loaded the whole image
+
+
+def test_hd_holds_about_as_much_as_kl_on_a_read_image(tmp_path, monkeypatch):
+    # HD and BD read only the inverse and the log-det of a pixel, so a block
+    # frees its component-major copy before the scores: the traced peak of an
+    # HD pass stays within half a block's packed pixels of a KL pass, which
+    # keeps the copy and the inverse.  Kept, the copy put HD 1.35 blocks above.
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 9000)  # 30 rows of 300 pixels
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)  # one block at a time
+    spec = PhantomSpec(width=300, height=300, seed=11)
+    field, _ = generate_phantom(spec)
+    dataio.write_covariance_image(field, tmp_path / "img")
+    protos = PrototypeSet(spec.sigmas, shared_looks=4.0)
+    back = dataio.read_covariance_image(tmp_path / "img")
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for rule in ("KL", "HD", "KL", "HD"):  # the second pass of each counts
+            tracemalloc.reset_peak()
+            classify_image(back, protos, rule)
+            peaks[rule] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 9000 * 9 * 8
+    assert peaks["HD"] < peaks["KL"] + block_bytes / 2, (peaks, block_bytes)
+    assert back._data is None
 
 
 def test_classmap_roundtrip(tmp_path, rng):

@@ -317,7 +317,7 @@ def test_evolve_raises_a_worker_band_error_and_joins_the_pool(rng, monkeypatch):
     # no pool thread outlives the call
     protos = _protos(rng)
     field = _random_field(rng, 6, 5)
-    kernel = evolution.distance_stack
+    kernel = evolution._stack  # the class-major stack that the bands score with
 
     def failing_off_the_main_thread(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
@@ -325,7 +325,7 @@ def test_evolve_raises_a_worker_band_error_and_joins_the_pool(rng, monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(evolution, "distance_stack", failing_off_the_main_thread)
+    monkeypatch.setattr(evolution, "_stack", failing_off_the_main_thread)
     before = threading.active_count()
     with pytest.raises(SingularMatrix, match="worker band"):
         evolve(field, protos, EvolutionParams(iterations=3), "KL")
