@@ -1,7 +1,7 @@
 """Closed-form stochastic distances between scaled complex Wishart laws.
 
 ``_score`` holds each kind's formula once, on packed ``(..., 9)`` arrays:
-``classify.distance_stack`` calls it per class column, ``wishart.log_density``
+``classify._stack`` calls it once per class row, ``wishart.log_density``
 negates its ML score, and the pairwise functions wrap it for two packed
 arguments.  The distances are symmetric, nonnegative, and zero iff the
 covariances coincide (they are not metrics: no triangle inequality is claimed).

@@ -137,7 +137,8 @@ def _react(pixels: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> 
 
 def _assign_band(protos, kind, x, labels, nearest, det, r0, r1) -> None:
     """Write the labels and nearest distances of rows r0:r1 of planes x, whose
-    (H, W) determinants are det when it is not None."""
+    (H, W) determinants are det when it is not None.  det may be nearest: a
+    band reads its rows of det before it writes them."""
     band_det = None if det is None else det[r0:r1].reshape(-1)
     band_labels, band_nearest, _ = _assignments(_pixels(x[:, r0:r1]), protos, kind, band_det)
     labels[r0:r1] = band_labels.reshape(r1 - r0, -1)
@@ -199,10 +200,10 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
         raise InvalidObservation("initial field has non-positive-definite pixels")
     y = np.empty_like(x)
     labels, prev = np.empty((2, h, w), dtype=np.intp)
-    nearest = np.empty((h, w))
+    nearest, pd = det.reshape(h, w), None  # the first assignment overwrites det
     iters, changed = [0], [0.0]
     with row_blocks("evolve", h, w) as each_band:
-        each_band(partial(_assign_band, protos, kind, x, labels, nearest, det.reshape(h, w)))
+        each_band(partial(_assign_band, protos, kind, x, labels, nearest, nearest))
         mean_dist = [float(nearest.mean())]
         for n in range(1, params.iterations + 1):
             labels, prev = prev, labels
