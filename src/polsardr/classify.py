@@ -180,6 +180,7 @@ def classify_image(field: CovarianceField, protos: PrototypeSet, rule: str,
             pixels = _features(x, kind, det)
             x = det = None  # what the features do not keep is freed before the scores
             scores = _stack(pixels, protos, kind, use_class_looks, kind != rule)
+            pixels = None  # and the features before the labels
             labels[r0:r1][ok.reshape(r1 - r0, -1)] = _nearest(scores)[0].astype(np.uint8) + 1
 
     with row_blocks("classify_image", field.height, field.width) as each_block:

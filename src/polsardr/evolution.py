@@ -135,14 +135,22 @@ def _react(pixels: np.ndarray, protos: PrototypeSet, dt: float, assignments) -> 
         entry += anchor
 
 
-def _assign_band(protos, kind, x, labels, nearest, det, r0, r1) -> None:
+def _assign_band(protos, kind, x, labels, nearest, r0, r1, det=None) -> None:
     """Write the labels and nearest distances of rows r0:r1 of planes x, whose
-    (H, W) determinants are det when it is not None.  det may be nearest: a
-    band reads its rows of det before it writes them."""
-    band_det = None if det is None else det[r0:r1].reshape(-1)
-    band_labels, band_nearest, _ = _assignments(_pixels(x[:, r0:r1]), protos, kind, band_det)
+    determinants, when given, are det."""
+    band_labels, band_nearest, _ = _assignments(_pixels(x[:, r0:r1]), protos, kind, det)
     labels[r0:r1] = band_labels.reshape(r1 - r0, -1)
     nearest[r0:r1] = band_nearest.reshape(r1 - r0, -1)
+
+
+def _enter_band(field, protos, kind, x, labels, nearest, r0, r1) -> None:
+    """Fill rows r0:r1 of planes x from field.rows, PD-test them and assign them."""
+    xb = x[:, r0:r1]
+    xb[...] = np.moveaxis(field.rows(r0, r1), -1, 0)
+    det, pd = hm._det_pd(_pixels(xb))  # no copy: each entry is contiguous
+    if not np.all(pd):
+        raise InvalidObservation("initial field has non-positive-definite pixels")
+    _assign_band(protos, kind, x, labels, nearest, r0, r1, det)
 
 
 def _evolve_band(protos, params, kind, x, y, labels, nearest, r0, r1) -> None:
@@ -151,7 +159,7 @@ def _evolve_band(protos, params, kind, x, y, labels, nearest, r0, r1) -> None:
     _diffuse(x, r0, r1, params, yb)
     pixels = _pixels(yb)
     _react(pixels, protos, params.dt, _assignments(pixels, protos, kind))
-    _assign_band(protos, kind, y, labels, nearest, None, r0, r1)
+    _assign_band(protos, kind, y, labels, nearest, r0, r1)
 
 
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
@@ -190,20 +198,17 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     every band, a band reading one row of the previous state above and below
     it, and waits for all bands before the next.  The bands run the helpers of
     diffusion_step and reaction_step and every pixel is inverted once per
-    state, so the result does not depend on the number of bands.  The
-    initial state's determinants come from its positive-definiteness check.
+    state, so the result does not depend on the number of bands.  The first
+    pass reads each band through ``field.rows`` and PD-tests it, and the
+    test's determinants serve its first assignment.
     """
-    x = _planes(field.data)
-    h, w = x.shape[1:]
-    det, pd = hm._det_pd(_pixels(x))  # no copy: each entry is contiguous
-    if not np.all(pd):
-        raise InvalidObservation("initial field has non-positive-definite pixels")
-    y = np.empty_like(x)
-    labels, prev = np.empty((2, h, w), dtype=np.intp)
-    nearest, pd = det.reshape(h, w), None  # the first assignment overwrites det
+    h, w = field.height, field.width
+    x, y = np.empty((9, h, w)), np.empty((9, h, w))
+    labels, prev = np.empty((2, h, w), dtype=np.uint8)  # MAX_CLASSES labels fit
+    nearest = np.empty((h, w))
     iters, changed = [0], [0.0]
     with row_blocks("evolve", h, w) as each_band:
-        each_band(partial(_assign_band, protos, kind, x, labels, nearest, nearest))
+        each_band(partial(_enter_band, field, protos, kind, x, labels, nearest))
         mean_dist = [float(nearest.mean())]
         for n in range(1, params.iterations + 1):
             labels, prev = prev, labels

@@ -90,20 +90,21 @@ class CovarianceField:
 
     Pixels are packed as on disk, float64, each [C11, C22, C33, Re C12, Im C12,
     Re C13, Im C13, Re C23, Im C23]; a complex array is refused.
-    ``rows(r0, r1)`` gives rows r0..r1-1, ``data`` the whole (height, width, 9)
-    array.  A field built from an array holds it.  One built by ``from_rows``
-    (``dataio.read_covariance_image``) holds no pixels until ``data`` reads and
-    keeps them all; until then ``rows`` reads its rows on each call, so
-    row-block work holds a block per worker, not the image.  ``looks`` carries
-    the equivalent number of looks when known (e.g. from an image header).
+    ``rows(r0, r1)`` gives rows r0..r1-1 and is safe to call from several
+    threads at once: a field built from an array slices it, and one built by
+    ``from_rows`` (``dataio.read_covariance_image``) reads the rows on each
+    call, so row-block work holds a block per worker, not the image.  ``data``
+    is ``rows(0, height)``, the whole (height, width, 9) array; it keeps
+    nothing.  ``looks`` carries the equivalent number of looks when known
+    (e.g. from an image header).
     """
 
     def __init__(self, data, looks: float | None = None):
         data = np.asarray(data)
         if np.iscomplexobj(data) or data.ndim != 3 or data.shape[2] != 9:
             raise ValueError(f"expected packed (H, W, 9) data, got {data.dtype} {data.shape}")
-        self._data = data.astype(np.float64, copy=False)
-        self._read_rows = None
+        data = data.astype(np.float64, copy=False)
+        self.rows = lambda r0, r1: data[r0:r1]
         self.height, self.width = data.shape[:2]
         self.looks = looks
 
@@ -113,19 +114,12 @@ class CovarianceField:
         """A field whose rows r0..r1-1 are read_rows(r0, r1), a new float64
         (r1 - r0, width, 9) array each call."""
         field = cls.__new__(cls)
-        field._data, field._read_rows = None, read_rows
-        field.height, field.width, field.looks = height, width, looks
+        field.rows, field.height, field.width, field.looks = read_rows, height, width, looks
         return field
 
     @property
     def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = self._read_rows(0, self.height)
-        return self._data
-
-    def rows(self, r0: int, r1: int) -> np.ndarray:
-        """Packed pixels of rows r0..r1-1; safe to call from several threads at once."""
-        return self._read_rows(r0, r1) if self._data is None else self._data[r0:r1]
+        return self.rows(0, self.height)
 
 
 @dataclass(eq=False)

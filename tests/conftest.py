@@ -26,6 +26,11 @@ def make_hermitian(rng, scale=1.0):
     return scale * 0.5 * (a + a.conj().T)
 
 
+def refuse_whole_image(field):
+    """A ``CovarianceField.data`` for tests to patch in: a whole-image load fails."""
+    raise AssertionError("the whole image was loaded")
+
+
 def read_ppm(path):
     """Pixels of a binary PPM (P6, 8-bit) as an (H, W, 3) uint8 array."""
     with open(path, "rb") as f:

@@ -24,6 +24,7 @@ from polsardr.fields import ClassMap, CovarianceField, RoiSet
 from polsardr.phantom import PhantomSpec, generate_phantom, inscribed_rois
 
 import oracle
+from conftest import refuse_whole_image
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "goldens.json"
@@ -535,7 +536,7 @@ def test_classify_reads_and_tests_each_pixel_once(tmp_path, monkeypatch):
         assert read == Counter(range(96)), argv[0]  # each of the 96 rows, once
         # each of the 96 x 96 (distinct) pixels has its determinant evaluated once
         assert all(tested[pixel.tobytes()] == 1 for pixel in pixels), argv
-    read.clear()  # evolve PD-tests the planes it builds from one read of the image
+    read.clear()  # evolve reads each band once, and PD-tests it as it fills the planes
     assert main(["evolve", "--image", base, "--model", model, "--iters", "1",
                  "--out", str(tmp_path / "evolved")]) == 0
     assert read == Counter(range(96))
@@ -585,15 +586,27 @@ def test_train_and_weights_read_only_the_rows_of_the_train_pixels(tmp_path, monk
     protos = train_prototypes(held, split)
     fit_weights(held, split, protos, "KL", 1.0)
     dataio.write_model(protos, tmp_path / "held.txt")
-
-    def refuse(field):
-        raise AssertionError("the whole image was loaded")
-
-    monkeypatch.setattr(CovarianceField, "data", property(refuse))
+    monkeypatch.setattr(CovarianceField, "data", property(refuse_whole_image))
     model = tmp_path / "model.txt"
     assert main(["train", "--image", str(base), "--roi", str(roi), "--out", str(model)]) == 0
     assert main(["weights", "--image", str(base), "--roi", str(roi), "--model", str(model)]) == 0
     assert model.read_bytes() == (tmp_path / "held.txt").read_bytes()
+
+
+def test_evolve_and_an_image_pipeline_never_load_the_whole_image(tmp_path, monkeypatch):
+    # evolve reads its initial field through ``rows`` one band at a time, and
+    # so does every stage of a pipeline given ``image:`` and ``roi:``; the
+    # bytes of both are pinned in tests/digests.json
+    base, roi = tmp_path / "img", tmp_path / "img_roi.txt"
+    model = tmp_path / "model.txt"
+    assert main(["simulate", "--width", "96", "--height", "96", "--out", str(base)]) == 0
+    assert main(["train", "--image", str(base), "--roi", str(roi), "--out", str(model)]) == 0
+    monkeypatch.setattr(CovarianceField, "data", property(refuse_whole_image))
+    assert main(["evolve", "--image", str(base), "--model", str(model), "--iters", "2",
+                 "--out", str(tmp_path / "evolved")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"image: {base}\nroi: {roi}\niterations: 2\noutdir: {tmp_path / 'run'}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
 
 
 def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):

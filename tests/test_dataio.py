@@ -9,6 +9,7 @@ import pytest
 from polsardr import dataio, fields
 from polsardr import hermitian as hm
 from polsardr.classify import RULES, PrototypeSet, classify_image
+from polsardr.evolution import EvolutionParams, evolve
 from polsardr.errors import (MalformedHeader, MalformedRoi,
                              NonPositiveDefinitePixelWarning, OutOfBounds,
                              SizeMismatch)
@@ -17,7 +18,7 @@ from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 
 import oracle
-from conftest import packed_hpd, read_ppm
+from conftest import packed_hpd, read_ppm, refuse_whole_image
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
@@ -64,9 +65,10 @@ def test_write_is_chunked_and_writes_the_bytes_of_one_contiguous_copy(tmp_path, 
     header.write_text(header.read_text().replace("dtype: f64", "dtype: f32"))
     data.astype("<f4").tofile(tmp_path / "f.dat")
     read = dataio.read_covariance_image(tmp_path / "f")
-    dataio.write_covariance_image(read, tmp_path / "r")
-    assert read._data is None
-    want = dataio.read_covariance_image(tmp_path / "f").data
+    with monkeypatch.context() as m:
+        m.setattr(CovarianceField, "data", property(refuse_whole_image))
+        dataio.write_covariance_image(read, tmp_path / "r")
+    want = read.data
     np.ascontiguousarray(want, "<f8").tofile(tmp_path / "want_r.dat")
     assert (tmp_path / "r.dat").read_bytes() == (tmp_path / "want_r.dat").read_bytes()
     assert (tmp_path / "r.hdr").read_text() == (tmp_path / "s.hdr").read_text()
@@ -203,22 +205,24 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
         want = {rule: classify_image(field, protos, rule).labels for rule in RULES}
         want["render"] = dataio.render_rgb(field, protos, tmp_path / "want.ppm")
 
-    tracemalloc.start()
-    try:  # each map is compared and dropped, so that only the work counts
-        back = dataio.read_covariance_image(base)
-        with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 90000 pixels") as rec:
-            for rule in RULES:
-                assert np.array_equal(classify_image(back, protos, rule).labels,
-                                      want[rule]), rule
-            assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
-                                  want["render"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with monkeypatch.context() as m:
+        m.setattr(CovarianceField, "data", property(refuse_whole_image))
+        tracemalloc.start()
+        try:  # each map is compared and dropped, so that only the work counts
+            back = dataio.read_covariance_image(base)
+            with pytest.warns(NonPositiveDefinitePixelWarning,
+                              match="1 of 90000 pixels") as rec:
+                for rule in RULES:
+                    assert np.array_equal(classify_image(back, protos, rule).labels,
+                                          want[rule]), rule
+                assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
+                                      want["render"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert len(rec) == len(RULES) + 1  # one per pass
     assert peak < field.data.nbytes / 4, peak
     assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
-    assert back._data is None  # nothing loaded the whole image
 
 
 def test_hd_holds_about_as_much_as_kl_on_a_read_image(tmp_path, monkeypatch):
@@ -233,6 +237,7 @@ def test_hd_holds_about_as_much_as_kl_on_a_read_image(tmp_path, monkeypatch):
     dataio.write_covariance_image(field, tmp_path / "img")
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0)
     back = dataio.read_covariance_image(tmp_path / "img")
+    monkeypatch.setattr(CovarianceField, "data", property(refuse_whole_image))
     peaks = {}
     tracemalloc.start()
     try:
@@ -244,7 +249,58 @@ def test_hd_holds_about_as_much_as_kl_on_a_read_image(tmp_path, monkeypatch):
         tracemalloc.stop()
     block_bytes = 9000 * 9 * 8
     assert peaks["HD"] < peaks["KL"] + block_bytes / 2, (peaks, block_bytes)
-    assert back._data is None
+
+
+def test_ml_holds_about_as_much_as_ed(monkeypatch):
+    # a block frees its features once the scores are stacked: ML keeps the
+    # pixels and their log-det, ED the pixels only, and the traced peak of an
+    # ML pass stays within half a float64 row of a block of an ED pass.  Kept
+    # until the labels, the features put ML a whole row above.
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 45_000)  # 150 rows of 300 pixels
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)  # one block at a time
+    spec = PhantomSpec(width=300, height=300, seed=11)
+    field, _ = generate_phantom(spec)
+    protos = PrototypeSet(spec.sigmas, shared_looks=4.0)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for rule in ("ED", "ML", "ED", "ML"):  # the second pass of each counts
+            tracemalloc.reset_peak()
+            classify_image(field, protos, rule)
+            peaks[rule] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_bytes = 45_000 * 8
+    assert peaks["ML"] < peaks["ED"] + row_bytes / 2, (peaks, row_bytes)
+
+
+def test_a_read_image_evolves_in_bounded_memory(tmp_path, monkeypatch):
+    # evolve fills its two (9, H, W) planes from the field's rows one band at
+    # a time and keeps uint8 labels: the traced peak stays below the two
+    # planes and half the image, and the result is the in-memory field's.
+    # Loading the whole image as well put the peak at 3.5 images.
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 9000)  # 30 rows of 300 pixels
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)  # one band at a time
+    spec = PhantomSpec(width=300, height=300, seed=11)
+    field, _ = generate_phantom(spec)
+    dataio.write_covariance_image(field, tmp_path / "img")
+    protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
+    params = EvolutionParams(iterations=1)
+    want, want_metrics = evolve(field, protos, params, "KL")
+    want = want.data.copy()
+    back = dataio.read_covariance_image(tmp_path / "img")
+    monkeypatch.setattr(CovarianceField, "data", property(refuse_whole_image))
+    tracemalloc.start()
+    try:
+        got, metrics = evolve(back, protos, params, "KL")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    image_bytes = 300 * 300 * 9 * 8
+    assert peak < 2 * image_bytes + image_bytes / 2, (peak, image_bytes)
+    assert np.array_equal(got.rows(0, 300), want)
+    assert np.array_equal(metrics.mean_weighted_distance, want_metrics.mean_weighted_distance)
+    assert np.array_equal(metrics.changed_fraction, want_metrics.changed_fraction)
 
 
 def test_classmap_roundtrip(tmp_path, rng):

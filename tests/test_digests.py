@@ -1,9 +1,11 @@
 """Byte identity: the SHA-256 of every artifact of a small run, pinned.
 
-A 96x96 pipeline with all 9 rules runs with shared and with class looks;
-then ``classify`` (every rule) and ``render --image`` run on its image, read
-as f64 and as f32, with one pixel made non positive definite.  The seconds
-cells of the reports are left out of the digests; every other byte counts.
+A 96x96 pipeline with all 9 rules runs with shared and with class looks.
+Its image is then read as f64 and as f32: ``evolve --image`` runs on each,
+and a pipeline with ``image:`` and ``roi:`` on the f32 one; then, with one
+pixel made non positive definite, ``classify`` (every rule) and ``render
+--image`` run on each, and ``evolve`` refuses it.  The seconds cells of the
+reports are left out of the digests; every other byte counts.
 A change that moves output bytes on purpose re-records the digests it moves
 (``tests/digests.json``) and says which and why.
 """
@@ -45,7 +47,7 @@ def _digests(directory: Path, prefix: str) -> dict[str, str]:
     return out
 
 
-def artifact_digests(tmp_path: Path) -> dict[str, str]:
+def artifact_digests(tmp_path: Path, capsys) -> dict[str, str]:
     """Run the pipelines and the read-image commands; the digest of each file."""
     digests = {}
     rules = ", ".join(RULES)
@@ -58,15 +60,31 @@ def artifact_digests(tmp_path: Path) -> dict[str, str]:
         digests |= _digests(run, looks)
 
     image = np.fromfile(tmp_path / "shared" / "image.dat", dtype="<f8").reshape(96, 96, 9)
-    image[40, 17] = oracle.pack(np.diag([1.0, -2.0, 1.0]))
+    bad = image.copy()
+    bad[40, 17] = oracle.pack(np.diag([1.0, -2.0, 1.0]))
     header = (tmp_path / "shared" / "image.hdr").read_text()
     model = str(tmp_path / "shared" / "model.txt")
     for dtype in ("f64", "f32"):
         out = tmp_path / f"read_{dtype}"
         out.mkdir()
         (out / "image.hdr").write_text(header.replace("dtype: f64", f"dtype: {dtype}"))
-        image.astype("<f4" if dtype == "f32" else "<f8").tofile(out / "image.dat")
+        values = "<f4" if dtype == "f32" else "<f8"
+        image.astype(values).tofile(out / "image.dat")
         base = str(out / "image")
+        assert main(["evolve", "--image", base, "--model", model,
+                     "--metrics", str(out / "metrics.csv"), "--out", str(out / "evolved")]) == 0
+        if dtype == "f32":
+            run = tmp_path / "image_f32"
+            cfg = tmp_path / "image_f32.cfg"
+            cfg.write_text(f"image: {base}\nroi: {tmp_path / 'shared' / 'roi.txt'}\n"
+                           f"outdir: {run}\n")
+            assert main(["pipeline", "--config", str(cfg)]) == 0
+            digests |= _digests(run, "image_f32")
+        bad.astype(values).tofile(out / "image.dat")
+        capsys.readouterr()
+        assert main(["evolve", "--image", base, "--model", model,
+                     "--out", str(tmp_path / "refused")]) == 1
+        assert "initial field has non-positive-definite pixels" in capsys.readouterr().err
         with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 9216 pixels"):
             for rule in RULES:
                 assert main(["classify", "--image", base, "--model", model, "--rule", rule,
@@ -77,9 +95,9 @@ def artifact_digests(tmp_path: Path) -> dict[str, str]:
     return digests
 
 
-def test_every_artifact_keeps_its_bytes(tmp_path):
+def test_every_artifact_keeps_its_bytes(tmp_path, capsys):
     want = json.loads(DIGESTS.read_text())
-    got = artifact_digests(tmp_path)
+    got = artifact_digests(tmp_path, capsys)
     moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not moved, (f"{len(moved)} artifacts changed bytes: {moved}.  The digests depend "
                        "on the BLAS build (the phantom sampler's GEMMs), as the phantom "
