@@ -80,35 +80,24 @@ def _pixels(planes: np.ndarray) -> np.ndarray:
     return planes.reshape(9, -1).T
 
 
-def _diffuse(x: np.ndarray, r0: int, r1: int, params: EvolutionParams,
-             out: np.ndarray) -> None:
-    """Write rows r0:r1 of the five-point update of planes x into out, replicated edges.
+def _diffuse(s: np.ndarray, params: EvolutionParams, out: np.ndarray) -> None:
+    """Write into out the five-point update of the inner rows of plane s, whose
+    first and last rows are the rows above and below them; replicated left and
+    right edges.
 
-    Reads one row of x above and one below the band.  The neighbours are
-    summed up, down, left, right for every pixel, so a band gets the same
-    bits as the whole field.  The passes run one entry plane at a time, so
-    that a band's plane stays in cache between them.
+    The neighbours are summed up, down, left, right for every pixel, so a band
+    gets the same bits as the whole field when its outer rows are its
+    neighbours' rows, or its own edge row at the image edge.
     """
-    h = x.shape[1]
-    for p, o in zip(x, out):
-        pb = p[r0:r1]
-        if r0 > 0:
-            o[...] = p[r0 - 1:r1 - 1]
-        else:
-            o[0] = p[0]
-            o[1:] = p[:r1 - 1]
-        if r1 < h:
-            o += p[r0 + 1:r1 + 1]
-        else:
-            o[:-1] += p[r0 + 1:]
-            o[-1] += p[-1]
-        o[:, 1:] += pb[:, :-1]
-        o[:, 0] += pb[:, 0]
-        o[:, :-1] += pb[:, 1:]
-        o[:, -1] += pb[:, -1]
-        o -= 4.0 * pb
-        o *= params.alpha * params.dt
-        o += pb
+    pb = s[1:-1]
+    np.add(s[:-2], s[2:], out=out)
+    out[:, 1:] += pb[:, :-1]
+    out[:, 0] += pb[:, 0]
+    out[:, :-1] += pb[:, 1:]
+    out[:, -1] += pb[:, -1]
+    out -= 4.0 * pb
+    out *= params.alpha * params.dt
+    out += pb
 
 
 def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str, det=None):
@@ -143,30 +132,49 @@ def _assign_band(protos, kind, x, labels, nearest, r0, r1, det=None) -> None:
     nearest[r0:r1] = band_nearest.reshape(r1 - r0, -1)
 
 
-def _enter_band(field, protos, kind, x, labels, nearest, r0, r1) -> None:
-    """Fill rows r0:r1 of planes x from field.rows, PD-test them and assign them."""
+def _save_edges(x, edges, r0, r1) -> None:
+    """Copy the first and last rows of rows r0:r1 of planes x into edges, by row."""
+    edges[r0], edges[r1 - 1] = x[:, r0].copy(), x[:, r1 - 1].copy()
+
+
+def _enter_band(field, protos, kind, x, labels, nearest, edges, r0, r1) -> None:
+    """Fill rows r0:r1 of planes x from field.rows, PD-test them, assign them and
+    save their edge rows."""
     xb = x[:, r0:r1]
     xb[...] = np.moveaxis(field.rows(r0, r1), -1, 0)
     det, pd = hm._det_pd(_pixels(xb))  # no copy: each entry is contiguous
     if not np.all(pd):
         raise InvalidObservation("initial field has non-positive-definite pixels")
     _assign_band(protos, kind, x, labels, nearest, r0, r1, det)
+    _save_edges(x, edges, r0, r1)
 
 
-def _evolve_band(protos, params, kind, x, y, labels, nearest, r0, r1) -> None:
-    """One iteration on rows r0:r1: diffuse x into y, react in place, assign the result."""
-    yb = y[:, r0:r1]
-    _diffuse(x, r0, r1, params, yb)
-    pixels = _pixels(yb)
+def _evolve_band(protos, params, kind, x, labels, nearest, halo, edges, r0, r1) -> None:
+    """One iteration on rows r0:r1 of planes x, in place: diffuse, react, assign the
+    result and save its edge rows in edges.
+
+    Each entry plane diffuses from a copy of its rows between the rows above
+    and below them, which halo holds as the neighbouring bands saved them
+    after the previous iteration (this band's own edge row at the image edge).
+    """
+    s = np.empty((r1 - r0 + 2, x.shape[2]))
+    for k, p in enumerate(x):
+        s[1:-1] = p[r0:r1]
+        s[0] = halo[r0 - 1][k] if r0 > 0 else s[1]
+        s[-1] = halo[r1][k] if r1 < x.shape[1] else s[-2]
+        _diffuse(s, params, p[r0:r1])
+    pixels = _pixels(x[:, r0:r1])
     _react(pixels, protos, params.dt, _assignments(pixels, protos, kind))
-    _assign_band(protos, kind, y, labels, nearest, r0, r1)
+    _assign_band(protos, kind, x, labels, nearest, r0, r1)
+    _save_edges(x, edges, r0, r1)
 
 
 def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
     """Five-point Laplacian update with replicated edges (discrete zero flux)."""
     x = _planes(field.data)
     out = np.empty_like(x)
-    _diffuse(x, 0, x.shape[1], params, out)
+    for s, o in zip(np.pad(x, ((0, 0), (1, 1), (0, 0)), mode="edge"), out):
+        _diffuse(s, params, o)
     return CovarianceField(np.moveaxis(out, 0, -1), field.looks)
 
 
@@ -192,28 +200,32 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     and the fraction of pixels whose nearest class changed, both measured on
     the field at the end of iteration n (row 0: initial field, fraction 0).
 
-    The field evolves as packed (9, H, W) planes in contiguous row bands of
-    about ``fields.BLOCK_PIXELS`` pixels, at least one per usable CPU
-    (``fields.row_blocks``).  Each iteration diffuses, reacts and assigns
-    every band, a band reading one row of the previous state above and below
-    it, and waits for all bands before the next.  The bands run the helpers of
+    The field evolves in place as one packed (9, H, W) array of entry planes,
+    in contiguous row bands of about ``fields.BLOCK_PIXELS`` pixels, at least
+    one per usable CPU (``fields.row_blocks``).  Each iteration diffuses,
+    reacts and assigns every band and waits for all bands before the next.  A
+    band diffuses each entry plane from a copy of its rows and of the rows
+    above and below it, which its neighbours saved at the end of the previous
+    iteration (two sets of saved rows alternate).  The bands run the helpers of
     diffusion_step and reaction_step and every pixel is inverted once per
     state, so the result does not depend on the number of bands.  The first
     pass reads each band through ``field.rows`` and PD-tests it, and the
     test's determinants serve its first assignment.
     """
     h, w = field.height, field.width
-    x, y = np.empty((9, h, w)), np.empty((9, h, w))
+    x = np.empty((9, h, w))
     labels, prev = np.empty((2, h, w), dtype=np.uint8)  # MAX_CLASSES labels fit
     nearest = np.empty((h, w))
+    halo, edges = {}, {}  # band edge rows by row number: of the state read, of the one made
     iters, changed = [0], [0.0]
     with row_blocks("evolve", h, w) as each_band:
-        each_band(partial(_enter_band, field, protos, kind, x, labels, nearest))
+        each_band(partial(_enter_band, field, protos, kind, x, labels, nearest, edges))
         mean_dist = [float(nearest.mean())]
         for n in range(1, params.iterations + 1):
             labels, prev = prev, labels
-            each_band(partial(_evolve_band, protos, params, kind, x, y, labels, nearest))
-            x, y = y, x
+            halo, edges = edges, halo
+            each_band(partial(_evolve_band, protos, params, kind, x, labels, nearest,
+                              halo, edges))
             iters.append(n)
             mean_dist.append(float(nearest.mean()))
             changed.append(float(np.mean(labels != prev)))

@@ -105,10 +105,15 @@ def is_positive_definite(p) -> np.ndarray:
 
 
 def _det_pd(p, det=None, minor=None) -> tuple[np.ndarray, np.ndarray]:
-    """det_packed(p) or the det given, and the PD verdict x11, 2x2 minor (or one given), det > 0."""
+    """det_packed(p) or the det given, and the PD verdict x11, 2x2 minor (or one given), det > 0.
+
+    A non-finite entry gives a False verdict, and the inf * 0 behind it no numpy
+    warning: the caller warns of or refuses the pixel itself.
+    """
     a, d, _, br, bi = _components(p)[:5]
-    det = det_packed(p) if det is None else det
-    minor = a * d - (br * br + bi * bi) if minor is None else minor
+    with np.errstate(invalid="ignore"):
+        det = det_packed(p) if det is None else det
+        minor = a * d - (br * br + bi * bi) if minor is None else minor
     return det, (a > 0) & (minor > 0) & (det > 0)
 
 

@@ -16,6 +16,7 @@ from polsardr.classify import (KINDS, RULES, STACK_KINDS, PrototypeSet, _nearest
 from polsardr.dataio import render_rgb
 from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
+from polsardr.evolution import EvolutionParams, evolve
 from polsardr.errors import (InvalidLooks, InvalidObservation, NonPositiveDefinitePixelWarning,
                              SingularMatrix)
 from polsardr.fields import CovarianceField
@@ -332,6 +333,28 @@ def test_distance_stack_rejects_non_finite_pixel(rng, kind, entry, value):
         x[1, entry] = value
         with pytest.raises(SingularMatrix):
             distance_stack(x, protos, kind)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry, value", [(0, np.inf), (2, -np.inf), (3, np.inf), (8, -np.inf),
+                                          (4, np.nan)])
+def test_a_non_finite_pixel_meets_the_package_warning_or_error_first(tmp_path, entry, value):
+    # inf * 0 in its determinant made numpy warn before the package did; the
+    # passes label such a pixel 0 with the package's warning, render_rgb
+    # refuses to colour it and evolve refuses it
+    data = np.tile(oracle.pack(ID), (4, 3, 1))
+    data[1, 2, entry] = value
+    field = CovarianceField(data)
+    protos = PrototypeSet(np.stack([oracle.pack(ID), oracle.pack(2 * ID)]), shared_looks=4.0)
+    for rule in ("KL", "ED"):
+        with pytest.warns(NonPositiveDefinitePixelWarning) as record:
+            labels = classify_image(field, protos, rule).labels
+        assert [type(w.message) for w in record] == [NonPositiveDefinitePixelWarning]
+        assert labels[1, 2] == 0 and np.count_nonzero(labels) == 11
+    with pytest.raises(SingularMatrix, match="non-finite"):
+        render_rgb(field, protos, tmp_path / "x.ppm")
+    with pytest.raises(InvalidObservation, match="non-positive-definite"):
+        evolve(field, protos, EvolutionParams(iterations=1), "KL")
 
 
 def _indefinite_with_positive_diagonal():

@@ -275,9 +275,9 @@ def test_ml_holds_about_as_much_as_ed(monkeypatch):
 
 
 def test_a_read_image_evolves_in_bounded_memory(tmp_path, monkeypatch):
-    # evolve fills its two (9, H, W) planes from the field's rows one band at
-    # a time and keeps uint8 labels: the traced peak stays below the two
-    # planes and half the image, and the result is the in-memory field's.
+    # evolve fills its one (9, H, W) plane from the field's rows one band at
+    # a time and keeps uint8 labels: the traced peak stays below two planes
+    # and half the image, and the result is the in-memory field's.
     # Loading the whole image as well put the peak at 3.5 images.
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 9000)  # 30 rows of 300 pixels
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)  # one band at a time

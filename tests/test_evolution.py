@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from polsardr.errors import InvalidObservation, SingularMatrix, StabilityViolati
 from polsardr.evolution import (EvolutionParams, diffusion_step, evolve,
                                 reaction_step)
 from polsardr.fields import CovarianceField
+from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
@@ -270,6 +272,32 @@ def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
         evolve(field, protos, EvolutionParams(iterations=iterations), "KL")
         assert len(inverted) == (2 * iterations + 1) * cpus
         assert sum(inverted) == (2 * iterations + 1) * field.height * field.width
+
+
+def test_evolve_holds_one_plane_and_a_band_scratch_per_worker(monkeypatch):
+    # a held 300x300 field on 2 workers, one 45,000-pixel band each: evolve's
+    # traced peak is one (9, H, W) plane, the labels and nearest distances
+    # (10 B/px), and per worker an entry plane's band with its two halo rows
+    # plus the temporaries of a band's assignment, which trace at 1.8 of the
+    # band's nine entries (inverse, features and scores).  A second plane, as
+    # the ping-pong between two planes held, put the peak at 4.0 planes.
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    spec = PhantomSpec(width=300, height=300, seed=11)
+    field, _ = generate_phantom(spec)
+    protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
+    params = EvolutionParams(iterations=2)
+    evolve(field, protos, params, "KL")  # the traced call pays no first-call allocation
+    tracemalloc.start()
+    try:
+        evolve(field, protos, params, "KL")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = 300 * 300 * 9 * 8
+    band = plane / 2
+    scratch = (150 + 2) * 300 * 8
+    bound = plane + 300 * 300 * 10 + 2 * (scratch + 2 * band)
+    assert peak < bound, (peak, bound)
 
 
 def _chained_reference(field, protos, params, kind):
