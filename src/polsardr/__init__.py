@@ -6,8 +6,7 @@ from .distances import (bhattacharyya_distance, euclidean_distance,
                         hellinger_distance, kl_distance)
 from .estimation import (SampleStats, box_snell_bias, estimate_looks_corrected,
                          estimate_looks_ml, polygamma3)
-from .evolution import (EvolutionMetrics, EvolutionParams, diffusion_step,
-                        evolve, reaction_step)
+from .evolution import EvolutionMetrics, EvolutionParams, evolve
 from .fields import ClassMap, CovarianceField, RoiSet, Split
 from .phantom import PhantomSpec, generate_phantom
 from .weights import TrainingSet, energy, optimize_weights, saturate
@@ -20,7 +19,7 @@ __all__ = [
     "bhattacharyya_distance", "euclidean_distance", "hellinger_distance", "kl_distance",
     "SampleStats", "box_snell_bias", "estimate_looks_corrected", "estimate_looks_ml",
     "polygamma3",
-    "EvolutionMetrics", "EvolutionParams", "diffusion_step", "evolve", "reaction_step",
+    "EvolutionMetrics", "EvolutionParams", "evolve",
     "ClassMap", "CovarianceField", "RoiSet", "Split",
     "PhantomSpec", "generate_phantom",
     "TrainingSet", "energy", "optimize_weights", "saturate",

@@ -28,8 +28,8 @@ MAX_CLASSES = 255  # labels are uint8 and 0 is the no-data sentinel
 class PrototypeSet:
     """Class prototypes, simplex weights, and the shared looks value.
 
-    ``sigmas`` are the class covariances, packed (M, 9) float64 like
-    ``CovarianceField.data``.  They are checked and inverted once, when the
+    ``sigmas`` are the class covariances, packed (M, 9) float64 like a
+    field's pixels.  They are checked and inverted once, when the
     set is built, and not modified after construction (a read-only copy that
     cannot be reassigned), so every ``distance_stack`` reuses their inverse
     and log-det.  ``weights`` must lie on the simplex; every assignment,

@@ -252,7 +252,8 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path) -> np.ndarray
     1 / (d_E(pixel, prototype_m) + eps), normalized to sum 1, so a pixel at a
     prototype gets that class color and an equidistant pixel the palette mean.
     The rows are colored in blocks on every usable CPU (``fields.row_blocks``), each read
-    once; non-PD pixels are colored too, and warned of after the pass (``fields.warn_non_pd``).
+    once; non-PD pixels are colored too (black if an entry is not finite), and warned of
+    after the pass (``fields.warn_non_pd``).
     """
     colors = default_palette(protos.n_classes).astype(np.float64)
     rgb = np.empty((field.height, field.width, 3), dtype=np.uint8)
@@ -261,9 +262,13 @@ def render_rgb(field: CovarianceField, protos: PrototypeSet, path) -> np.ndarray
     def color_rows(r0, r1):
         x = hm.component_major(field.rows(r0, r1)).reshape(r1 - r0, field.width, 9)  # a view
         valid[r0:r1] = hm.is_positive_definite(x)
-        inv = 1.0 / (distance_stack(x, protos, "ED") + RENDER_EPS)
+        scored = ...  # a block of PD pixels is scored whole
+        if not valid[r0:r1].all():  # a non-finite pixel has no distance
+            scored = np.isfinite(x).all(axis=-1)
+            rgb[r0:r1][~scored] = 0
+        inv = 1.0 / (distance_stack(x[scored], protos, "ED") + RENDER_EPS)
         weights = inv / inv.sum(axis=-1, keepdims=True)
-        rgb[r0:r1] = np.clip(np.rint(weights @ colors), 0, 255)
+        rgb[r0:r1][scored] = np.clip(np.rint(weights @ colors), 0, 255)
 
     with row_blocks("render_rgb", field.height, field.width) as each_block:
         each_block(color_rows)

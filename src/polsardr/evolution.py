@@ -70,11 +70,6 @@ class EvolutionMetrics:
                 writer.writerow([int(i), repr(float(d)), repr(float(c))])
 
 
-def _planes(data) -> np.ndarray:
-    """Contiguous (9, H, W) copy of packed (H, W, 9) pixels, for the steps to write into."""
-    return np.moveaxis(data, -1, 0).copy()
-
-
 def _pixels(planes: np.ndarray) -> np.ndarray:
     """(N, 9) view of the pixels of (9, rows, W) planes; writes go through."""
     return planes.reshape(9, -1).T
@@ -169,29 +164,6 @@ def _evolve_band(protos, params, kind, x, labels, nearest, halo, edges, r0, r1) 
     _save_edges(x, edges, r0, r1)
 
 
-def diffusion_step(field: CovarianceField, params: EvolutionParams) -> CovarianceField:
-    """Five-point Laplacian update with replicated edges (discrete zero flux)."""
-    x = _planes(field.data)
-    out = np.empty_like(x)
-    for s, o in zip(np.pad(x, ((0, 0), (1, 1), (0, 0)), mode="edge"), out):
-        _diffuse(s, params, o)
-    return CovarianceField(np.moveaxis(out, 0, -1), field.looks)
-
-
-def reaction_step(field: CovarianceField, protos: PrototypeSet, dt: float,
-                  kind: str) -> CovarianceField:
-    """Contract each pixel toward its nearest prototype.
-
-    The exponent dt * (nearest - runner_up) is <= 0, so the contraction
-    factor lies in (0, 1] and the update is a convex combination; a pixel
-    tied between two classes is a fixed point.
-    """
-    x = _planes(field.data)
-    pixels = _pixels(x)
-    _react(pixels, protos, dt, _assignments(pixels, protos, kind))
-    return CovarianceField(np.moveaxis(x, 0, -1), field.looks)
-
-
 def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams,
            kind: str) -> tuple[CovarianceField, EvolutionMetrics]:
     """Run `params.iterations` diffusion+reaction iterations and track metrics.
@@ -206,11 +178,12 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     reacts and assigns every band and waits for all bands before the next.  A
     band diffuses each entry plane from a copy of its rows and of the rows
     above and below it, which its neighbours saved at the end of the previous
-    iteration (two sets of saved rows alternate).  The bands run the helpers of
-    diffusion_step and reaction_step and every pixel is inverted once per
-    state, so the result does not depend on the number of bands.  The first
-    pass reads each band through ``field.rows`` and PD-tests it, and the
-    test's determinants serve its first assignment.
+    iteration (two sets of saved rows alternate).  No pixel's update or scores
+    depend on its band, and every pixel is inverted once per state, so the
+    result does not depend on the number of bands.  The first pass reads each band through
+    ``field.rows`` and PD-tests it, and the test's determinants serve its
+    first assignment.  With alpha = 0 and one iteration, the result is one
+    reaction step.
     """
     h, w = field.height, field.width
     x = np.empty((9, h, w))

@@ -90,13 +90,12 @@ class CovarianceField:
 
     Pixels are packed as on disk, float64, each [C11, C22, C33, Re C12, Im C12,
     Re C13, Im C13, Re C23, Im C23]; a complex array is refused.
-    ``rows(r0, r1)`` gives rows r0..r1-1 and is safe to call from several
-    threads at once: a field built from an array slices it, and one built by
-    ``from_rows`` (``dataio.read_covariance_image``) reads the rows on each
-    call, so row-block work holds a block per worker, not the image.  ``data``
-    is ``rows(0, height)``, the whole (height, width, 9) array; it keeps
-    nothing.  ``looks`` carries the equivalent number of looks when known
-    (e.g. from an image header).
+    ``rows(r0, r1)``, the field's one reader, gives rows r0..r1-1 and is safe
+    to call from several threads at once: a field built from an array slices
+    it, and one built by ``from_rows`` (``dataio.read_covariance_image``)
+    reads the rows on each call, so row-block work holds a block per worker,
+    not the image.  ``looks`` carries the equivalent number of looks when
+    known (e.g. from an image header).
     """
 
     def __init__(self, data, looks: float | None = None):
@@ -116,10 +115,6 @@ class CovarianceField:
         field = cls.__new__(cls)
         field.rows, field.height, field.width, field.looks = read_rows, height, width, looks
         return field
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.rows(0, self.height)
 
 
 @dataclass(eq=False)

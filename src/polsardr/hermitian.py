@@ -127,11 +127,6 @@ def det_packed(p) -> np.ndarray:
             + 2.0 * ((br * er - bi * ei) * cr + (br * ei + bi * er) * ci))
 
 
-def inv_packed(p) -> tuple[np.ndarray, np.ndarray]:
-    """_inverse's inverse and determinant of packed p."""
-    return _inverse(p)[:2]
-
-
 def _inverse(p, det=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed cofactor inverse, determinant (given or evaluated) and verdict (_det_pd) of p.
 

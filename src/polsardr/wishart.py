@@ -52,7 +52,7 @@ def log_density(model: WishartModel, z) -> np.ndarray | float:
     """Log density of the scaled complex Wishart law at packed z (..., 9): the
     negated ML score of ``distances``, which rejects a z that is not PD."""
     x = hm._packed(z)
-    p_inv, p_det = hm.inv_packed(model.sigma)  # ML reads no packed P
+    p_inv, p_det = hm._inverse(model.sigma)[:2]  # ML reads no packed P
     out = -_score("ML", _features(x, "ML"), (None, p_inv, np.log(p_det)), model.looks)
     return out if np.ndim(out) else float(out)
 

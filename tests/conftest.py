@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from polsardr.evolution import _assignments, _diffuse, _pixels, _react
+from polsardr.fields import CovarianceField
+
 import oracle
 
 
@@ -26,9 +29,38 @@ def make_hermitian(rng, scale=1.0):
     return scale * 0.5 * (a + a.conj().T)
 
 
-def refuse_whole_image(field):
-    """A ``CovarianceField.data`` for tests to patch in: a whole-image load fails."""
-    raise AssertionError("the whole image was loaded")
+def all_rows(field):
+    """The whole (H, W, 9) array of a field's pixels, ``rows(0, height)``."""
+    return field.rows(0, field.height)
+
+
+def _planes(data) -> np.ndarray:
+    """Contiguous (9, H, W) copy of packed (H, W, 9) pixels, for the steps to write into."""
+    return np.moveaxis(data, -1, 0).copy()
+
+
+def diffusion_step(field, params):
+    """Reference five-point Laplacian update with replicated edges (discrete zero
+    flux), on the stencil helper that ``evolve`` runs."""
+    x = _planes(all_rows(field))
+    out = np.empty_like(x)
+    for s, o in zip(np.pad(x, ((0, 0), (1, 1), (0, 0)), mode="edge"), out):
+        _diffuse(s, params, o)
+    return CovarianceField(np.moveaxis(out, 0, -1), field.looks)
+
+
+def reaction_step(field, protos, dt, kind):
+    """Reference reaction on the helpers that ``evolve`` runs: contract each pixel
+    toward its nearest prototype.
+
+    The exponent dt * (nearest - runner_up) is <= 0, so the contraction
+    factor lies in (0, 1] and the update is a convex combination; a pixel
+    tied between two classes is a fixed point.
+    """
+    x = _planes(all_rows(field))
+    pixels = _pixels(x)
+    _react(pixels, protos, dt, _assignments(pixels, protos, kind))
+    return CovarianceField(np.moveaxis(x, 0, -1), field.looks)
 
 
 def read_ppm(path):

@@ -26,8 +26,7 @@ from polsardr.distances import (bhattacharyya_distance, euclidean_distance,
                                 hellinger_distance, kl_distance)
 from polsardr.errors import StabilityViolation
 from polsardr.estimation import SampleStats, box_snell_bias, estimate_looks_ml
-from polsardr.evolution import (EvolutionParams, diffusion_step, evolve,
-                                reaction_step)
+from polsardr.evolution import EvolutionParams, evolve
 from polsardr.fields import CovarianceField
 from polsardr.phantom import (DEFAULT_SIGMAS, PhantomSpec, generate_phantom,
                               inscribed_rois)
@@ -35,7 +34,7 @@ from polsardr.weights import TrainingSet, optimize_weights
 from polsardr.wishart import WishartModel, sample
 
 import oracle
-from conftest import packed_hpd
+from conftest import all_rows, diffusion_step, packed_hpd, reaction_step
 
 ID = oracle.pack(np.eye(3))
 RULES = ("ML", "ED", "HD", "KL", "KL+OW")
@@ -124,9 +123,9 @@ def test_criterion_4_cone_preservation():
         field = CovarianceField(oracle.pack(data))
         for _ in range(100):
             field = diffusion_step(field, params)
-            assert np.all(hm.is_positive_definite(field.data))
+            assert np.all(hm.is_positive_definite(all_rows(field)))
             field = reaction_step(field, protos, params.dt, "KL")
-            assert np.all(hm.is_positive_definite(field.data))
+            assert np.all(hm.is_positive_definite(all_rows(field)))
     with pytest.raises(StabilityViolation):
         EvolutionParams(alpha=0.5, dt=1.0)  # 1 - 4*alpha*dt < 0
     assert time.perf_counter() - t0 < 60.0
@@ -194,7 +193,7 @@ def test_criterion_7_changed_fraction_initial(phantom_run):
 def test_criterion_7_changed_fraction_monotone(phantom_run):
     """After iteration 5 the classification settles monotonically.
 
-    The evolution is re-run with the public step functions, keeping the
+    The evolution is re-run with the reference step functions, keeping the
     KL+OW label map of every iteration.  The maps must reproduce
     `changed_fraction` exactly; the fraction of pixels not yet in their final
     class must be non-increasing after iteration 5, which fails whenever more
@@ -249,6 +248,6 @@ def test_criterion_9_diffusion_scalar_oracle():
         a = rng.standard_normal((64, 64, 3, 3)) + 1j * rng.standard_normal((64, 64, 3, 3))
         data = oracle.hermitian_part(a @ a.conj().transpose(0, 1, 3, 2) / 3 + 0.2 * np.eye(3))
         out = diffusion_step(CovarianceField(oracle.pack(data)), params)
-        assert np.abs(oracle.unpack(out.data) - scalar_five_point(data, coeff)).max() < 1e-12
+        assert np.abs(oracle.unpack(all_rows(out)) - scalar_five_point(data, coeff)).max() < 1e-12
     assert time.perf_counter() - t0 < 10.0
     _pass(9, "diffusion matches the independent scalar stencil")

@@ -24,7 +24,7 @@ from polsardr.phantom import PhantomSpec
 from polsardr.wishart import WishartModel, log_density, sample
 
 import oracle
-from conftest import make_hpd, packed_hpd
+from conftest import all_rows, make_hpd, packed_hpd
 
 ID = np.eye(3, dtype=complex)
 
@@ -341,18 +341,23 @@ def test_distance_stack_rejects_non_finite_pixel(rng, kind, entry, value):
 def test_a_non_finite_pixel_meets_the_package_warning_or_error_first(tmp_path, entry, value):
     # inf * 0 in its determinant made numpy warn before the package did; the
     # passes label such a pixel 0 with the package's warning, render_rgb
-    # refuses to colour it and evolve refuses it
+    # paints it black with the same warning and evolve refuses it
+    protos = PrototypeSet(np.stack([oracle.pack(ID), oracle.pack(2 * ID)]), shared_looks=4.0)
     data = np.tile(oracle.pack(ID), (4, 3, 1))
+    identity = render_rgb(CovarianceField(data), protos, tmp_path / "i.ppm")
     data[1, 2, entry] = value
     field = CovarianceField(data)
-    protos = PrototypeSet(np.stack([oracle.pack(ID), oracle.pack(2 * ID)]), shared_looks=4.0)
     for rule in ("KL", "ED"):
         with pytest.warns(NonPositiveDefinitePixelWarning) as record:
             labels = classify_image(field, protos, rule).labels
         assert [type(w.message) for w in record] == [NonPositiveDefinitePixelWarning]
         assert labels[1, 2] == 0 and np.count_nonzero(labels) == 11
-    with pytest.raises(SingularMatrix, match="non-finite"):
-        render_rgb(field, protos, tmp_path / "x.ppm")
+    with pytest.warns(NonPositiveDefinitePixelWarning) as record:
+        rgb = render_rgb(field, protos, tmp_path / "x.ppm")
+    assert [type(w.message) for w in record] == [NonPositiveDefinitePixelWarning]
+    assert rgb[1, 2].tolist() == [0, 0, 0]
+    others = np.arange(12).reshape(4, 3) != 5  # every pixel but [1, 2]
+    np.testing.assert_array_equal(rgb[others], identity[others])
     with pytest.raises(InvalidObservation, match="non-positive-definite"):
         evolve(field, protos, EvolutionParams(iterations=1), "KL")
 
@@ -406,9 +411,9 @@ def test_distance_stack_self_distance_and_symmetry(seed, log_scale, log_ratio, l
 
 def _split_results(field, protos, tmp_path):
     """Everything that runs in pixel or row blocks, on a fresh copy of field."""
-    field = CovarianceField(field.data)
-    pd = hm.is_positive_definite(field.data)
-    x = field.data[pd]
+    field = CovarianceField(all_rows(field))
+    pd = hm.is_positive_definite(all_rows(field))
+    x = all_rows(field)[pd]
     with pytest.warns(NonPositiveDefinitePixelWarning) as caught:  # one per classify and render
         maps = {rule: classify_image(field, protos, rule).labels for rule in RULES}
         rgb = render_rgb(field, protos, tmp_path / "img.ppm")
@@ -487,7 +492,7 @@ def test_classify_image_raises_a_later_row_block_error(rng, monkeypatch):
     data = sample(WishartModel(protos.sigmas[0], 4), rng, size=(6, 5))
     data[5, 4] = oracle.pack(1e-101 * ID)
     field = CovarianceField(data)
-    assert hm.is_positive_definite(field.data)[5, 4]
+    assert hm.is_positive_definite(all_rows(field))[5, 4]
     monkeypatch.setattr(fields, "BLOCK_PIXELS", 5)  # one row per block
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
     failed_in = []

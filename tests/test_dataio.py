@@ -18,7 +18,7 @@ from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 
 import oracle
-from conftest import packed_hpd, read_ppm, refuse_whole_image
+from conftest import all_rows, packed_hpd, read_ppm
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
@@ -30,7 +30,7 @@ def test_covariance_roundtrip_f64(tmp_path, rng):
     field = _random_field(rng)
     dataio.write_covariance_image(field, tmp_path / "a")
     back = dataio.read_covariance_image(tmp_path / "a")
-    np.testing.assert_array_equal(back.data, field.data)
+    np.testing.assert_array_equal(all_rows(back), all_rows(field))
     assert back.looks == 4.0
 
 
@@ -40,9 +40,9 @@ def test_covariance_roundtrip_f32(tmp_path, rng):
     dataio.write_covariance_image(field, tmp_path / "a")
     header = tmp_path / "a.hdr"
     header.write_text(header.read_text().replace("dtype: f64", "dtype: f32"))
-    field.data.astype("<f4").tofile(tmp_path / "a.dat")
+    all_rows(field).astype("<f4").tofile(tmp_path / "a.dat")
     back = dataio.read_covariance_image(tmp_path / "a")
-    np.testing.assert_allclose(back.data, field.data, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(all_rows(back), all_rows(field), rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("block", [10, 35, 10**6])  # 2-row chunks, 7, and one chunk
@@ -52,12 +52,12 @@ def test_write_is_chunked_and_writes_the_bytes_of_one_contiguous_copy(tmp_path, 
     # field write the bytes of one contiguous f64 copy; the read field's
     # pixels are read in chunks through rows and never loaded whole
     monkeypatch.setattr(fields, "BLOCK_PIXELS", block)
-    data = _random_field(rng, 7, 5).data
+    data = all_rows(_random_field(rng, 7, 5))
     planes = np.moveaxis(data, -1, 0).copy()
     strided = CovarianceField(np.moveaxis(planes, 0, -1), looks=4.0)
-    assert not strided.data.flags.c_contiguous
+    assert not all_rows(strided).flags.c_contiguous
     dataio.write_covariance_image(strided, tmp_path / "s")
-    np.ascontiguousarray(strided.data, "<f8").tofile(tmp_path / "want_s.dat")
+    np.ascontiguousarray(all_rows(strided), "<f8").tofile(tmp_path / "want_s.dat")
     assert (tmp_path / "s.dat").read_bytes() == (tmp_path / "want_s.dat").read_bytes()
 
     dataio.write_covariance_image(strided, tmp_path / "f")
@@ -65,10 +65,8 @@ def test_write_is_chunked_and_writes_the_bytes_of_one_contiguous_copy(tmp_path, 
     header.write_text(header.read_text().replace("dtype: f64", "dtype: f32"))
     data.astype("<f4").tofile(tmp_path / "f.dat")
     read = dataio.read_covariance_image(tmp_path / "f")
-    with monkeypatch.context() as m:
-        m.setattr(CovarianceField, "data", property(refuse_whole_image))
-        dataio.write_covariance_image(read, tmp_path / "r")
-    want = read.data
+    dataio.write_covariance_image(read, tmp_path / "r")
+    want = all_rows(read)
     np.ascontiguousarray(want, "<f8").tofile(tmp_path / "want_r.dat")
     assert (tmp_path / "r.dat").read_bytes() == (tmp_path / "want_r.dat").read_bytes()
     assert (tmp_path / "r.hdr").read_text() == (tmp_path / "s.hdr").read_text()
@@ -137,7 +135,7 @@ def _two_protos(rng):
 def test_non_pd_pixels_warn_with_coordinates(tmp_path, rng):
     # opening tests no pixel: the classifier's pass finds the non-PD one
     field = _random_field(rng, 3, 3)
-    field.data[1, 2] = oracle.pack(np.diag([1.0, -2.0, 1.0]))
+    all_rows(field)[1, 2] = oracle.pack(np.diag([1.0, -2.0, 1.0]))
     dataio.write_covariance_image(field, tmp_path / "a")
     back = dataio.read_covariance_image(tmp_path / "a")
     with pytest.warns(NonPositiveDefinitePixelWarning) as rec:
@@ -146,14 +144,14 @@ def test_non_pd_pixels_warn_with_coordinates(tmp_path, rng):
     assert rec[0].message.count == 1
     assert rec[0].message.first == [(1, 2)]
     assert labels[1, 2] == 0 and np.count_nonzero(labels) == 8
-    assert back.data.shape == (3, 3, 9)
+    assert all_rows(back).shape == (3, 3, 9)
 
 
 def _seven_bad_pixels(rng):
     field = _random_field(rng, 4, 6)
     bad = [(0, 5), (1, 0), (1, 3), (2, 2), (3, 0), (3, 1), (3, 5)]
     for y, x in bad:
-        field.data[y, x] = oracle.pack(np.diag([-1.0, 1.0, 1.0]))
+        all_rows(field)[y, x] = oracle.pack(np.diag([-1.0, 1.0, 1.0]))
     return field, bad
 
 
@@ -166,7 +164,7 @@ def test_non_pd_warning_counts_every_pixel_and_lists_the_first_five(tmp_path, rn
     assert len(rec) == 1
     assert rec[0].message.count == 7
     assert rec[0].message.first == bad[:5]
-    assert int((~hm.is_positive_definite(back.data)).sum()) == 7
+    assert int((~hm.is_positive_definite(all_rows(back))).sum()) == 7
 
 
 def test_an_in_memory_field_warns_as_a_read_one(tmp_path, rng):
@@ -192,36 +190,35 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)  # blocks held at once
     spec = PhantomSpec(width=300, height=300, seed=11)
     field, _ = generate_phantom(spec)
-    field.data[150, 7] = oracle.pack(np.diag([1.0, -2.0, 1.0]))  # one block gathers
+    all_rows(field)[150, 7] = oracle.pack(np.diag([1.0, -2.0, 1.0]))  # one block gathers
     base = tmp_path / "img"
     dataio.write_covariance_image(field, base)
     if dtype == "f32":
         (tmp_path / "img.hdr").write_text((tmp_path / "img.hdr").read_text()
                                           .replace("dtype: f64", "dtype: f32"))
-        field.data.astype("<f4").tofile(tmp_path / "img.dat")
-        field = CovarianceField(field.data.astype("<f4"), looks=field.looks)
+        all_rows(field).astype("<f4").tofile(tmp_path / "img.dat")
+        field = CovarianceField(all_rows(field).astype("<f4"), looks=field.looks)
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
     with pytest.warns(NonPositiveDefinitePixelWarning, match="1 of 90000 pixels"):
         want = {rule: classify_image(field, protos, rule).labels for rule in RULES}
         want["render"] = dataio.render_rgb(field, protos, tmp_path / "want.ppm")
 
-    with monkeypatch.context() as m:
-        m.setattr(CovarianceField, "data", property(refuse_whole_image))
-        tracemalloc.start()
-        try:  # each map is compared and dropped, so that only the work counts
-            back = dataio.read_covariance_image(base)
-            with pytest.warns(NonPositiveDefinitePixelWarning,
-                              match="1 of 90000 pixels") as rec:
-                for rule in RULES:
-                    assert np.array_equal(classify_image(back, protos, rule).labels,
-                                          want[rule]), rule
-                assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
-                                      want["render"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    assert not hasattr(CovarianceField, "data")  # a field has no whole-image reader
+    tracemalloc.start()
+    try:  # each map is compared and dropped, so that only the work counts
+        back = dataio.read_covariance_image(base)
+        with pytest.warns(NonPositiveDefinitePixelWarning,
+                          match="1 of 90000 pixels") as rec:
+            for rule in RULES:
+                assert np.array_equal(classify_image(back, protos, rule).labels,
+                                      want[rule]), rule
+            assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
+                                  want["render"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(rec) == len(RULES) + 1  # one per pass
-    assert peak < field.data.nbytes / 4, peak
+    assert peak < all_rows(field).nbytes / 4, peak
     assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
 
 
@@ -237,7 +234,6 @@ def test_hd_holds_about_as_much_as_kl_on_a_read_image(tmp_path, monkeypatch):
     dataio.write_covariance_image(field, tmp_path / "img")
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0)
     back = dataio.read_covariance_image(tmp_path / "img")
-    monkeypatch.setattr(CovarianceField, "data", property(refuse_whole_image))
     peaks = {}
     tracemalloc.start()
     try:
@@ -287,9 +283,8 @@ def test_a_read_image_evolves_in_bounded_memory(tmp_path, monkeypatch):
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
     params = EvolutionParams(iterations=1)
     want, want_metrics = evolve(field, protos, params, "KL")
-    want = want.data.copy()
+    want = all_rows(want).copy()
     back = dataio.read_covariance_image(tmp_path / "img")
-    monkeypatch.setattr(CovarianceField, "data", property(refuse_whole_image))
     tracemalloc.start()
     try:
         got, metrics = evolve(back, protos, params, "KL")

@@ -13,15 +13,14 @@ from hypothesis import given, settings, strategies as st
 from polsardr import evolution, fields
 from polsardr.classify import PrototypeSet, distance_stack
 from polsardr.errors import InvalidObservation, SingularMatrix, StabilityViolation
-from polsardr.evolution import (EvolutionParams, diffusion_step, evolve,
-                                reaction_step)
+from polsardr.evolution import EvolutionParams, evolve
 from polsardr.fields import CovarianceField
 from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
 import oracle
-from conftest import packed_hpd
+from conftest import all_rows, diffusion_step, packed_hpd, reaction_step
 
 ID = np.eye(3, dtype=complex)
 
@@ -82,13 +81,13 @@ def test_diffusion_step_guards_stability():
 def test_diffusion_constant_field_is_fixed(rng):
     field = CovarianceField(np.broadcast_to(packed_hpd(rng), (5, 6, 9)))
     out = diffusion_step(field, EvolutionParams())
-    np.testing.assert_array_equal(out.data, field.data)
+    np.testing.assert_array_equal(all_rows(out), all_rows(field))
 
 
 def test_diffusion_zero_alpha_is_identity(rng):
     field = _random_field(rng, 6, 5)
     out = diffusion_step(field, EvolutionParams(alpha=0.0))
-    np.testing.assert_array_equal(out.data, field.data)
+    np.testing.assert_array_equal(all_rows(out), all_rows(field))
 
 
 def test_diffusion_checkerboard_interior_value():
@@ -101,7 +100,7 @@ def test_diffusion_checkerboard_interior_value():
             data[y, x] = ID if (x + y) % 2 == 0 else 3 * ID
     out = diffusion_step(CovarianceField(oracle.pack(data)),
                          EvolutionParams(alpha=12.5, dt=0.01))
-    out = oracle.unpack(out.data)
+    out = oracle.unpack(all_rows(out))
     np.testing.assert_allclose(out[3, 3], 2 * ID, atol=1e-14)
     np.testing.assert_allclose(out[3, 4], 3 * ID - ID, atol=1e-14)  # 3I shrinks to 2I
 
@@ -110,8 +109,8 @@ def test_diffusion_matches_scalar_stencil_oracle(rng):
     params = EvolutionParams(alpha=0.5, dt=0.01)
     field = _random_field(rng, 12, 10)
     out = diffusion_step(field, params)
-    expected = scalar_five_point(oracle.unpack(field.data), params.alpha * params.dt)
-    assert np.abs(oracle.unpack(out.data) - expected).max() < 1e-12
+    expected = scalar_five_point(oracle.unpack(all_rows(field)), params.alpha * params.dt)
+    assert np.abs(oracle.unpack(all_rows(out)) - expected).max() < 1e-12
 
 
 def test_reaction_fixed_points(rng):
@@ -119,7 +118,7 @@ def test_reaction_fixed_points(rng):
     # a pixel equal to its nearest prototype does not move
     data = np.broadcast_to(protos.sigmas[1], (3, 4, 9))
     out = reaction_step(CovarianceField(data), protos, 0.01, "KL")
-    np.testing.assert_array_equal(out.data, data)
+    np.testing.assert_array_equal(all_rows(out), data)
 
 
 def test_reaction_exact_tie_is_fixed_point():
@@ -131,7 +130,7 @@ def test_reaction_exact_tie_is_fixed_point():
     stack = distance_stack(oracle.pack(x), protos, "KL", weighted=True)
     assert stack[0] == pytest.approx(stack[1], rel=1e-14)
     out = reaction_step(CovarianceField(oracle.pack(x)[None, None]), protos, 0.01, "KL")
-    np.testing.assert_allclose(oracle.unpack(out.data[0, 0]), x, atol=1e-12)
+    np.testing.assert_allclose(oracle.unpack(all_rows(out)[0, 0]), x, atol=1e-12)
 
 
 def test_reaction_contraction_factor(rng):
@@ -140,8 +139,8 @@ def test_reaction_contraction_factor(rng):
     protos = _protos(rng)
     field = _random_field(rng, 4, 5, jitter=0.4)
     dt = 0.01
-    out = oracle.unpack(reaction_step(field, protos, dt, "KL").data)
-    data = oracle.unpack(field.data)
+    out = oracle.unpack(all_rows(reaction_step(field, protos, dt, "KL")))
+    data = oracle.unpack(all_rows(field))
     sigmas = oracle.unpack(protos.sigmas)
     for y in range(4):
         for x in range(5):
@@ -165,9 +164,9 @@ def test_reaction_single_pixel_monotone_approach(rng):
     dists = []
     for _ in range(60):
         field = reaction_step(field, protos, 0.01, "KL")
-        cur = int(np.argmin(distance_stack(field.data, protos, "KL", weighted=True)[0, 0]))
+        cur = int(np.argmin(distance_stack(all_rows(field), protos, "KL", weighted=True)[0, 0]))
         assert cur == label
-        dists.append(float(oracle.ed(oracle.unpack(field.data[0, 0]),
+        dists.append(float(oracle.ed(oracle.unpack(all_rows(field)[0, 0]),
                                      oracle.unpack(protos.sigmas[label]))))
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -178,18 +177,18 @@ def test_steps_and_evolve_leave_their_input_unchanged(rng):
     protos = _protos(rng)
     params = EvolutionParams(iterations=2)
     field = diffusion_step(_random_field(rng, 5, 4), params)
-    before = field.data.copy()
+    before = all_rows(field).copy()
     reaction_step(field, protos, params.dt, "KL")
     diffusion_step(field, params)
     evolve(field, protos, params, "KL")
-    np.testing.assert_array_equal(field.data, before)
+    np.testing.assert_array_equal(all_rows(field), before)
 
 
 def test_evolve_fixed_point_field(rng):
     protos = _protos(rng)
     data = np.broadcast_to(protos.sigmas[0], (4, 4, 9))
     out, metrics = evolve(CovarianceField(data), protos, EvolutionParams(iterations=5), "KL")
-    np.testing.assert_array_equal(out.data, data)
+    np.testing.assert_array_equal(all_rows(out), data)
     assert np.all(metrics.changed_fraction == 0.0)
     np.testing.assert_allclose(metrics.mean_weighted_distance, 0.0, atol=1e-12)
 
@@ -207,7 +206,7 @@ def test_evolve_preserves_cone_and_tracks_metrics(rng):
     field = _random_field(rng, 20, 16)
     params = EvolutionParams(alpha=0.5, dt=0.01, iterations=30)
     out, metrics = evolve(field, protos, params, "KL")
-    assert np.all(hm.is_positive_definite(out.data))
+    assert np.all(hm.is_positive_definite(all_rows(out)))
     assert metrics.iteration.tolist() == list(range(31))
     assert metrics.changed_fraction[0] == 0.0
     assert np.all((metrics.changed_fraction >= 0) & (metrics.changed_fraction <= 1))
@@ -237,8 +236,8 @@ def test_metrics_csv(tmp_path, rng):
 
 @pytest.mark.parametrize("kind", ["KL", "HD"])
 def test_evolve_matches_public_steps_exactly(rng, kind):
-    # evolve runs the packed helpers that the public steps wrap, so repeating
-    # the steps must reproduce its field bit for bit
+    # evolve runs the packed helpers that the reference steps wrap, so
+    # repeating the steps must reproduce its field bit for bit
     protos = _protos(rng)
     field = _random_field(rng, 9, 7)
     params = EvolutionParams(alpha=0.5, dt=0.01, iterations=6)
@@ -246,7 +245,28 @@ def test_evolve_matches_public_steps_exactly(rng, kind):
     cur = field
     for _ in range(params.iterations):
         cur = reaction_step(diffusion_step(cur, params), protos, params.dt, kind)
-    np.testing.assert_array_equal(out.data, cur.data)
+    np.testing.assert_array_equal(all_rows(out), all_rows(cur))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 6), w=st.integers(1, 6),
+       dt=st.floats(1e-3, 2.0), kind=st.sampled_from(["KL", "HD", "BD", "ED"]))
+def test_a_reaction_only_evolve_is_the_reaction_step(seed, h, w, dt, kind):
+    # alpha = 0 and one iteration is how a library user runs the reaction
+    # alone: the stencil term becomes (...) * 0 + p, which keeps p's value but
+    # not always the sign of a zero, so the fields are compared by value.  Some
+    # pixels have exact-zero off-diagonal entries, of either sign, and every
+    # prototype has them
+    rng = np.random.default_rng(seed)
+    data = all_rows(_random_field(rng, h, w)).copy()
+    zeroed = rng.random((h, w)) < 0.3
+    data[zeroed, 3:] = rng.choice([0.0, -0.0], size=(int(zeroed.sum()), 6))
+    sigmas = np.zeros((3, 9))
+    sigmas[:, :3] = rng.uniform(0.5, 3.0, (3, 3))
+    protos = PrototypeSet(sigmas, shared_looks=4.0, weights=rng.dirichlet(np.ones(3)))
+    field = CovarianceField(data)
+    out, _ = evolve(field, protos, EvolutionParams(alpha=0.0, dt=dt, iterations=1), kind)
+    assert np.array_equal(all_rows(out), all_rows(reaction_step(field, protos, dt, kind)))
 
 
 def test_evolve_inverts_the_field_once_per_state(rng, monkeypatch):
@@ -301,9 +321,9 @@ def test_evolve_holds_one_plane_and_a_band_scratch_per_worker(monkeypatch):
 
 
 def _chained_reference(field, protos, params, kind):
-    """The field and both metric columns of evolve, from the public steps."""
+    """The field and both metric columns of evolve, from the reference steps."""
     def assign(f):
-        stack = distance_stack(f.data, protos, kind, weighted=True)
+        stack = distance_stack(all_rows(f), protos, kind, weighted=True)
         return np.argmin(stack, axis=-1), stack.min(axis=-1)
 
     labels, nearest = assign(field)
@@ -315,7 +335,7 @@ def _chained_reference(field, protos, params, kind):
         mean_dist.append(float(nearest.mean()))
         changed.append(float(np.mean(new_labels != labels)))
         labels = new_labels
-    return cur.data, np.array(mean_dist), np.array(changed)
+    return all_rows(cur), np.array(mean_dist), np.array(changed)
 
 
 @pytest.mark.parametrize("kind", ["KL", "HD"])
@@ -333,7 +353,7 @@ def test_evolve_bands_are_independent_under_thread_switching(rng, monkeypatch, k
             for cpus in (1, 2, 3, 8):
                 monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
                 out, metrics = evolve(field, protos, params, kind=kind)
-                np.testing.assert_array_equal(out.data, expected[0])
+                np.testing.assert_array_equal(all_rows(out), expected[0])
                 np.testing.assert_array_equal(metrics.mean_weighted_distance, expected[1])
                 np.testing.assert_array_equal(metrics.changed_fraction, expected[2])
     finally:
@@ -370,9 +390,9 @@ def test_evolve_preserves_cone_at_the_stability_boundary(seed, h, w, cpus, scale
     params = EvolutionParams(alpha=0.25, dt=1.0, iterations=5)
     rng = np.random.default_rng(seed)
     field = _random_field(rng, h, w)
-    field = CovarianceField(scale * field.data)
+    field = CovarianceField(scale * all_rows(field))
     protos = PrototypeSet(sigmas=scale * _protos(rng).sigmas, shared_looks=4.0)
     with mock.patch.object(fields, "_usable_cpus", lambda: cpus):
         out, metrics = evolve(field, protos, params, kind=kind)
-    assert np.all(hm.is_positive_definite(out.data))
+    assert np.all(hm.is_positive_definite(all_rows(out)))
     assert np.all(np.isfinite(metrics.mean_weighted_distance))

@@ -18,6 +18,7 @@ from polsardr import hermitian as hm
 from polsardr import phantom, wishart
 
 import oracle
+from conftest import all_rows
 
 
 def test_spec_validation():
@@ -72,7 +73,7 @@ def test_generate_deterministic():
     spec = PhantomSpec(width=24, height=16, seed=5)
     f1, t1 = generate_phantom(spec)
     f2, t2 = generate_phantom(PhantomSpec(width=24, height=16, seed=5))
-    np.testing.assert_array_equal(f1.data, f2.data)
+    np.testing.assert_array_equal(all_rows(f1), all_rows(f2))
     np.testing.assert_array_equal(t1.labels, t2.labels)
 
 
@@ -94,7 +95,7 @@ PHANTOM_DIGESTS = [
 @pytest.mark.parametrize("kwargs, digest", PHANTOM_DIGESTS, ids=["default", "six-classes"])
 def test_phantom_bytes_are_pinned(kwargs, digest):
     field, _ = generate_phantom(PhantomSpec(**kwargs))
-    assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(all_rows(field).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kwargs, digest", PHANTOM_DIGESTS, ids=["default", "six-classes"])
@@ -103,7 +104,7 @@ def test_phantom_bytes_do_not_depend_on_the_batch(monkeypatch, kwargs, digest):
     for batch in (spec.width, spec.width * spec.height):  # one row; the whole image
         monkeypatch.setattr(phantom, "BATCH_PIXELS", batch)
         field, _ = generate_phantom(spec)
-        assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(all_rows(field).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kwargs, digest", PHANTOM_DIGESTS, ids=["default", "six-classes"])
@@ -112,14 +113,14 @@ def test_phantom_bytes_do_not_depend_on_the_gemm_split(monkeypatch, kwargs, dige
     for rows in (1, 7, 10**9):
         monkeypatch.setattr(wishart, "GEMM_ROWS", rows)
         field, _ = generate_phantom(PhantomSpec(**kwargs))
-        assert hashlib.sha256(field.data.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(all_rows(field).tobytes()).hexdigest() == digest
 
 
 def test_seed_changes_field_not_truth():
     a, ta = generate_phantom(PhantomSpec(width=24, height=16, seed=1))
     b, tb = generate_phantom(PhantomSpec(width=24, height=16, seed=2))
     np.testing.assert_array_equal(ta.labels, tb.labels)
-    assert np.abs(oracle.unpack(a.data) - oracle.unpack(b.data)).max() > 1e-3
+    assert np.abs(oracle.unpack(all_rows(a)) - oracle.unpack(all_rows(b))).max() > 1e-3
 
 
 def test_single_class_spec():
@@ -128,7 +129,7 @@ def test_single_class_spec():
                        regions=("background",))
     field, truth = generate_phantom(spec)
     assert np.all(truth.labels == 1)
-    data = oracle.unpack(field.data).reshape(-1, 3, 3)
+    data = oracle.unpack(all_rows(field)).reshape(-1, 3, 3)
     mean = data.mean(axis=0)
     se = data.std(axis=0) / 100.0
     assert np.all(np.abs(mean - oracle.unpack(sigma[0])) <= 5 * se + 1e-12)
@@ -136,14 +137,14 @@ def test_single_class_spec():
 
 def test_every_pixel_positive_definite():
     field, _ = generate_phantom(PhantomSpec(width=40, height=40, seed=9))
-    assert np.all(hm.is_positive_definite(field.data))
+    assert np.all(hm.is_positive_definite(all_rows(field)))
 
 
 def test_per_region_means_converge():
     spec = PhantomSpec(width=150, height=150, seed=11)
     field, truth = generate_phantom(spec)
     for cls in (1, 2):  # background and band both exceed 4000 pixels
-        pts = oracle.unpack(field.data[truth.labels == cls])
+        pts = oracle.unpack(all_rows(field)[truth.labels == cls])
         mean = pts.mean(axis=0)
         se = pts.std(axis=0) / np.sqrt(pts.shape[0])
         assert np.all(np.abs(mean - oracle.unpack(spec.sigmas[cls - 1])) <= 5 * se + 1e-12)
