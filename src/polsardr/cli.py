@@ -389,12 +389,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     outdir.mkdir(parents=True, exist_ok=True)
     seconds: dict[str, float] = {}
     with _stage("simulate", seconds):
-        if config.image:
-            field = dataio.read_covariance_image(config.image)
-            if config.roi is None:
-                raise ValueError("a roi file is required when classifying a loaded image")
-            roi_path = config.roi
-        else:
+        if not config.image:  # a phantom is written, then read back like an image: run's
             if config.phantom_config:
                 spec = read_phantom_config(config.phantom_config)
             else:
@@ -403,9 +398,13 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
             field, truth = generate_phantom(spec)
             dataio.write_covariance_image(field, outdir / "image")
             _save_classmap(truth, outdir / "truth")
-            roi_path = config.roi or outdir / "roi.txt"
             if config.roi is None:
-                dataio.write_roi(inscribed_rois(truth), roi_path)
+                dataio.write_roi(inscribed_rois(truth), outdir / "roi.txt")
+            del field, truth  # no whole-image array outlives this stage
+        field = dataio.read_covariance_image(config.image or outdir / "image")
+        if config.image and config.roi is None:
+            raise ValueError("a roi file is required when classifying a loaded image")
+        roi_path = config.roi or outdir / "roi.txt"
     with _stage("split", seconds):
         split = read_split(roi_path, config.split_seed, field)
     with _stage("train", seconds):

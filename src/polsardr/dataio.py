@@ -236,13 +236,13 @@ def default_palette(n: int) -> np.ndarray:
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """Binary PPM (P6, 8-bit)."""
-    rgb = np.asarray(rgb, dtype=np.uint8)
+    """Binary PPM (P6, 8-bit): the header, then the C-order RGB buffer as it is."""
+    rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"rgb must be (H, W, 3), got {rgb.shape}")
     with open(path, "wb") as f:
         f.write(f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode())
-        f.write(rgb.tobytes())
+        f.write(rgb)
 
 
 def render_rgb(field: CovarianceField, protos: PrototypeSet, path) -> np.ndarray:

@@ -92,7 +92,7 @@ def _region_mask(region: str, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
     kind = parts[0]
     try:
         if kind == "background":
-            return np.ones_like(nx, dtype=bool)
+            return np.ones(np.broadcast_shapes(nx.shape, ny.shape), dtype=bool)
         if kind == "band":
             slope, intercept, halfwidth = map(float, parts[1:4])
             return np.abs(ny - (slope * nx + intercept)) <= halfwidth
@@ -106,7 +106,7 @@ def _region_mask(region: str, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
 
 def region_map(spec: PhantomSpec) -> np.ndarray:
     """Class labels implied by the region list; later regions override earlier."""
-    ny, nx = np.mgrid[0:spec.height, 0:spec.width]
+    ny, nx = np.ogrid[0:spec.height, 0:spec.width]  # (H, 1) and (1, W): masks broadcast
     nx = (nx + 0.5) / spec.width
     ny = (ny + 0.5) / spec.height
     labels = np.zeros((spec.height, spec.width), dtype=np.uint8)

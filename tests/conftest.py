@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ def reaction_step(field, protos, dt, kind):
     pixels = _pixels(x)
     _react(pixels, protos, dt, _assignments(pixels, protos, kind))
     return CovarianceField(np.moveaxis(x, 0, -1), field.looks)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced, as (result, peak bytes):
+    tracemalloc runs for that call only, so what was held before it is not counted."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_ppm(path):

@@ -1,7 +1,8 @@
 """Independent references for the package's kernels and distances.
 
-Built from numpy.linalg (inv, slogdet, norm, eigvalsh) and einsum on complex
-(..., 3, 3) matrices, sharing no code with ``polsardr``: the package writes
+Built from numpy.linalg (inv, slogdet, norm), einsum and, for the PD test,
+exact ``fractions`` arithmetic on complex (..., 3, 3) matrices, sharing no
+code with ``polsardr``: the package writes
 every formula on packed arrays with closed-form cofactors, so a slip there
 cannot cancel against a slip here.  ``pack`` and ``unpack`` convert between
 the two layouts, from the layout table alone.  Every function broadcasts over
@@ -9,6 +10,7 @@ leading axes.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,11 +63,32 @@ def trace_product(a, b):
     return np.einsum("...ij,...ji->...", a, b).real
 
 
+def _exactly_positive_definite(m):
+    """Every pivot of the LDL^T factorisation of the real symmetric 6x6 embedding
+    [[Re m, -Im m], [Im m, Re m]] > 0, in exact rational arithmetic: each float
+    entry becomes the Fraction of its bits, so no pivot is rounded."""
+    h = np.tril(m) + np.conj(np.tril(m, -1)).T  # the lower triangle, as eigvalsh reads it
+    re, im = h.real.copy(), h.imag.copy()
+    np.fill_diagonal(im, 0.0)
+    s = [[Fraction(float(v)) for v in row] for row in np.block([[re, -im], [im, re]])]
+    for k in range(6):
+        if s[k][k] <= 0:
+            return False
+        for i in range(k + 1, 6):
+            ratio = s[i][k] / s[k][k]
+            for j in range(k + 1, 6):
+                s[i][j] -= ratio * s[k][j]
+    return True
+
+
 def is_positive_definite(m):
-    """Every eigenvalue > 0; a matrix with a non-finite entry is not positive definite."""
-    finite = np.all(np.isfinite(m), axis=(-2, -1))
-    eigenvalues = np.linalg.eigvalsh(np.where(finite[..., None, None], m, 0))
-    return finite & np.all(eigenvalues > 0, axis=-1)
+    """Exactly positive definite, as the Hermitian matrix of the diagonal's real
+    parts and the lower triangle; a matrix with a non-finite entry is not."""
+    m = np.asarray(m, dtype=np.complex128)
+    out = np.empty(m.shape[:-2], dtype=bool)
+    for idx in np.ndindex(out.shape):
+        out[idx] = np.isfinite(m[idx]).all() and _exactly_positive_definite(m[idx])
+    return out[()]
 
 
 def kl(s1, s2, looks):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polsardr import dataio
+from polsardr import dataio, fields
 from polsardr import hermitian as hm
 from polsardr.classify import RULES, PrototypeSet, classify_image
 from polsardr.cli import (AccuracyReport, ComparisonTable, ExperimentConfig, accuracy_report,
@@ -24,7 +24,7 @@ from polsardr.fields import ClassMap, CovarianceField, RoiSet
 from polsardr.phantom import PhantomSpec, generate_phantom, inscribed_rois
 
 import oracle
-from conftest import all_rows
+from conftest import all_rows, traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "goldens.json"
@@ -605,6 +605,19 @@ def test_evolve_and_an_image_pipeline_never_load_the_whole_image(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"image: {base}\nroi: {roi}\niterations: 2\noutdir: {tmp_path / 'run'}\n")
     assert main(["pipeline", "--config", str(cfg)]) == 0
+
+
+def test_a_phantom_pipeline_holds_one_image_plane(tmp_path, monkeypatch):
+    # the simulate stage writes the phantom and reads it back as an ``image:``
+    # run does, so no later stage holds the generated (H, W, 9) array: the
+    # traced peak is evolve's one (9, H, W) plane and its band scratch, under
+    # two images.  Keeping the generated array put it at 2.65 images.
+    monkeypatch.setattr(fields, "BLOCK_PIXELS", 9000)  # 30 rows of 300 pixels
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)  # one block at a time
+    config = ExperimentConfig(iterations=2, outdir=str(tmp_path / "run"))
+    _, peak = traced_peak(run_pipeline, config)
+    image_bytes = 300 * 300 * 9 * 8
+    assert peak < 2 * image_bytes, (peak, image_bytes)
 
 
 def test_log_level_debug_tells_how_each_step_was_split(tmp_path, caplog):

@@ -1,7 +1,6 @@
 """File formats: covariance images, class maps, ROIs, models, PPM renders."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from polsardr.phantom import PhantomSpec, generate_phantom
 from polsardr.wishart import WishartModel, sample
 
 import oracle
-from conftest import all_rows, packed_hpd, read_ppm
+from conftest import all_rows, packed_hpd, read_ppm, traced_peak
 
 
 def _random_field(rng, h=6, w=5, looks=4.0):
@@ -204,8 +203,8 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
         want["render"] = dataio.render_rgb(field, protos, tmp_path / "want.ppm")
 
     assert not hasattr(CovarianceField, "data")  # a field has no whole-image reader
-    tracemalloc.start()
-    try:  # each map is compared and dropped, so that only the work counts
+
+    def passes():  # each map is compared and dropped, so that only the work counts
         back = dataio.read_covariance_image(base)
         with pytest.warns(NonPositiveDefinitePixelWarning,
                           match="1 of 90000 pixels") as rec:
@@ -214,9 +213,9 @@ def test_a_read_image_is_classified_and_rendered_in_bounded_memory(tmp_path, mon
                                       want[rule]), rule
             assert np.array_equal(dataio.render_rgb(back, protos, tmp_path / "got.ppm"),
                                   want["render"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return rec
+
+    rec, peak = traced_peak(passes)
     assert len(rec) == len(RULES) + 1  # one per pass
     assert peak < all_rows(field).nbytes / 4, peak
     assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
@@ -235,14 +234,8 @@ def test_hd_holds_about_as_much_as_kl_on_a_read_image(tmp_path, monkeypatch):
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0)
     back = dataio.read_covariance_image(tmp_path / "img")
     peaks = {}
-    tracemalloc.start()
-    try:
-        for rule in ("KL", "HD", "KL", "HD"):  # the second pass of each counts
-            tracemalloc.reset_peak()
-            classify_image(back, protos, rule)
-            peaks[rule] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    for rule in ("KL", "HD", "KL", "HD"):  # the second pass of each counts
+        _, peaks[rule] = traced_peak(classify_image, back, protos, rule)
     block_bytes = 9000 * 9 * 8
     assert peaks["HD"] < peaks["KL"] + block_bytes / 2, (peaks, block_bytes)
 
@@ -258,14 +251,8 @@ def test_ml_holds_about_as_much_as_ed(monkeypatch):
     field, _ = generate_phantom(spec)
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0)
     peaks = {}
-    tracemalloc.start()
-    try:
-        for rule in ("ED", "ML", "ED", "ML"):  # the second pass of each counts
-            tracemalloc.reset_peak()
-            classify_image(field, protos, rule)
-            peaks[rule] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    for rule in ("ED", "ML", "ED", "ML"):  # the second pass of each counts
+        _, peaks[rule] = traced_peak(classify_image, field, protos, rule)
     row_bytes = 45_000 * 8
     assert peaks["ML"] < peaks["ED"] + row_bytes / 2, (peaks, row_bytes)
 
@@ -285,12 +272,7 @@ def test_a_read_image_evolves_in_bounded_memory(tmp_path, monkeypatch):
     want, want_metrics = evolve(field, protos, params, "KL")
     want = all_rows(want).copy()
     back = dataio.read_covariance_image(tmp_path / "img")
-    tracemalloc.start()
-    try:
-        got, metrics = evolve(back, protos, params, "KL")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (got, metrics), peak = traced_peak(evolve, back, protos, params, "KL")
     image_bytes = 300 * 300 * 9 * 8
     assert peak < 2 * image_bytes + image_bytes / 2, (peak, image_bytes)
     assert np.array_equal(got.rows(0, 300), want)

@@ -3,7 +3,6 @@
 import dataclasses
 import sys
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +19,7 @@ from polsardr.wishart import WishartModel, sample
 from polsardr import hermitian as hm
 
 import oracle
-from conftest import all_rows, diffusion_step, packed_hpd, reaction_step
+from conftest import all_rows, diffusion_step, packed_hpd, reaction_step, traced_peak
 
 ID = np.eye(3, dtype=complex)
 
@@ -307,12 +306,7 @@ def test_evolve_holds_one_plane_and_a_band_scratch_per_worker(monkeypatch):
     protos = PrototypeSet(spec.sigmas, shared_looks=4.0, weights=[0.5, 0.3, 0.2])
     params = EvolutionParams(iterations=2)
     evolve(field, protos, params, "KL")  # the traced call pays no first-call allocation
-    tracemalloc.start()
-    try:
-        evolve(field, protos, params, "KL")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(evolve, field, protos, params, "KL")
     plane = 300 * 300 * 9 * 8
     band = plane / 2
     scratch = (150 + 2) * 300 * 8

@@ -69,6 +69,50 @@ def test_region_map_partitions():
     assert set(np.unique(labels)) == {1, 2, 3}
 
 
+def _mgrid_region_map(width, height, regions):
+    """Labels of background, band and disk regions, each mask computed on the
+    full (H, W) coordinate grids of np.mgrid."""
+    ny, nx = np.mgrid[0:height, 0:width]
+    nx = (nx + 0.5) / width
+    ny = (ny + 0.5) / height
+    labels = np.zeros((height, width), dtype=np.uint8)
+    for idx, region in enumerate(regions):
+        kind, *params = region.split()
+        a, b, c = map(float, params or (0, 0, 0))
+        mask = {"background": np.ones((height, width), dtype=bool),
+                "band": np.abs(ny - (a * nx + b)) <= c,
+                "disk": (nx - a) ** 2 + (ny - b) ** 2 <= c**2}[kind]
+        labels[mask] = idx + 1
+    return labels
+
+
+def _tenths(lo, hi):
+    return st.integers(lo, hi).map(lambda k: k / 10)
+
+
+# tenths put many pixel centers (j + 0.5) / n on a boundary in exact arithmetic,
+# where the rounding of each operation decides the label
+_region = st.one_of(
+    st.builds(lambda s, i, h: f"band {s!r} {i!r} {h!r}",
+              _tenths(-10, 10), _tenths(-5, 10), _tenths(0, 5)),
+    st.builds(lambda x, y, r: f"disk {x!r} {y!r} {r!r}",
+              _tenths(-5, 15), _tenths(-5, 15), _tenths(0, 10)))
+
+
+@given(width=st.sampled_from([1, 5, 10, 20, 40]), height=st.sampled_from([1, 5, 10, 20, 40]),
+       regions=st.lists(_region, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_region_map_is_the_full_grid_map(width, height, regions):
+    # the open grids broadcast each mask to (H, W) with the same scalar
+    # operations per pixel, so every label is the full grids' label
+    regions = ("background", *regions)
+    spec = PhantomSpec(width=width, height=height, regions=regions,
+                       sigmas=np.repeat(DEFAULT_SIGMAS[:1], len(regions), axis=0))
+    labels = region_map(spec)
+    assert labels.dtype == np.uint8
+    np.testing.assert_array_equal(labels, _mgrid_region_map(width, height, regions))
+
+
 def test_generate_deterministic():
     spec = PhantomSpec(width=24, height=16, seed=5)
     f1, t1 = generate_phantom(spec)
