@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 import time
@@ -73,54 +72,44 @@ class ComparisonTable:
         repeated = _repeated([rep.method for rep in self.reports])
         if repeated:
             raise ValueError(f"repeated method names {repeated}")
-        classes = sorted(self.reports[0].per_class)
-        for rep in self.reports:
-            self.improvements[rep.method] = {}
-        for cls in classes:
+        self._classes = sorted(self.reports[0].per_class)
+        # each report's cells, by class: (accuracy, improvement, text tag)
+        self._cells = {rep.method: [] for rep in self.reports}
+        self.improvements.update({rep.method: {} for rep in self.reports})
+        for cls in self._classes:
             worst = min(rep.per_class[cls] for rep in self.reports)
             self.baselines[cls] = next(rep.method for rep in self.reports
                                        if rep.per_class[cls] == worst)
             for rep in self.reports:
-                acc = rep.per_class[cls]
-                if acc == worst or worst >= 100.0:
-                    self.improvements[rep.method][cls] = None
-                else:
-                    self.improvements[rep.method][cls] = 100.0 * (acc - worst) / (100.0 - worst)
+                acc, imp, tag = rep.per_class[cls], None, "-"
+                if acc != worst and worst < 100.0:
+                    imp = 100.0 * (acc - worst) / (100.0 - worst)
+                    tag = f"{imp:.1f}%"
+                elif rep.method == self.baselines[cls] and worst < 100.0:
+                    tag = "baseline"
+                self.improvements[rep.method][cls] = imp
+                self._cells[rep.method].append((acc, imp, tag))
 
     def format(self) -> str:
-        classes = sorted(self.reports[0].per_class)
-        rows = [["method"] + [f"class {c}" for c in classes] + ["overall", "seconds"]]
+        rows = [["method"] + [f"class {c}" for c in self._classes] + ["overall", "seconds"]]
         for rep in self.reports:
-            cells = [rep.method]
-            for c in classes:
-                imp = self.improvements[rep.method][c]
-                if imp is None:
-                    tag = "baseline" if self.baselines[c] == rep.method and rep.per_class[c] < 100 else "-"
-                else:
-                    tag = f"{imp:.1f}%"
-                cells.append(f"{rep.per_class[c]:.1f} ({tag})")
-            cells.append(f"{rep.overall:.2f}")
-            cells.append("-" if rep.seconds is None else f"{rep.seconds:.3f}")
-            rows.append(cells)
+            rows.append([rep.method]
+                        + [f"{acc:.1f} ({tag})" for acc, _, tag in self._cells[rep.method]]
+                        + [f"{rep.overall:.2f}",
+                           "-" if rep.seconds is None else f"{rep.seconds:.3f}"])
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
                          for r in rows)
 
     def write_csv(self, path) -> None:
-        classes = sorted(self.reports[0].per_class)
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            header = ["method"]
-            for c in classes:
-                header += [f"accuracy_{c}", f"improvement_{c}"]
-            writer.writerow(header + ["overall", "seconds"])
-            for rep in self.reports:
-                row = [rep.method]
-                for c in classes:
-                    imp = self.improvements[rep.method][c]
-                    row += [f"{rep.per_class[c]:.6f}", "" if imp is None else f"{imp:.6f}"]
-                writer.writerow(row + [f"{rep.overall:.6f}",
-                                       "" if rep.seconds is None else f"{rep.seconds:.6f}"])
+        header = ["method"] + [f"{name}_{c}" for c in self._classes
+                               for name in ("accuracy", "improvement")]
+        dataio._write_csv(path, header + ["overall", "seconds"], (
+            [rep.method]
+            + [cell for acc, imp, _ in self._cells[rep.method]
+               for cell in (f"{acc:.6f}", "" if imp is None else f"{imp:.6f}")]
+            + [f"{rep.overall:.6f}", "" if rep.seconds is None else f"{rep.seconds:.6f}"]
+            for rep in self.reports))
 
 
 # --- experiment configuration -------------------------------------------------

@@ -10,6 +10,7 @@ read and written from a base path, as ``<base>.hdr`` and ``<base>.dat``.
 from __future__ import annotations
 
 import colorsys
+import csv
 import os
 from functools import partial
 
@@ -24,12 +25,25 @@ _DTYPES = {"f32": "<f4", "f64": "<f8", "u8": "|u1"}
 RENDER_EPS = 1e-12
 
 
+def _write_lines(path, lines) -> None:
+    """Write a text file of the given lines, each ended by a newline."""
+    with open(path, "w") as f:
+        f.writelines(f"{line}\n" for line in lines)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file of the header row, then the rows: the package's one CSV dialect."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_header(path, width, height, dtype, looks=None):
     lines = [f"width: {width}", f"height: {height}", f"dtype: {dtype}", "byte_order: little"]
     if looks is not None:
         lines.append(f"looks: {float(looks)!r}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _content_lines(path):
@@ -150,11 +164,9 @@ def read_roi(path, width: int | None = None, height: int | None = None) -> RoiSe
 
 
 def write_roi(rois: RoiSet, path) -> None:
-    with open(path, "w") as f:
-        f.write("# class x0 y0 x1 y1\n")
-        for cls in rois.classes:
-            for x0, y0, x1, y1 in rois.rects[cls]:
-                f.write(f"{cls} {x0} {y0} {x1} {y1}\n")
+    rects = [f"{cls} {x0} {y0} {x1} {y1}" for cls in rois.classes
+             for x0, y0, x1, y1 in rois.rects[cls]]
+    _write_lines(path, ["# class x0 y0 x1 y1"] + rects)
 
 
 def split_roi(rois: RoiSet, seed: int) -> Split:
@@ -187,11 +199,9 @@ def write_model(protos: PrototypeSet, path) -> None:
     lines.append("weights: " + " ".join(repr(float(w)) for w in protos.weights))
     for m in range(protos.n_classes):
         lines.append(f"class: {m + 1}")
-        looks_m = protos.class_looks[m] if protos.class_looks is not None else protos.shared_looks
-        lines.append(f"looks: {float(looks_m)!r}")
+        lines.append(f"looks: {protos.looks_for(m, use_class_looks=True)!r}")
         lines.append("cov: " + " ".join(repr(float(v)) for v in protos.sigmas[m]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_model(path) -> PrototypeSet:

@@ -14,14 +14,13 @@ definite matrices, so the field never leaves the cone.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import hermitian as hm
+from . import dataio, hermitian as hm
 from .classify import KINDS, PrototypeSet, _nearest, _stack
 from .distances import _features
 from .errors import InvalidObservation, StabilityViolation
@@ -62,12 +61,9 @@ class EvolutionMetrics:
     changed_fraction: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "mean_weighted_distance", "changed_fraction"])
-            for i, d, c in zip(self.iteration, self.mean_weighted_distance,
-                               self.changed_fraction):
-                writer.writerow([int(i), repr(float(d)), repr(float(c))])
+        columns = zip(self.iteration, self.mean_weighted_distance, self.changed_fraction)
+        dataio._write_csv(path, ["iteration", "mean_weighted_distance", "changed_fraction"],
+                          ([int(i), repr(float(d)), repr(float(c))] for i, d, c in columns))
 
 
 def _pixels(planes: np.ndarray) -> np.ndarray:
@@ -97,12 +93,7 @@ def _diffuse(s: np.ndarray, params: EvolutionParams, out: np.ndarray) -> None:
 
 def _assignments(x: np.ndarray, protos: PrototypeSet, kind: str, det=None):
     """Labels (0-based), nearest and runner-up weighted distances of component-major
-    (N, 9) pixels (``classify._nearest``), whose determinants, when given, are det.
-
-    The reaction needs a distance, so "ML" is refused.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
+    (N, 9) pixels (``classify._nearest``), whose determinants, when given, are det."""
     return _nearest(_stack(_features(x, kind, det), protos, kind, weighted=True))
 
 
@@ -183,8 +174,11 @@ def evolve(field: CovarianceField, protos: PrototypeSet, params: EvolutionParams
     result does not depend on the number of bands.  The first pass reads each band through
     ``field.rows`` and PD-tests it, and the test's determinants serve its
     first assignment.  With alpha = 0 and one iteration, the result is one
-    reaction step.
+    reaction step.  The reaction needs a distance, so "ML" is refused before
+    any row is read.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown distance kind {kind!r} (expected one of {KINDS})")
     h, w = field.height, field.width
     x = np.empty((9, h, w))
     labels, prev = np.empty((2, h, w), dtype=np.uint8)  # MAX_CLASSES labels fit

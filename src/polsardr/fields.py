@@ -153,12 +153,9 @@ class RoiSet:
 
     def pixels(self, cls: int) -> np.ndarray:
         """Deduplicated (y, x) coordinates of class `cls`, row-major order."""
-        coords = set()
-        for x0, y0, x1, y1 in self.rects[cls]:
-            for y in range(y0, y1 + 1):
-                for x in range(x0, x1 + 1):
-                    coords.add((y, x))
-        return np.array(sorted(coords), dtype=np.int64).reshape(-1, 2)
+        grids = [np.mgrid[y0:y1 + 1, x0:x1 + 1].reshape(2, -1).T
+                 for x0, y0, x1, y1 in self.rects[cls]]
+        return np.unique(np.concatenate([np.empty((0, 2), dtype=np.int64)] + grids), axis=0)
 
 
 @dataclass(eq=False)

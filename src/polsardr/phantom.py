@@ -175,7 +175,8 @@ def inscribed_rois(truth: ClassMap) -> RoiSet:
         half = min(depth - 1 - ROI_MARGIN, (ROI_MAX_SIDE - 1) // 2)
         if 2 * half + 1 < ROI_MIN_SIDE:
             raise InvalidSpec(
-                f"class {cls} region too thin for a {ROI_MIN_SIDE}px ROI at margin {ROI_MARGIN}"
+                f"class {cls} region too thin for a {ROI_MIN_SIDE}px ROI at margin {ROI_MARGIN}: "
+                f"it is {depth} px deep, and the ROI needs {ROI_MARGIN + 1 + ROI_MIN_SIDE // 2}"
             )
         rois.rects[cls] = [(int(x - half), int(y - half), int(x + half), int(y + half))]
     return rois

@@ -15,13 +15,12 @@ backtracking line search, then Euclidean projection back onto the simplex.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermitian as hm
+from . import dataio, hermitian as hm
 from .classify import KINDS, PrototypeSet, _stack
 from .distances import _features
 from .errors import InvalidObservation, NonFiniteEnergy
@@ -115,12 +114,9 @@ class WeightResult:
     trace: list[tuple[int, float, np.ndarray]]
 
     def write_trace_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            m = self.weights.size
-            writer.writerow(["iteration", "energy"] + [f"w{i + 1}" for i in range(m)])
-            for it, en, w in self.trace:
-                writer.writerow([it, repr(float(en))] + [repr(float(x)) for x in w])
+        header = ["iteration", "energy"] + [f"w{i + 1}" for i in range(self.weights.size)]
+        dataio._write_csv(path, header, ([it, repr(float(en))] + [repr(float(x)) for x in w]
+                                         for it, en, w in self.trace))
 
 
 def optimize_weights(train: TrainingSet, kind: str, lam: float,

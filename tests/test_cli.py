@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polsardr import dataio, fields
 from polsardr import hermitian as hm
@@ -69,6 +71,37 @@ def test_a_single_report_is_its_own_baseline(tmp_path):
     assert (tmp_path / "table.csv").read_text().splitlines() == [
         "method,accuracy_1,improvement_1,accuracy_2,improvement_2,overall,seconds",
         "A,100.000000,,90.000000,,95.000000,"]
+
+
+_ACCURACIES = st.sampled_from([0.0, 12.5, 50.0, 87.5, 100.0]) | st.floats(0.0, 100.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_ACCURACIES, min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_format_and_csv_carry_the_same_cells(tmp_path_factory, accs):
+    # drawn from a few values, classes tie and reach 100 %; each cell of the
+    # text and the CSV is checked against the improvement's definition
+    reports = [_report(f"m{i}", a) for i, a in enumerate(accs)]
+    table = ComparisonTable(reports)
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    table.write_csv(path)
+    csv_rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    text_rows = [re.split(r"\s{2,}", line) for line in table.format().splitlines()[1:]]
+    assert len(csv_rows) == len(text_rows) == len(reports)
+    for rep, text, row in zip(reports, text_rows, csv_rows):
+        assert text[0] == row[0] == rep.method
+        for c, acc in rep.per_class.items():
+            worst = min(r.per_class[c] for r in reports)
+            imp = None if acc == worst or worst >= 100 else 100 * (acc - worst) / (100 - worst)
+            baseline = rep.method == next(r.method for r in reports if r.per_class[c] == worst)
+            assert table.improvements[rep.method][c] == imp
+            assert (table.baselines[c] == rep.method) == baseline
+            tag = (f"{imp:.1f}%" if imp is not None
+                   else "baseline" if baseline and worst < 100 else "-")
+            assert text[c] == f"{acc:.1f} ({tag})"
+            assert row[2 * c - 1:2 * c + 1] == [f"{acc:.6f}",
+                                                "" if imp is None else f"{imp:.6f}"]
 
 
 def test_a_repeated_method_name_is_refused(tmp_path):
@@ -236,6 +269,15 @@ def test_config_rejects_unknown_distance(tmp_path, value):
     cfg.write_text(f"distance: {value}\n")
     with pytest.raises(ValueError, match=f"unknown distance '{value}'"):
         ExperimentConfig.from_file(cfg)
+
+
+def test_simulate_names_the_depth_a_thin_region_has_and_needs(tmp_path, capsys):
+    # at 40x40 the middle class is 4 erosions deep; an 8 px ROI at margin 3 needs 8
+    assert main(["simulate", "--width", "40", "--height", "40",
+                 "--out", str(tmp_path / "img")]) == 1
+    err = capsys.readouterr().err
+    assert "class 2 region too thin for a 8px ROI at margin 3" in err
+    assert "it is 4 px deep, and the ROI needs 8" in err
 
 
 def test_every_rule_is_accepted_by_classify_and_rules(tmp_path):

@@ -1,9 +1,13 @@
 """File formats: covariance images, class maps, ROIs, models, PPM renders."""
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polsardr import dataio, fields
 from polsardr import hermitian as hm
@@ -335,6 +339,42 @@ def test_roi_write_read_roundtrip(tmp_path):
     dataio.write_roi(rois, tmp_path / "r.txt")
     back = dataio.read_roi(tmp_path / "r.txt")
     assert back.rects == rois.rects
+
+
+def _set_pixels(rects):
+    """The reference: every rectangle's (y, x) pixels in a set, sorted."""
+    coords = set()
+    for x0, y0, x1, y1 in rects:
+        for y in range(y0, y1 + 1):
+            for x in range(x0, x1 + 1):
+                coords.add((y, x))
+    return np.array(sorted(coords), dtype=np.int64).reshape(-1, 2)
+
+
+_RECT = st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 6),
+                  st.integers(0, 6)).map(lambda r: (r[0], r[1], r[0] + r[2], r[1] + r[3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_RECT, max_size=6))
+def test_roi_pixels_are_the_sorted_deduplicated_rectangle_pixels(rects):
+    # overlapping rectangles share pixels, which appear once, in row-major order;
+    # a class with no rectangle has no pixels
+    got = RoiSet({1: rects}).pixels(1)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _set_pixels(rects))
+
+
+def test_only_dataio_imports_csv():
+    # the CSV dialect has one home: every CSV file is written by dataio._write_csv
+    importers = set()
+    for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "csv" for name in names):
+                importers.add(path.stem)
+    assert importers == {"dataio"}
 
 
 def test_split_sizes_and_disjointness():

@@ -216,9 +216,14 @@ def test_evolve_preserves_cone_and_tracks_metrics(rng):
 
 
 def test_evolve_rejects_the_ml_rule(rng):
-    # ML scores are negative log-densities, not distances: no reaction term
-    with pytest.raises(ValueError, match="ML"):
-        evolve(_random_field(rng, 4, 4), _protos(rng), EvolutionParams(iterations=1), "ML")
+    # ML scores are negative log-densities, not distances: no reaction term.
+    # The kind is refused once, before any row is read.
+    def unread(r0, r1):
+        raise AssertionError(f"rows {r0}..{r1 - 1} were read")
+
+    for field in (_random_field(rng, 4, 4), CovarianceField.from_rows(unread, 4, 4)):
+        with pytest.raises(ValueError, match=r"unknown distance kind 'ML' \(expected one of"):
+            evolve(field, _protos(rng), EvolutionParams(iterations=1), "ML")
 
 
 def test_metrics_csv(tmp_path, rng):
